@@ -11,24 +11,21 @@ against the smallness functional Z0(t).
 
 from .criterion import (CriterionConfig, CriterionReport, check_corollary,
                         check_glob_add, compute_a0, full_report, margin)
-from .dynamics import (Forcing, ModelParams, State, Tendency, eddy_viscosity,
-                       energy_flux, evaluate_tendency, rhs_b, rhs_omega,
-                       rhs_velocity)
+from .dynamics import (Forcing, ModelParams, State, eddy_viscosity,
+                       energy_flux, evaluate_tendency)
 from .envelopes import DataBounds, EnvelopeSet, geometric_times
 from .errors import (BlowUp, ConfigError, InconclusiveTail, Kappa2TooSmall,
                      KturbError, NonPositiveOmega, PositivityViolation,
                      VerificationFailure)
-from .fields import ScalarField, SpectralScalar, SpectralVector, VectorField
+from .fields import ScalarField, VectorField
 from .grid import TorusGrid
 from .integrator import StepControl, advance, compute_dt, rk4_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGrid", "ScalarField", "VectorField", "SpectralScalar",
-    "SpectralVector", "ModelParams", "State", "Tendency", "Forcing",
-    "eddy_viscosity", "energy_flux", "evaluate_tendency",
-    "rhs_velocity", "rhs_omega", "rhs_b",
+    "TorusGrid", "ScalarField", "VectorField", "ModelParams", "State",
+    "Forcing", "eddy_viscosity", "energy_flux", "evaluate_tendency",
     "StepControl", "compute_dt", "rk4_step", "advance",
     "DataBounds", "EnvelopeSet", "geometric_times",
     "CriterionConfig", "CriterionReport", "margin", "check_glob_add",

@@ -83,7 +83,9 @@ class _TailModel:
     """Per-term dominations of C*Z0 in the clock s = 1 + k2*om_max*t.
 
     Each term is c * s^p * exp(-q*beta*(s^r - 1)) evaluated in log space,
-    valid for s >= 1, together with its peak location s*.
+    valid for s >= 1, together with its peak location s*.  a_terms holds
+    the (K0, p, q) majorants of the Y2-dependent constituents of a(t)
+    that compute_a0 bounds its tail with.
     """
 
     def __init__(self, bounds, c_omega_kappa):
@@ -94,12 +96,13 @@ class _TailModel:
         self.beta = k2 * b.b_min / (b.c_p**2 * b.omega_max**2 * (2.0 * k2 - 1.0))
         self.m0 = b.b_min / b.omega_max
         rho = b.omega_min / b.omega_max
-        M = b.b0_l1 + 0.5 * b.v0_l2sq
+        self.M = M = b.b0_l1 + 0.5 * b.v0_l2sq
         Cc = c_omega_kappa
         w = b.omega_min
         Y0 = b.lap_sum
         # (log c, p, q) triples for C*Z0 <= sum of c * s^p * e^{-q beta (s^r-1)}
         self.terms = []
+        self.a_terms = []
         if M > 0:
             self.terms.append((math.log(Cc * M) - math.log(rho) / k2, -1.0 / k2, 0.0))
         if Y0 > 0:
@@ -112,6 +115,9 @@ class _TailModel:
             self.terms.append((math.log(Cc * B0) + 0.5 * math.log(Y0), 2.0, 0.5))
             self.terms.append((math.log(Cc * C0) + math.log(Y0), 3.0, 1.0))
             self.terms.append((math.log(Cc * D0) + 1.5 * math.log(Y0), 3.0, 1.5))
+            self.a_terms = [(B0, 1.0 / k2 + 1.0, 0.25),
+                            (C0, 1.0 / k2 + 2.0, 0.75),
+                            (D0, 1.0 / k2 + 2.0, 1.25)]
 
     def log_term(self, logc, p, q, s):
         val = logc + p * math.log(s)
@@ -122,6 +128,10 @@ class _TailModel:
     def log_mu_min(self, s):
         return math.log(self.m0) + (self.r - 1.0) * math.log(s)
 
+    def peak_s(self, p, q):
+        """Peak of s^p * exp(-q*beta*s^r) for p, q > 0."""
+        return (p / (q * self.beta * self.r)) ** (1.0 / self.r)
+
     def ratio_peak_s(self, logc, p, q):
         """Peak of (term / mu_min)(s); the ratio decreases beyond it."""
         pr = p - (self.r - 1.0)
@@ -130,7 +140,7 @@ class _TailModel:
             return 1.0 if pr <= 0.0 else math.inf
         if pr <= 0.0:
             return 1.0
-        return (pr / (q * self.beta * self.r)) ** (1.0 / self.r)
+        return self.peak_s(pr, q)
 
     def ratio_sum(self, s):
         lm = self.log_mu_min(s)
@@ -236,12 +246,9 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     # finite sampling range, stretched to cover every bound-term peak
     tail = _TailModel(bounds, Cc)
     horizon = config.sup_horizon
-    if b.lap_sum > 0:
-        beta, r = tail.beta, tail.r
-        for p, q in ((1.0 / k2 + 1.0, 0.25), (1.0 / k2 + 2.0, 0.75),
-                     (1.0 / k2 + 2.0, 1.25)):
-            s_star = (p / (q * beta * r)) ** (1.0 / r)
-            horizon = max(horizon, (s_star - 1.0) / (k2 * b.omega_max))
+    for _, p, q in tail.a_terms:
+        s_star = tail.peak_s(p, q)
+        horizon = max(horizon, (s_star - 1.0) / (k2 * b.omega_max))
     ts = geometric_times(horizon, config.delta)
     vals = np.asarray(a_of_t(ts))
     j = int(np.argmax(vals))
@@ -258,44 +265,36 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     # so the tail supremum is bounded by the majorants evaluated there
     s_end = 1.0 + k2 * b.omega_max * float(ts[-1])
     rho = b.omega_min / b.omega_max
-    M = b.b0_l1 + 0.5 * b.v0_l2sq
-    bmax_end = M * rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)
+    bmax_end = tail.M * rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)
     tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) \
         * (b.v0_l2sq + bmax_end**2) ** 0.25
-    if b.lap_sum > 0:
-        beta, r = tail.beta, tail.r
-        w = b.omega_min
-        B0 = 1.0 + 1.0 / w + M / w + M / w**2
-        C0 = 1.0 / w + 1.0 / w**2 + M / w**2 + M / w**3
-        D0 = 1.0 / w**2 + 1.0 / w**3
-        Y0 = b.lap_sum
-        for K0, p, q in ((B0, 1.0 / k2 + 1.0, 0.25),
-                         (C0, 1.0 / k2 + 2.0, 0.75),
-                         (D0, 1.0 / k2 + 2.0, 1.25)):
-            logv = (math.log(2.0 * Cc * K0) + q * math.log(Y0)
-                    + p * math.log(s_end) - q * beta * (s_end**r - 1.0))
-            tail_sup += math.exp(min(logv, 700.0))
+    for K0, p, q in tail.a_terms:
+        logc = math.log(2.0 * Cc * K0) + q * math.log(b.lap_sum)
+        tail_sup += math.exp(min(tail.log_term(logc, p, q, s_end), 700.0))
     return max(best, tail_sup)
 
 
-def check_corollary(bounds: DataBounds, config: CriterionConfig):
-    """The two closed-form sufficient conditions (z1, z2)."""
-    _require_kappa2(bounds)
+def _corollary(bounds, config, a0):
+    """(z1, z2) given a0; a0 is only read when lap_sum > 0."""
     lhs = bounds.b_min / bounds.omega_max
     z1 = lhs > 2.0 * config.c_omega_kappa * (bounds.b0_l1 + 0.5 * bounds.v0_l2sq)
     if bounds.lap_sum == 0.0:
         z2 = lhs > 0.0
     else:
-        a0 = compute_a0(bounds, config)
         z2 = lhs > a0 * bounds.lap_sum**0.25
     return z1, z2
+
+
+def check_corollary(bounds: DataBounds, config: CriterionConfig):
+    """The two closed-form sufficient conditions (z1, z2)."""
+    _require_kappa2(bounds)
+    a0 = compute_a0(bounds, config) if bounds.lap_sum != 0.0 else None
+    return _corollary(bounds, config, a0)
 
 
 def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     """check_glob_add augmented with a0 and the corollary verdicts."""
     report = check_glob_add(bounds, config)
     report.a0 = compute_a0(bounds, config)
-    z1, z2 = check_corollary(bounds, config)
-    report.z1_holds = z1
-    report.z2_holds = z2
+    report.z1_holds, report.z2_holds = _corollary(bounds, config, report.a0)
     return report

@@ -13,7 +13,7 @@ quadratic products are dealiased; mu is formed pointwise and never
 floored (positivity of omega is a hard precondition).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,22 +58,45 @@ class ModelParams:
 
 @dataclass
 class State:
-    """Solution triple (v, omega, b) at time t."""
+    """Solution triple (v, omega, b) at time t, stored as one physical
+    array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
-    v: VectorField
-    omega: ScalarField
-    b: ScalarField
+    v, omega and b are field views of y, not copies.
+    """
+
+    grid: TorusGrid
+    y: np.ndarray
     t: float = 0.0
 
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=float)
+        want = (5,) + self.grid.resolution
+        if self.y.shape != want:
+            raise ValueError(f"state shape {self.y.shape} does not match {want}")
+
+    @classmethod
+    def uniform(cls, grid, omega, b, t=0.0):
+        """Velocity at rest with constant omega and b."""
+        y = np.zeros((5,) + grid.resolution)
+        y[3] = omega
+        y[4] = b
+        return cls(grid, y, t)
+
     @property
-    def grid(self):
-        return self.omega.grid
+    def v(self):
+        return VectorField(self.grid, self.y[:3])
+
+    @property
+    def omega(self):
+        return ScalarField(self.grid, self.y[3])
+
+    @property
+    def b(self):
+        return ScalarField(self.grid, self.y[4])
 
     def validate(self, div_tol=1e-12, eps_pos=0.0):
         g = self.grid
-        if not (self.v.grid == g == self.b.grid):
-            raise ValueError("state fields must share one grid")
-        vhat = g.rfft(self.v.values)
+        vhat = g.rfft(self.y[:3])
         vnorm = np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3)))
         div = ops.div_hat(g, vhat)
         if np.max(np.abs(div)) > div_tol * max(vnorm, 1e-300) * g.npoints:
@@ -81,18 +104,11 @@ class State:
         for i in range(3):
             if abs(vhat[i][0, 0, 0]) > div_tol * g.npoints:
                 raise ValueError("velocity has nonzero mean")
-        if np.min(self.omega.values) <= eps_pos:
+        if np.min(self.y[3]) <= eps_pos:
             raise ValueError("omega must be strictly positive")
-        if np.min(self.b.values) <= eps_pos:
+        if np.min(self.y[4]) <= eps_pos:
             raise ValueError("b must be strictly positive")
         return self
-
-
-@dataclass
-class Tendency:
-    dv: VectorField
-    domega: ScalarField
-    db: ScalarField
 
 
 class Forcing:
@@ -113,25 +129,6 @@ class Forcing:
         return self._static
 
 
-def state_to_hat(state):
-    """Pack a State into the stacked spectral vector (v1, v2, v3, om, b)."""
-    g = state.grid
-    phys = np.concatenate([state.v.values,
-                           state.omega.values[None],
-                           state.b.values[None]])
-    return g.rfft(phys)
-
-
-def hat_to_state(grid, y_hat, t):
-    phys = grid.irfft(y_hat)
-    return State(
-        v=VectorField(grid, phys[:3].copy()),
-        omega=ScalarField(grid, phys[3].copy()),
-        b=ScalarField(grid, phys[4].copy()),
-        t=t,
-    )
-
-
 class TendencyKernel:
     """Fused evaluator of all three right-hand sides in spectral form.
 
@@ -146,21 +143,13 @@ class TendencyKernel:
         self.params = params
         self.eps_pos = eps_pos
 
-    def _has_nonmean(self, fhat):
-        n = np.count_nonzero(fhat)
-        if n == 0:
-            return False
-        if n == 1 and fhat[0, 0, 0] != 0:
-            return False
-        return True
-
     def __call__(self, y_hat, t=0.0, forcing=None):
         g = self.grid
         p = self.params
         vhat, what, bhat = y_hat[:3], y_hat[3], y_hat[4]
         v_active = bool(np.any(vhat))
-        w_var = self._has_nonmean(what)
-        b_var = self._has_nonmean(bhat)
+        w_var = not ops.is_constant_hat(what)
+        b_var = not ops.is_constant_hat(bhat)
 
         if not (v_active or w_var or b_var) and forcing is None:
             # spatially uniform state: the reaction ODEs are the whole
@@ -285,32 +274,12 @@ def eddy_viscosity(state: State, eps_pos=0.0) -> ScalarField:
     return ScalarField(state.grid, state.b.values / state.omega.values)
 
 
-def _tendency_hat(state, params, forcing=None):
-    kernel = TendencyKernel(state.grid, params)
-    return kernel(state_to_hat(state), state.t, forcing)
-
-
-def evaluate_tendency(state: State, params: ModelParams, forcing=None) -> Tendency:
-    """All three right-hand sides at once (shares transforms)."""
+def evaluate_tendency(state: State, params: ModelParams, forcing=None) -> np.ndarray:
+    """All three right-hand sides at once, as one physical array of
+    shape (5, N1, N2, N3) with rows (dv1, dv2, dv3, domega, db)."""
     g = state.grid
-    phys = g.irfft(_tendency_hat(state, params, forcing))
-    return Tendency(
-        dv=VectorField(g, phys[:3].copy()),
-        domega=ScalarField(g, phys[3].copy()),
-        db=ScalarField(g, phys[4].copy()),
-    )
-
-
-def rhs_velocity(state, params, forcing=None) -> VectorField:
-    return evaluate_tendency(state, params, forcing).dv
-
-
-def rhs_omega(state, params, forcing=None) -> ScalarField:
-    return evaluate_tendency(state, params, forcing).domega
-
-
-def rhs_b(state, params, forcing=None) -> ScalarField:
-    return evaluate_tendency(state, params, forcing).db
+    kernel = TendencyKernel(g, params)
+    return g.irfft(kernel(g.rfft(state.y), state.t, forcing))
 
 
 def energy_flux(state: State, params: ModelParams):

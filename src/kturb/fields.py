@@ -1,4 +1,4 @@
-"""Field containers: physical scalars/vectors and their spectra."""
+"""Field containers: physical scalars and vectors on one grid."""
 
 from dataclasses import dataclass
 
@@ -22,15 +22,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         _check_shape(self.grid, self.values)
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("scalar field contains NaN or Inf")
-        return self
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.resolution, float(value)))
-
 
 @dataclass
 class VectorField:
@@ -47,43 +38,8 @@ class VectorField:
     def component(self, i):
         return ScalarField(self.grid, self.values[i])
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("vector field contains NaN or Inf")
-        return self
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros((3,) + grid.resolution))
-
     @classmethod
     def from_components(cls, c1, c2, c3):
         if not (c1.grid == c2.grid == c3.grid):
             raise ValueError("vector components must share one grid")
         return cls(c1.grid, np.stack([c1.values, c2.values, c3.values]))
-
-
-@dataclass
-class SpectralScalar:
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.spectral_shape:
-            raise ValueError("spectral shape does not match grid")
-
-    @property
-    def mean_coeff(self):
-        return self.coeffs[0, 0, 0]
-
-
-@dataclass
-class SpectralVector:
-    grid: TorusGrid
-    coeffs: np.ndarray  # shape (3,) + spectral_shape
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (3,) + self.grid.spectral_shape:
-            raise ValueError("spectral shape does not match grid")

@@ -68,6 +68,9 @@ class TorusGrid:
             & (np.abs(self.modes[2]) * 3 <= N3)
         )
         self.dealias_mask = keep
+        # largest |k|^2 the dealiased tendency acts on; it sets the
+        # diffusive step limit
+        self.k_sq_max = float(np.max(self.k_sq[keep]))
 
         # Multiplicity of each half-spectrum entry in full-spectrum sums.
         w = np.full(m3.size, 2.0)
@@ -112,10 +115,3 @@ class TorusGrid:
         for L, N, shape in zip(self.lengths, self.resolution, shapes):
             xs.append((np.arange(N) * (L / N)).reshape(shape))
         return tuple(xs)
-
-    def mode_count_nonmean(self, spectrum):
-        """Number of nonzero coefficients away from k = 0."""
-        n = int(np.count_nonzero(spectrum))
-        if spectrum[..., 0, 0, 0] != 0:
-            n -= 1
-        return n

@@ -54,7 +54,7 @@ _SCHEMA = {
     "grid": ("n1", "n2", "n3", "l1", "l2", "l3"),
     "model": ("nu0", "kappa1", "kappa2", "kappa3", "kappa4",
               "momentum_diffusion_coeff"),
-    "step": ("dt_max", "cfl_adv", "cfl_diff", "dt_fixed", "eps_pos"),
+    "step": ("dt_max", "cfl_adv", "dt_fixed", "eps_pos"),
     "initial": ("kind", "seed", "b_mean", "b_amp", "omega_mean", "omega_amp",
                 "v_amp", "band", "path"),
     "criterion": ("c_omega_kappa", "horizon", "delta", "sup_horizon"),
@@ -120,7 +120,6 @@ def parse_config(text: str) -> RunConfig:
         control = StepControl(
             dt_max=get("step", "dt_max", _float, 0.1),
             cfl_adv=get("step", "cfl_adv", _float, 0.4),
-            cfl_diff=get("step", "cfl_diff", _float, 0.25),
             dt_fixed=None if dt_fixed in (None, "none") else
             _float("step", "dt_fixed", dt_fixed),
             eps_pos=get("step", "eps_pos", _float, 1e-10),
@@ -189,8 +188,7 @@ def serialize_config(cfg: RunConfig) -> str:
                   ("kappa3", p.kappa3), ("kappa4", p.kappa4),
                   ("momentum_diffusion_coeff", p.momentum_diffusion_coeff)])
     sec("step", [("dt_max", c.dt_max), ("cfl_adv", c.cfl_adv),
-                 ("cfl_diff", c.cfl_diff), ("dt_fixed", c.dt_fixed),
-                 ("eps_pos", c.eps_pos)])
+                 ("dt_fixed", c.dt_fixed), ("eps_pos", c.eps_pos)])
     sec("initial", [("kind", i.kind), ("seed", i.seed), ("b_mean", i.b_mean),
                     ("b_amp", i.b_amp), ("omega_mean", i.omega_mean),
                     ("omega_amp", i.omega_amp), ("v_amp", i.v_amp),

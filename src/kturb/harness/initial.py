@@ -10,7 +10,6 @@ from .. import ops
 from ..dynamics import ModelParams, State
 from ..envelopes import DataBounds
 from ..errors import ConfigError
-from ..fields import ScalarField, VectorField
 from ..grid import TorusGrid
 
 KINDS = ("uniform", "random_band", "from_file")
@@ -74,7 +73,20 @@ def _rescaled(pert, amp):
 
 
 def generate_initial(spec: InitialDataSpec, grid: TorusGrid) -> State:
-    """Build an admissible State; deterministic in spec.seed."""
+    """Build an admissible State; deterministic in spec.seed.
+
+    Every kind is checked by State.validate(); inadmissible data (a
+    velocity that is not divergence-free and zero-mean, or scalars that
+    are not strictly positive) raise ConfigError.
+    """
+    state = _build_initial(spec, grid)
+    try:
+        return state.validate()
+    except ValueError as exc:
+        raise ConfigError(f"inadmissible initial data: {exc}") from None
+
+
+def _build_initial(spec, grid):
     if spec.kind == "from_file":
         from .snapshot import read_snapshot
         state, _ = read_snapshot(spec.path)
@@ -82,12 +94,7 @@ def generate_initial(spec: InitialDataSpec, grid: TorusGrid) -> State:
             raise ConfigError("snapshot grid does not match configured grid")
         return state
     if spec.kind == "uniform":
-        return State(
-            v=VectorField.zero(grid),
-            omega=ScalarField.constant(grid, spec.omega_mean),
-            b=ScalarField.constant(grid, spec.b_mean),
-            t=0.0,
-        )
+        return State.uniform(grid, spec.omega_mean, spec.b_mean)
     if 3 * spec.band > min(grid.resolution):
         raise ConfigError("band exceeds the dealiased range N/3")
     rng = np.random.default_rng(spec.seed)
@@ -98,12 +105,7 @@ def generate_initial(spec: InitialDataSpec, grid: TorusGrid) -> State:
     vhat = grid.rfft(vraw)
     ops.leray_hat(grid, vhat)
     v0 = _rescaled(grid.irfft(vhat), spec.v_amp)
-    return State(
-        v=VectorField(grid, v0),
-        omega=ScalarField(grid, om0),
-        b=ScalarField(grid, b0),
-        t=0.0,
-    )
+    return State(grid, np.concatenate([v0, om0[None], b0[None]]))
 
 
 def extract_bounds(state: State, params: ModelParams,

@@ -71,17 +71,15 @@ class Monitor:
     def sample(self, state):
         g = state.grid
         env = self.env
-        fhat = g.rfft(np.concatenate([state.v.values,
-                                      state.omega.values[None],
-                                      state.b.values[None]]))
+        fhat = g.rfft(state.y)
         l2sq = [ops.l2sq_hat(g, fhat[i]) for i in range(5)]
         x1 = sum(ops.l2sq_hat(g, fhat[i], 1) for i in range(5))
         x2 = sum(ops.l2sq_hat(g, fhat[i], 2) for i in range(5))
         x3 = sum(ops.l2sq_hat(g, fhat[i], 3) for i in range(5))
         v_l2 = float(np.sqrt(l2sq[0] + l2sq[1] + l2sq[2]))
         omega_l2 = float(np.sqrt(l2sq[3]))
-        b_l1 = ops.lp_norm(g, state.b.values, 1)
-        coupling = -ops.integral(g, state.b.values * state.omega.values)
+        b_l1 = ops.lp_norm(g, state.y[4], 1)
+        coupling = -ops.integral(g, state.y[4] * state.y[3])
 
         t = state.t
         energy = b_l1 + 0.5 * v_l2**2
@@ -96,9 +94,9 @@ class Monitor:
         e_bl = float(env.b_lower(t))
         e_v = float(env.v_l2_envelope(t)) if env.bounds.kappa2 > 0.5 else np.nan
         e_b1 = float(env.b_l1_upper(t, "min"))
-        min_omega = float(np.min(state.omega.values))
-        max_omega = float(np.max(state.omega.values))
-        min_b = float(np.min(state.b.values))
+        min_omega = float(np.min(state.y[3]))
+        max_omega = float(np.max(state.y[3]))
+        min_b = float(np.min(state.y[4]))
         rec = MonitorRecord(
             t=t,
             x0=v_l2**2 + b_l1**2,

@@ -11,10 +11,9 @@ import numpy as np
 
 from .. import ops
 from ..criterion import CriterionConfig, CriterionReport, check_glob_add, full_report
-from ..dynamics import Forcing, ModelParams, State, TendencyKernel, state_to_hat
+from ..dynamics import Forcing, ModelParams, State, TendencyKernel
 from ..envelopes import EnvelopeSet
 from ..errors import KturbError, VerificationFailure
-from ..fields import ScalarField, VectorField
 from ..integrator import StepControl, advance, compute_dt
 from .config import RunConfig
 from .initial import extract_bounds, generate_initial
@@ -101,9 +100,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     bounds = result.bounds
     env = EnvelopeSet(bounds)
     grid = config.make_grid()
-    state_probe = State(v=VectorField.zero(grid),
-                        omega=ScalarField.constant(grid, bounds.omega_max),
-                        b=ScalarField.constant(grid, bounds.b_min))
+    state_probe = State.uniform(grid, bounds.omega_max, bounds.b_min)
     dt = compute_dt(state_probe, config.params, config.control)
     tol_rel = 1e-6 + 10.0 * dt * dt
 
@@ -237,11 +234,7 @@ class _Manufactured:
         return F[:3], F[3], F[4]
 
     def initial_state(self):
-        y = self.exact(0.0)
-        g = self.grid
-        return State(v=VectorField(g, y[:3].copy()),
-                     omega=ScalarField(g, y[3].copy()),
-                     b=ScalarField(g, y[4].copy()), t=0.0)
+        return State(self.grid, self.exact(0.0))
 
 
 def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
@@ -259,12 +252,10 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
                         forcing=forcing)
         exact = mms.exact(t_end)
         errors["v"].append(float(np.sqrt(sum(
-            ops.lp_norm(grid, final.v.values[i] - exact[i], 2) ** 2
+            ops.lp_norm(grid, final.y[i] - exact[i], 2) ** 2
             for i in range(3)))))
-        errors["omega"].append(
-            ops.lp_norm(grid, final.omega.values - exact[3], 2))
-        errors["b"].append(
-            ops.lp_norm(grid, final.b.values - exact[4], 2))
+        errors["omega"].append(ops.lp_norm(grid, final.y[3] - exact[3], 2))
+        errors["b"].append(ops.lp_norm(grid, final.y[4] - exact[4], 2))
     orders = {}
     passed = True
     for name, errs in errors.items():

@@ -7,7 +7,8 @@ Layout (all little-endian regardless of host):
   float64 x3  L1, L2, L3
   float64     t
   float64 x6  nu0, kappa1, kappa2, kappa3, kappa4, momentum_diffusion_coeff
-  float64     v1, v2, v3, omega, b arrays, each N1*N2*N3 row-major
+  float64     the (5, N1, N2, N3) state array row-major: v1, v2, v3,
+              omega, b, each N1*N2*N3 values
 """
 
 import struct
@@ -16,7 +17,6 @@ import numpy as np
 
 from ..dynamics import ModelParams, State
 from ..errors import ConfigError
-from ..fields import ScalarField, VectorField
 from ..grid import TorusGrid
 
 MAGIC = b"KTRB"
@@ -34,8 +34,7 @@ def write_snapshot(path, state: State, params: ModelParams):
         params.kappa4, params.momentum_diffusion_coeff)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (*state.v.values, state.omega.values, state.b.values):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.y, dtype="<f8").tobytes())
 
 
 def read_snapshot(path):
@@ -57,23 +56,14 @@ def read_snapshot(path):
     pvals = struct.unpack_from("<6d", raw, off)
     off += 48
     grid = TorusGrid(lengths=(l1, l2, l3), resolution=(n1, n2, n3))
-    count = grid.npoints
-    if len(raw) < off + 5 * 8 * count:
+    count = 5 * grid.npoints
+    if len(raw) < off + 8 * count:
         raise ConfigError(f"{path}: truncated field data")
-    fields = []
-    for _ in range(5):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        fields.append(arr.astype(float).reshape(grid.resolution))
-    if off != len(raw):
+    if len(raw) > off + 8 * count:
         raise ConfigError(f"{path}: trailing bytes after field data")
+    y = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
     params = ModelParams(nu0=pvals[0], kappa1=pvals[1], kappa2=pvals[2],
                          kappa3=pvals[3], kappa4=pvals[4],
                          momentum_diffusion_coeff=pvals[5])
-    state = State(
-        v=VectorField(grid, np.stack(fields[:3])),
-        omega=ScalarField(grid, fields[3]),
-        b=ScalarField(grid, fields[4]),
-        t=t,
-    )
+    state = State(grid, y.astype(float).reshape((5,) + grid.resolution), t)
     return state, params

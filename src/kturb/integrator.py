@@ -13,9 +13,14 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .dynamics import ModelParams, State, TendencyKernel, hat_to_state, state_to_hat
+from .dynamics import ModelParams, State, TendencyKernel
 from .errors import BlowUp, NonPositiveOmega, PositivityViolation
-from .fields import ScalarField, VectorField
+
+# Classical RK4 is stable for real negative eigenvalues lambda with
+# |lambda| dt <= 2.785 (Hairer & Wanner, Solving ODEs II, sec. IV.2);
+# the diffusive step keeps a safety factor below that limit.
+RK4_REAL_AXIS_LIMIT = 2.785
+DIFFUSIVE_SAFETY = 0.9
 
 
 @dataclass
@@ -24,32 +29,37 @@ class StepControl:
 
     dt_max: float
     cfl_adv: float = 0.4
-    cfl_diff: float = 0.25
     dt_fixed: Optional[float] = None
     eps_pos: float = 1e-10
 
     def __post_init__(self):
-        for name in ("dt_max", "cfl_adv", "cfl_diff", "eps_pos"):
+        for name in ("dt_max", "cfl_adv", "eps_pos"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.dt_fixed is not None and self.dt_fixed <= 0:
             raise ValueError("dt_fixed must be positive")
 
 
+def _speed_and_mu_max(phys):
+    """max |v| and max mu of a physical (5, N1, N2, N3) state array."""
+    return float(np.max(np.abs(phys[:3]))), float(np.max(phys[4] / phys[3]))
+
+
 def _dt_from_arrays(grid, params, control, vmax, mumax):
     if control.dt_fixed is not None:
         return control.dt_fixed
-    h = grid.min_spacing
-    dt_adv = control.cfl_adv * h / max(vmax, 1e-12)
-    dt_diff = control.cfl_diff * h * h / (params.c_diff * mumax)
+    dt_adv = control.cfl_adv * grid.min_spacing / max(vmax, 1e-12)
+    dt_diff = DIFFUSIVE_SAFETY * RK4_REAL_AXIS_LIMIT / (
+        params.c_diff * mumax * grid.k_sq_max)
     return min(control.dt_max, dt_adv, dt_diff)
 
 
 def compute_dt(state: State, params: ModelParams, control: StepControl) -> float:
-    """dt = min(dt_max, cfl_adv h/|v|_inf, cfl_diff h^2/(c_diff max mu))."""
-    vmax = float(np.max(np.abs(state.v.values)))
-    mumax = float(np.max(state.b.values / state.omega.values))
-    return _dt_from_arrays(state.grid, params, control, vmax, mumax)
+    """dt = min(dt_max, cfl_adv h/|v|_inf,
+    0.9 * 2.785 / (c_diff max mu k^2_max)), with k^2_max the largest
+    dealiased |k|^2 of the grid."""
+    return _dt_from_arrays(state.grid, params, control,
+                           *_speed_and_mu_max(state.y))
 
 
 class _Marcher:
@@ -91,20 +101,7 @@ class _Marcher:
                 f"min(omega) = {om_min:.3e}, min(b) = {b_min:.3e} "
                 f"at or below floor {self.control.eps_pos:.1e} at t = {t:.6g}",
                 t=t)
-        vmax = float(np.max(np.abs(phys[:3])))
-        mumax = float(np.max(phys[4] / phys[3]))
-        return vmax, mumax
-
-
-def _is_uniform(y_hat):
-    """True when v vanishes and both scalars carry only the k=0 mode."""
-    if np.any(y_hat[:3]):
-        return False
-    for row in (y_hat[3], y_hat[4]):
-        n = np.count_nonzero(row)
-        if n > 1 or (n == 1 and row[0, 0, 0] == 0):
-            return False
-    return True
+        return _speed_and_mu_max(phys)
 
 
 def rk4_step(state: State, dt: float, params: ModelParams, forcing=None,
@@ -114,14 +111,11 @@ def rk4_step(state: State, dt: float, params: ModelParams, forcing=None,
         raise ValueError("dt must be positive")
     if control is None:
         control = StepControl(dt_max=dt)
-    m = _Marcher(state.grid, params, control, forcing)
-    y_new = m.step_hat(state_to_hat(state), state.t, dt)
-    new = hat_to_state(state.grid, y_new, state.t + dt)
-    phys = np.concatenate([new.v.values,
-                           new.omega.values[None],
-                           new.b.values[None]])
-    m.guard(phys, new.t)
-    return new
+    g = state.grid
+    m = _Marcher(g, params, control, forcing)
+    phys = g.irfft(m.step_hat(g.rfft(state.y), state.t, dt))
+    m.guard(phys, state.t + dt)
+    return State(g, phys, state.t + dt)
 
 
 def advance(state: State, t_end: float, params: ModelParams,
@@ -146,10 +140,9 @@ def advance(state: State, t_end: float, params: ModelParams,
 
     g = state.grid
     m = _Marcher(g, params, control, forcing)
-    y = state_to_hat(state)
+    y = g.rfft(state.y)
     t = state.t
-    vmax = float(np.max(np.abs(state.v.values)))
-    mumax = float(np.max(state.b.values / state.omega.values))
+    vmax, mumax = _speed_and_mu_max(state.y)
     nstep = 0
     while t < t_end:
         dt = _dt_from_arrays(g, params, control, vmax, mumax)
@@ -162,8 +155,7 @@ def advance(state: State, t_end: float, params: ModelParams,
         t = t_end if last else t + dt
         nstep += 1
         cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
-        phys = None
-        if cb_due or not _is_uniform(y):
+        if cb_due or np.any(y[:3]) or not ops.is_constant_hat(y[3:]):
             phys = g.irfft(y)
             vmax, mumax = m.guard(phys, t)
         else:
@@ -177,14 +169,10 @@ def advance(state: State, t_end: float, params: ModelParams,
                     f"min(omega) = {om:.3e}, min(b) = {bm:.3e} at or below "
                     f"floor {control.eps_pos:.1e} at t = {t:.6g}", t=t)
             vmax, mumax = 0.0, bm / om
-        if cbs:
-            snap = None
+        if cb_due:
+            # phys is a fresh transform each step, so callbacks may keep it
+            snap = State(g, phys, t)
             for every, fn in cbs:
                 if (nstep - 1) % every == 0:
-                    if snap is None:
-                        snap = State(v=VectorField(g, phys[:3].copy()),
-                                     omega=ScalarField(g, phys[3].copy()),
-                                     b=ScalarField(g, phys[4].copy()),
-                                     t=t)
                     fn(snap)
-    return hat_to_state(g, y, t)
+    return State(g, g.irfft(y), t)

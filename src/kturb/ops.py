@@ -8,7 +8,7 @@ Sobolev seminorms use Plancherel sums over the half spectrum.
 
 import numpy as np
 
-from .fields import ScalarField, SpectralScalar, SpectralVector, VectorField
+from .fields import ScalarField, VectorField
 from .grid import TorusGrid
 
 LP_EXPONENTS = (1.0, 6.0 / 5.0, 3.0 / 2.0, 2.0, 3.0, 4.0, 6.0, np.inf)
@@ -59,6 +59,12 @@ def sym_grad_hat(grid, vhat):
     return out
 
 
+def is_constant_hat(fhat):
+    """True when no spectrum in fhat has a nonzero coefficient away from
+    k = 0, i.e. every field it transforms is spatially constant."""
+    return np.count_nonzero(fhat) == np.count_nonzero(fhat[..., 0, 0, 0])
+
+
 def l2sq_hat(grid, fhat, order=0):
     """Squared L2 norm of nabla^order f from its spectrum (Plancherel)."""
     power = np.abs(fhat) ** 2
@@ -84,18 +90,6 @@ def integral(grid, values):
 
 # ---------------------------------------------------------------------------
 # field-level operations
-
-def to_spectral(f):
-    if isinstance(f, VectorField):
-        return SpectralVector(f.grid, f.grid.rfft(f.values))
-    return SpectralScalar(f.grid, f.grid.rfft(f.values))
-
-
-def from_spectral(F):
-    if isinstance(F, SpectralVector):
-        return VectorField(F.grid, F.grid.irfft(F.coeffs))
-    return ScalarField(F.grid, F.grid.irfft(F.coeffs))
-
 
 def gradient(f: ScalarField) -> VectorField:
     g = f.grid
@@ -127,12 +121,6 @@ def sym_gradient(u: VectorField) -> np.ndarray:
 def leray_project(u: VectorField) -> VectorField:
     g = u.grid
     return VectorField(g, g.irfft(leray_hat(g, g.rfft(u.values))))
-
-
-def dealias(F):
-    if isinstance(F, SpectralVector):
-        return SpectralVector(F.grid, F.coeffs * F.grid.dealias_mask)
-    return SpectralScalar(F.grid, F.coeffs * F.grid.dealias_mask)
 
 
 def norm(f, p):

@@ -10,9 +10,8 @@ import pytest
 from scipy.optimize import brentq
 
 from kturb import (CriterionConfig, DataBounds, InconclusiveTail,
-                   ModelParams, ScalarField, State, StepControl, TorusGrid,
-                   VectorField, advance, check_corollary, check_glob_add,
-                   compute_a0, margin, ops)
+                   ModelParams, State, StepControl, TorusGrid, advance,
+                   check_corollary, check_glob_add, compute_a0, margin, ops)
 from kturb.cli import main
 from kturb.harness import (InitialDataSpec, RunConfig, run_mms, run_verify)
 from kturb.errors import KturbError
@@ -78,9 +77,7 @@ def envelope_runs():
 
 def test_01_ode_reduction_exactness():
     g = TorusGrid(resolution=(16, 16, 16))
-    s = State(v=VectorField.zero(g),
-              omega=ScalarField.constant(g, 1.0),
-              b=ScalarField.constant(g, 2.0))
+    s = State.uniform(g, 1.0, 2.0)
     t0 = time.perf_counter()
     out = advance(s, 5.0, ModelParams(kappa2=1.0),
                   StepControl(dt_max=1.0, dt_fixed=1e-3))

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from kturb import (Forcing, ModelParams, NonPositiveOmega, ScalarField, State,
-                   TorusGrid, VectorField, eddy_viscosity, energy_flux,
-                   evaluate_tendency, rhs_b, rhs_omega, rhs_velocity)
+from kturb import (Forcing, ModelParams, NonPositiveOmega, State, TorusGrid,
+                   eddy_viscosity, energy_flux, evaluate_tendency)
 from kturb import ops
-from kturb.dynamics import TendencyKernel, hat_to_state, state_to_hat
+from kturb.dynamics import TendencyKernel
 
 
 def make_state(grid, rng, v_amp=0.1, band=3):
@@ -27,12 +26,8 @@ def make_state(grid, rng, v_amp=0.1, band=3):
     peak = np.max(np.abs(v))
     if peak > 0:
         v *= v_amp / peak
-    return State(
-        v=VectorField(grid, v),
-        omega=ScalarField(grid, 1.0 + pert(0.2)),
-        b=ScalarField(grid, 2.0 + pert(0.3)),
-        t=0.0,
-    )
+    return State(grid, np.concatenate(
+        [v, (1.0 + pert(0.2))[None], (2.0 + pert(0.3))[None]]))
 
 
 def naive_tendency(state, params, forcing=None):
@@ -99,20 +94,15 @@ class TestStateValidation:
 
     def test_rejects_nonpositive_scalars(self):
         g = TorusGrid(resolution=(8, 8, 8))
-        s = State(v=VectorField.zero(g),
-                  omega=ScalarField.constant(g, -1.0),
-                  b=ScalarField.constant(g, 1.0))
+        s = State.uniform(g, -1.0, 1.0)
         with pytest.raises(ValueError):
             s.validate()
 
     def test_rejects_divergent_velocity(self):
         g = TorusGrid(resolution=(8, 8, 8))
         x1, _, _ = g.coordinates()
-        v = VectorField(g, np.stack([
-            np.broadcast_to(np.sin(x1), g.resolution).copy(),
-            np.zeros(g.resolution), np.zeros(g.resolution)]))
-        s = State(v=v, omega=ScalarField.constant(g, 1.0),
-                  b=ScalarField.constant(g, 1.0))
+        s = State.uniform(g, 1.0, 1.0)
+        s.y[0] = np.sin(x1)
         with pytest.raises(ValueError):
             s.validate()
 
@@ -122,22 +112,18 @@ class TestUniformReductions:
         # constants: domega = -k2 om^2, db = -b om, dv = 0 exactly
         g = TorusGrid(resolution=(8, 8, 8))
         p = ModelParams(kappa2=1.7)
-        s = State(v=VectorField.zero(g),
-                  omega=ScalarField.constant(g, 1.3),
-                  b=ScalarField.constant(g, 2.4))
+        s = State.uniform(g, 1.3, 2.4)
         ten = evaluate_tendency(s, p)
-        assert np.max(np.abs(ten.dv.values)) == 0.0
-        assert np.max(np.abs(ten.domega.values + 1.7 * 1.3**2)) < 1e-13
-        assert np.max(np.abs(ten.db.values + 2.4 * 1.3)) < 1e-13
+        assert np.max(np.abs(ten[:3])) == 0.0
+        assert np.max(np.abs(ten[3] + 1.7 * 1.3**2)) < 1e-13
+        assert np.max(np.abs(ten[4] + 2.4 * 1.3)) < 1e-13
 
     def test_fast_path_matches_generic_bitwise(self):
         g = TorusGrid(resolution=(16, 16, 16))
         p = ModelParams()
-        s = State(v=VectorField.zero(g),
-                  omega=ScalarField.constant(g, 0.9),
-                  b=ScalarField.constant(g, 1.8))
+        s = State.uniform(g, 0.9, 1.8)
         k = TendencyKernel(g, p)
-        y = state_to_hat(s)
+        y = g.rfft(s.y)
         fast = k(y)
         generic = k(y, 0.0, Forcing(func=lambda t: (None, None, None)))
         assert np.array_equal(fast, generic)
@@ -152,10 +138,8 @@ class TestEddyViscosity:
 
     def test_raises_on_nonpositive_omega(self):
         g = TorusGrid(resolution=(8, 8, 8))
-        om = np.ones(g.resolution)
-        om[0, 0, 0] = -0.5
-        s = State(v=VectorField.zero(g), omega=ScalarField(g, om),
-                  b=ScalarField.constant(g, 1.0))
+        s = State.uniform(g, 1.0, 1.0)
+        s.y[3, 0, 0, 0] = -0.5
         with pytest.raises(NonPositiveOmega):
             eddy_viscosity(s)
         with pytest.raises(NonPositiveOmega):
@@ -175,9 +159,9 @@ class TestAgainstNaiveOracle:
             dv, dom, db = naive_tendency(s, p)
             scale = max(np.max(np.abs(dom)), np.max(np.abs(db)),
                         np.max(np.abs(dv)), 1.0)
-            assert np.max(np.abs(ten.dv.values - dv)) < 1e-12 * scale
-            assert np.max(np.abs(ten.domega.values - dom)) < 1e-12 * scale
-            assert np.max(np.abs(ten.db.values - db)) < 1e-12 * scale
+            assert np.max(np.abs(ten[:3] - dv)) < 1e-12 * scale
+            assert np.max(np.abs(ten[3] - dom)) < 1e-12 * scale
+            assert np.max(np.abs(ten[4] - db)) < 1e-12 * scale
 
     def test_with_forcing(self):
         rng = np.random.default_rng(77)
@@ -190,9 +174,9 @@ class TestAgainstNaiveOracle:
         forcing = Forcing(f_v=fv, f_omega=fw, f_b=fb)
         ten = evaluate_tendency(s, p, forcing)
         dv, dom, db = naive_tendency(s, p, forcing)
-        assert np.max(np.abs(ten.dv.values - dv)) < 1e-11
-        assert np.max(np.abs(ten.domega.values - dom)) < 1e-11
-        assert np.max(np.abs(ten.db.values - db)) < 1e-11
+        assert np.max(np.abs(ten[:3] - dv)) < 1e-11
+        assert np.max(np.abs(ten[3] - dom)) < 1e-11
+        assert np.max(np.abs(ten[4] - db)) < 1e-11
 
 
 class TestVelocityEquation:
@@ -201,8 +185,8 @@ class TestVelocityEquation:
             rng = np.random.default_rng(600 + seed)
             g = TorusGrid(resolution=(12, 12, 12))
             s = make_state(g, rng)
-            dv = rhs_velocity(s, ModelParams())
-            dvhat = g.rfft(dv.values)
+            dv = evaluate_tendency(s, ModelParams())[:3]
+            dvhat = g.rfft(dv)
             scale = np.max(np.abs(dvhat)) + 1e-300
             assert np.max(np.abs(ops.div_hat(g, dvhat))) < 1e-12 * scale
             assert np.max(np.abs(dvhat[:, 0, 0, 0])) < 1e-12 * scale
@@ -212,21 +196,20 @@ class TestVelocityEquation:
         # so momentum_diffusion_coeff = 2 recovers the plain mu lap v form
         g = TorusGrid(resolution=(16, 16, 16))
         x1, x2, x3 = g.coordinates()
-        v = VectorField(g, 1e-8 * np.stack([
-            np.broadcast_to(np.sin(2 * x2), g.resolution),
-            np.broadcast_to(np.sin(3 * x3), g.resolution),
-            np.broadcast_to(np.sin(x1), g.resolution)]))
         om_c, b_c = 1.5, 3.0
-        s = State(v=v, omega=ScalarField.constant(g, om_c),
-                  b=ScalarField.constant(g, b_c))
+        s = State.uniform(g, om_c, b_c)
+        s.y[0] = 1e-8 * np.sin(2 * x2)
+        s.y[1] = 1e-8 * np.sin(3 * x3)
+        s.y[2] = 1e-8 * np.sin(x1)
         mu = b_c / om_c
         # tiny amplitude makes the quadratic advection negligible
         for mdc, factor in ((1.0, 0.5), (2.0, 1.0)):
-            dv = rhs_velocity(s, ModelParams(momentum_diffusion_coeff=mdc))
-            lap = np.stack([ops.laplacian(v.component(i)).values
+            dv = evaluate_tendency(
+                s, ModelParams(momentum_diffusion_coeff=mdc))[:3]
+            lap = np.stack([ops.laplacian(s.v.component(i)).values
                             for i in range(3)])
             expect = factor * mu * lap
-            err = np.max(np.abs(dv.values - expect))
+            err = np.max(np.abs(dv - expect))
             assert err < 1e-6 * np.max(np.abs(expect))
 
     def test_pure_advection_oracle(self):
@@ -235,9 +218,9 @@ class TestVelocityEquation:
         g = TorusGrid(resolution=(16, 16, 16))
         rng = np.random.default_rng(8)
         s = make_state(g, rng, v_amp=1.0)
-        s = State(v=s.v, omega=ScalarField.constant(g, 1.0),
-                  b=ScalarField.constant(g, 1e-14))
-        dv = rhs_velocity(s, ModelParams())
+        s.y[3] = 1.0
+        s.y[4] = 1e-14
+        dv = evaluate_tendency(s, ModelParams())[:3]
         v = s.v.values
         adv_hat = np.stack([
             ops.div_hat(g, g.rfft(
@@ -246,7 +229,7 @@ class TestVelocityEquation:
         adv_hat *= g.dealias_mask
         ops.leray_hat(g, adv_hat)
         expect = g.irfft(adv_hat)
-        assert np.max(np.abs(dv.values - expect)) < 1e-10
+        assert np.max(np.abs(dv - expect)) < 1e-10
 
 
 class TestEnergyFlux:
@@ -269,7 +252,7 @@ class TestEnergyFlux:
         s = make_state(g, rng, band=3)
         p = ModelParams(kappa2=2.0)
         ten = evaluate_tendency(s, p)
-        db_int = ops.integral(g, ten.db.values)
+        db_int = ops.integral(g, ten[4])
         # subtract the reaction part -k2 om^2 has no place here; dB_mass
         # tracks the b equation without the omega sink, so compare the
         # full integral against (-b om + k4 mu |D|^2, 1): transport terms
@@ -279,11 +262,25 @@ class TestEnergyFlux:
 
 
 class TestPackUnpack:
+    def test_fields_are_views_of_y(self):
+        g = TorusGrid(resolution=(8, 8, 8))
+        s = State.uniform(g, 1.5, 2.5, t=0.25)
+        assert s.y.shape == (5, 8, 8, 8) and s.t == 0.25
+        assert np.shares_memory(s.v.values, s.y[:3])
+        assert np.shares_memory(s.omega.values, s.y[3])
+        assert np.shares_memory(s.b.values, s.y[4])
+        s.y[3, 1, 2, 3] = 7.0
+        s.b.values[0, 0, 0] = 9.0
+        assert s.omega.values[1, 2, 3] == 7.0 and s.y[4, 0, 0, 0] == 9.0
+        assert np.all(s.v.values == 0.0)
+        with pytest.raises(ValueError):
+            State(g, np.zeros((4, 8, 8, 8)))
+
     def test_state_round_trip(self):
         rng = np.random.default_rng(15)
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, rng)
-        back = hat_to_state(g, state_to_hat(s), s.t)
+        back = State(g, g.irfft(g.rfft(s.y)), s.t)
         assert np.max(np.abs(back.v.values - s.v.values)) < 1e-13
         assert np.max(np.abs(back.omega.values - s.omega.values)) < 1e-13
         assert np.max(np.abs(back.b.values - s.b.values)) < 1e-13

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from kturb import (DataBounds, EnvelopeSet, Kappa2TooSmall, ModelParams,
-                   ScalarField, State, StepControl, TorusGrid, VectorField,
-                   advance, geometric_times)
+                   State, StepControl, TorusGrid, advance, geometric_times)
 
 
 def simple_bounds(**over):
@@ -91,9 +90,7 @@ class TestUniformOdeCrossCheck:
         # and upper envelopes pinch the solution
         g = TorusGrid(resolution=(8, 8, 8))
         om0, b0, k2 = 1.4, 2.6, 1.7
-        s = State(v=VectorField.zero(g),
-                  omega=ScalarField.constant(g, om0),
-                  b=ScalarField.constant(g, b0))
+        s = State.uniform(g, om0, b0)
         out = advance(s, 2.0, ModelParams(kappa2=k2),
                       StepControl(dt_max=1.0, dt_fixed=0.002))
         env = EnvelopeSet(DataBounds(

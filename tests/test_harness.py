@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from kturb import (BlowUp, ConfigError, Forcing, ModelParams,
-                   PositivityViolation, ScalarField, State, StepControl,
-                   TorusGrid, VectorField, VerificationFailure, advance, ops)
+                   PositivityViolation, State, StepControl, TorusGrid,
+                   VerificationFailure, advance, ops)
 from kturb.cli import main
 from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
                            extract_bounds, generate_initial, load_config,
@@ -75,6 +75,9 @@ class TestConfigFailClosed:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("[grid]\nn4 = 8\n")
+        # the diffusive step follows from the RK4 limit; there is no knob
+        with pytest.raises(ConfigError):
+            parse_config("[step]\ncfl_diff = 0.25\n")
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):
@@ -192,6 +195,24 @@ class TestSnapshots:
         assert np.array_equal(back.b.values, s.b.values)
         with pytest.raises(ConfigError):
             generate_initial(spec, TorusGrid(resolution=(16, 16, 16)))
+
+    def test_from_file_rejects_inadmissible_data(self, tmp_path):
+        g = TorusGrid(resolution=(8, 8, 8))
+        x1, _, _ = g.coordinates()
+        bad_omega = State.uniform(g, 1.0, 1.0)
+        bad_omega.y[3, 2, 3, 4] = 0.0
+        divergent = State.uniform(g, 1.0, 1.0)
+        divergent.y[0] = 1e-3 * np.sin(x1)
+        for name, state in (("omega", bad_omega), ("div", divergent)):
+            path = str(tmp_path / f"{name}.snap")
+            write_snapshot(path, state, ModelParams())
+            spec = InitialDataSpec(kind="from_file", path=path)
+            with pytest.raises(ConfigError):
+                generate_initial(spec, g)
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(serialize_config(RunConfig(
+                resolution=(8, 8, 8), initial=spec, t_end=0.01)))
+            assert main(["simulate", "--config", str(cfg)]) == 3
 
 
 class TestMonitor:
@@ -352,6 +373,12 @@ class TestCli:
         assert main(["verify", "--resolution", "16", "--t-end", "0.02",
                      "--dt", "0.005"]) == 0
         assert "all envelope checks passed" in capsys.readouterr().out
+
+    def test_verify_default_step_is_stable(self):
+        # with a diffusive step above the RK4 limit this run left the
+        # omega envelope at t ~ 0.49
+        assert main(["verify", "--resolution", "16", "--t-end", "2",
+                     "--seed", "4"]) == 0
 
 
 class TestRunMms:

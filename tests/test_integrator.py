@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from kturb import (BlowUp, Forcing, ModelParams, PositivityViolation,
-                   ScalarField, State, StepControl, TorusGrid, VectorField,
-                   advance, compute_dt, rk4_step)
+                   State, StepControl, TorusGrid, advance, compute_dt,
+                   rk4_step)
 from kturb import ops
 from tests.test_dynamics import make_state
 
 
 def uniform_state(grid, om=1.0, b=1.0, t=0.0):
-    return State(v=VectorField.zero(grid),
-                 omega=ScalarField.constant(grid, om),
-                 b=ScalarField.constant(grid, b), t=t)
+    return State.uniform(grid, om, b, t)
 
 
 class TestStepControl:
@@ -28,13 +26,13 @@ class TestStepControl:
 
 class TestComputeDt:
     def test_diffusive_limit_at_rest(self):
-        # v = 0, mu = 1: dt = cfl_diff h^2 / c_diff
+        # v = 0, mu = 1: dt = 0.9 * 2.785 / (c_diff k2_max), and the 2/3
+        # rule keeps |m_i| <= 10 at N = 32, so k2_max = 3 * 10^2
         g = TorusGrid(resolution=(32, 32, 32))
         s = uniform_state(g)
         ctl = StepControl(dt_max=10.0)
-        h = 2 * np.pi / 32
         assert compute_dt(s, ModelParams(), ctl) == pytest.approx(
-            0.25 * h * h, rel=1e-14)
+            0.9 * 2.785 / 300.0, rel=1e-14)
 
     def test_h_squared_scaling(self):
         ctl = StepControl(dt_max=10.0)
@@ -46,11 +44,8 @@ class TestComputeDt:
     def test_advective_limit(self):
         g = TorusGrid(resolution=(16, 16, 16))
         _, x2, _ = g.coordinates()
-        v = VectorField(g, np.stack([
-            np.broadcast_to(10.0 * np.sin(x2), g.resolution).copy(),
-            np.zeros(g.resolution), np.zeros(g.resolution)]))
-        s = State(v=v, omega=ScalarField.constant(g, 1.0),
-                  b=ScalarField.constant(g, 1e-6))
+        s = uniform_state(g, b=1e-6)
+        s.y[0] = 10.0 * np.sin(x2)
         # vmax = 10 dominates; diffusive bound is huge for tiny mu
         h = 2 * np.pi / 16
         got = compute_dt(s, ModelParams(), StepControl(dt_max=10.0))
