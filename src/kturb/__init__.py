@@ -17,14 +17,13 @@ from .envelopes import DataBounds, EnvelopeSet, geometric_times
 from .errors import (BlowUp, ConfigError, InconclusiveTail, Kappa2TooSmall,
                      KturbError, NonPositiveOmega, PositivityViolation,
                      VerificationFailure)
-from .fields import ScalarField, VectorField
 from .grid import TorusGrid
 from .integrator import StepControl, advance, compute_dt, rk4_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGrid", "ScalarField", "VectorField", "ModelParams", "State",
+    "TorusGrid", "ModelParams", "State",
     "Forcing", "eddy_viscosity", "energy_flux", "evaluate_tendency",
     "StepControl", "compute_dt", "rk4_step", "advance",
     "DataBounds", "EnvelopeSet", "geometric_times",

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import ops
 from .errors import NonPositiveOmega
-from .fields import ScalarField, VectorField
 from .grid import TorusGrid
 
 
@@ -61,7 +60,7 @@ class State:
     """Solution triple (v, omega, b) at time t, stored as one physical
     array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
-    v, omega and b are field views of y, not copies.
+    v, omega and b are the views y[:3], y[3] and y[4], not copies.
     """
 
     grid: TorusGrid
@@ -84,15 +83,15 @@ class State:
 
     @property
     def v(self):
-        return VectorField(self.grid, self.y[:3])
+        return self.y[:3]
 
     @property
     def omega(self):
-        return ScalarField(self.grid, self.y[3])
+        return self.y[3]
 
     @property
     def b(self):
-        return ScalarField(self.grid, self.y[4])
+        return self.y[4]
 
     def validate(self, div_tol=1e-12, eps_pos=0.0):
         g = self.grid
@@ -129,13 +128,21 @@ class Forcing:
         return self._static
 
 
+def _strain_sq(D):
+    """|D|^2 pointwise from the six entries (11, 22, 33, 12, 13, 23) of
+    the symmetric rate-of-strain tensor."""
+    return (D[0] ** 2 + D[1] ** 2 + D[2] ** 2
+            + 2.0 * (D[3] ** 2 + D[4] ** 2 + D[5] ** 2))
+
+
 class TendencyKernel:
     """Fused evaluator of all three right-hand sides in spectral form.
 
-    Terms whose inputs are identically zero in spectrum (zero velocity,
-    spatially uniform scalars) are skipped; the skipped transforms would
-    produce exact zeros, so results are bitwise identical to the full
-    path.
+    Every call transforms the same 17 fields to physical space and the
+    same 14 products (17 with a velocity forcing) back.  A spatially
+    uniform state without forcing skips the transforms: the FFT of a
+    constant field is exact, so the result is bitwise identical to the
+    full path.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams, eps_pos=1e-10):
@@ -147,14 +154,11 @@ class TendencyKernel:
         g = self.grid
         p = self.params
         vhat, what, bhat = y_hat[:3], y_hat[3], y_hat[4]
-        v_active = bool(np.any(vhat))
-        w_var = not ops.is_constant_hat(what)
-        b_var = not ops.is_constant_hat(bhat)
 
-        if not (v_active or w_var or b_var) and forcing is None:
+        if (forcing is None and not np.any(vhat)
+                and ops.is_constant_hat(y_hat[3:])):
             # spatially uniform state: the reaction ODEs are the whole
-            # dynamics, and the FFT of a constant field is exact, so the
-            # transform-free evaluation matches the generic path bitwise
+            # dynamics
             om = float(what[0, 0, 0].real) / g.npoints
             if not np.isfinite(om) or om <= self.eps_pos:
                 raise NonPositiveOmega(
@@ -165,22 +169,12 @@ class TendencyKernel:
             out[4, 0, 0, 0] = -bm * om * g.npoints
             return out
 
-        # one batched inverse transform for every needed physical field
-        stack = [what, bhat]
-        sl_gw = sl_gb = sl_d = None
-        if w_var:
-            sl_gw = slice(len(stack), len(stack) + 3)
-            stack.extend(ops.grad_hat(g, what))
-        if b_var:
-            sl_gb = slice(len(stack), len(stack) + 3)
-            stack.extend(ops.grad_hat(g, bhat))
-        if v_active:
-            sl_v = slice(len(stack), len(stack) + 3)
-            stack.extend(vhat)
-            sl_d = slice(len(stack), len(stack) + 6)
-            stack.extend(ops.sym_grad_hat(g, vhat))
-        phys = g.irfft(np.stack(stack))
+        # one batched inverse transform: omega, b, grad omega, grad b, v, D
+        phys = g.irfft(np.stack([what, bhat, *ops.grad_hat(g, what),
+                                 *ops.grad_hat(g, bhat), *vhat,
+                                 *ops.sym_grad_hat(g, vhat)]))
         omega, b = phys[0], phys[1]
+        grad_w, grad_b, v, D = phys[2:5], phys[5:8], phys[8:11], phys[11:17]
 
         om_min = float(np.min(omega))
         if not np.isfinite(om_min) or om_min <= self.eps_pos:
@@ -199,79 +193,51 @@ class TendencyKernel:
         s_b = -b * omega
         if f_b is not None:
             s_b = s_b + f_b
+        s_b = s_b + p.kappa4 * mu * _strain_sq(D)
 
-        fstack = [s_om]
-        fl_gw = fl_gb = fl_t = fl_fv = None
-        if v_active:
-            v = phys[sl_v]
-            D = phys[sl_d]
-            dd = (D[0] ** 2 + D[1] ** 2 + D[2] ** 2
-                  + 2.0 * (D[3] ** 2 + D[4] ** 2 + D[5] ** 2))
-            s_b = s_b + p.kappa4 * mu * dd
-        fstack.append(s_b)
-
-        if v_active or w_var:
-            G = np.zeros((3,) + g.resolution)
-            if v_active:
-                G -= omega * v
-            if w_var:
-                G += p.kappa1 * mu * phys[sl_gw]
-            fl_gw = slice(len(fstack), len(fstack) + 3)
-            fstack.extend(G)
-        if v_active or b_var:
-            G = np.zeros((3,) + g.resolution)
-            if v_active:
-                G -= b * v
-            if b_var:
-                G += p.kappa3 * mu * phys[sl_gb]
-            fl_gb = slice(len(fstack), len(fstack) + 3)
-            fstack.extend(G)
-        if v_active:
-            cv = p.c_v
-            T = np.empty((6,) + g.resolution)
-            T[0] = cv * mu * D[0] - v[0] * v[0]
-            T[1] = cv * mu * D[1] - v[1] * v[1]
-            T[2] = cv * mu * D[2] - v[2] * v[2]
-            T[3] = cv * mu * D[3] - v[0] * v[1]
-            T[4] = cv * mu * D[4] - v[0] * v[2]
-            T[5] = cv * mu * D[5] - v[1] * v[2]
-            fl_t = slice(len(fstack), len(fstack) + 6)
-            fstack.extend(T)
+        Gw = np.zeros((3,) + g.resolution)
+        Gw -= omega * v
+        Gw += p.kappa1 * mu * grad_w
+        Gb = np.zeros((3,) + g.resolution)
+        Gb -= b * v
+        Gb += p.kappa3 * mu * grad_b
+        cv = p.c_v
+        T = np.empty((6,) + g.resolution)
+        T[0] = cv * mu * D[0] - v[0] * v[0]
+        T[1] = cv * mu * D[1] - v[1] * v[1]
+        T[2] = cv * mu * D[2] - v[2] * v[2]
+        T[3] = cv * mu * D[3] - v[0] * v[1]
+        T[4] = cv * mu * D[4] - v[0] * v[2]
+        T[5] = cv * mu * D[5] - v[1] * v[2]
+        fstack = [s_om, s_b, *Gw, *Gb, *T]
         if f_v is not None:
-            fl_fv = slice(len(fstack), len(fstack) + 3)
             fstack.extend(np.asarray(f_v))
 
         spec = g.rfft(np.stack(fstack))
         spec *= g.dealias_mask
+        Gw, Gb, T = spec[2:5], spec[5:8], spec[8:14]
 
         out = np.zeros((5,) + g.spectral_shape, dtype=complex)
         ik1, ik2, ik3 = (1j * g.k[0], 1j * g.k[1], 1j * g.k[2])
         out[3] = spec[0]
         out[4] = spec[1]
-        if fl_gw is not None:
-            Gw = spec[fl_gw]
-            out[3] += ik1 * Gw[0] + ik2 * Gw[1] + ik3 * Gw[2]
-        if fl_gb is not None:
-            Gb = spec[fl_gb]
-            out[4] += ik1 * Gb[0] + ik2 * Gb[1] + ik3 * Gb[2]
-        if fl_t is not None:
-            T = spec[fl_t]
-            out[0] = ik1 * T[0] + ik2 * T[3] + ik3 * T[4]
-            out[1] = ik1 * T[3] + ik2 * T[1] + ik3 * T[5]
-            out[2] = ik1 * T[4] + ik2 * T[5] + ik3 * T[2]
-        if fl_fv is not None:
-            out[:3] += spec[fl_fv]
-        if fl_t is not None or fl_fv is not None:
-            ops.leray_hat(g, out[:3])
+        out[3] += ik1 * Gw[0] + ik2 * Gw[1] + ik3 * Gw[2]
+        out[4] += ik1 * Gb[0] + ik2 * Gb[1] + ik3 * Gb[2]
+        out[0] = ik1 * T[0] + ik2 * T[3] + ik3 * T[4]
+        out[1] = ik1 * T[3] + ik2 * T[1] + ik3 * T[5]
+        out[2] = ik1 * T[4] + ik2 * T[5] + ik3 * T[2]
+        if f_v is not None:
+            out[:3] += spec[14:]
+        ops.leray_hat(g, out[:3])
         return out
 
 
-def eddy_viscosity(state: State, eps_pos=0.0) -> ScalarField:
+def eddy_viscosity(state: State, eps_pos=0.0) -> np.ndarray:
     """Pointwise eddy viscosity mu = b/omega."""
-    om_min = float(np.min(state.omega.values))
+    om_min = float(np.min(state.omega))
     if om_min <= eps_pos:
         raise NonPositiveOmega(f"min(omega) = {om_min:.3e}")
-    return ScalarField(state.grid, state.b.values / state.omega.values)
+    return state.b / state.omega
 
 
 def evaluate_tendency(state: State, params: ModelParams, forcing=None) -> np.ndarray:
@@ -293,9 +259,8 @@ def energy_flux(state: State, params: ModelParams):
     dE_kin + dB_mass = coupling.
     """
     g = state.grid
-    mu = eddy_viscosity(state).values
-    D = ops.sym_gradient(state.v)
-    dd = np.einsum("ij...,ij...->...", D, D)
-    visc = ops.integral(g, mu * dd)
-    bw = ops.integral(g, state.b.values * state.omega.values)
+    mu = eddy_viscosity(state)
+    D = g.irfft(ops.sym_grad_hat(g, g.rfft(state.v)))
+    visc = ops.integral(g, mu * _strain_sq(D))
+    bw = ops.integral(g, state.b * state.omega)
     return (-params.c_v * visc, -bw + params.kappa4 * visc, -bw)

@@ -23,6 +23,12 @@ class DataBounds:
     b0_l1 and v0_l2sq are the initial L1 mass of b and squared L2 norm
     of v; lap_sum = |lap v0|_2^2 + |lap om0|_2^2 + |lap b0|_2^2; c_p is
     the Poincare constant of the box used in the velocity decay rate.
+
+    The envelopes decay |v|_2 at rate mu_min/c_p^2.  With D = (grad v +
+    grad v^T)/2 and div v = 0, |D|_2^2 = |grad v|_2^2/2, so the energy
+    identity only gives d/dt |v|_2 <= -(c_v/(2 c^2)) mu_min |v|_2 with
+    c = max L_i/(2 pi) the sharp Poincare constant.  The default c_p of
+    extract_bounds is therefore sqrt(2/c_v) * max L_i/(2 pi).
     """
 
     b_min: float

@@ -37,8 +37,8 @@ class RunConfig:
     def __post_init__(self):
         self.lengths = tuple(float(x) for x in self.lengths)
         self.resolution = tuple(int(x) for x in self.resolution)
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigError("t_end must be finite and nonnegative")
         if self.monitor_every < 1:
             raise ConfigError("monitor_every must be >= 1")
         if self.snapshot_every < 0:

@@ -111,20 +111,21 @@ def _build_initial(spec, grid):
 def extract_bounds(state: State, params: ModelParams,
                    c_p_override: Optional[float] = None) -> DataBounds:
     """Reduce an initial State to the scalar statistics the envelopes
-    consume.  c_p defaults to the sharp Poincare constant max L_i/(2 pi)."""
+    consume.  c_p defaults to sqrt(2/c_v) * max L_i/(2 pi), the rate the
+    energy identity guarantees (see DataBounds)."""
     g = state.grid
-    c_p = c_p_override if c_p_override is not None else max(g.lengths) / (2.0 * math.pi)
-    v0_l2sq = ops.norm(state.v, 2) ** 2
-    lap_sum = (ops.seminorm(state.v, 2) ** 2
-               + ops.seminorm(state.omega, 2) ** 2
-               + ops.seminorm(state.b, 2) ** 2)
+    if c_p_override is not None:
+        c_p = c_p_override
+    else:
+        c_p = math.sqrt(2.0 / params.c_v) * max(g.lengths) / (2.0 * math.pi)
+    yhat = g.rfft(state.y)
     return DataBounds(
-        b_min=float(np.min(state.b.values)),
-        omega_min=float(np.min(state.omega.values)),
-        omega_max=float(np.max(state.omega.values)),
-        b0_l1=ops.norm(state.b, 1),
-        v0_l2sq=v0_l2sq,
-        lap_sum=lap_sum,
+        b_min=float(np.min(state.b)),
+        omega_min=float(np.min(state.omega)),
+        omega_max=float(np.max(state.omega)),
+        b0_l1=ops.lp_norm(g, state.b, 1),
+        v0_l2sq=ops.lp_norm(g, state.v, 2) ** 2,
+        lap_sum=sum(ops.l2sq_hat(g, yhat[i], 2) for i in range(5)),
         kappa2=params.kappa2,
         c_p=c_p,
     )

@@ -126,6 +126,8 @@ def advance(state: State, t_end: float, params: ModelParams,
     callable receives the freshly accepted State and is invoked on steps
     1, 1+cadence, 1+2*cadence, ...
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise ValueError("t_end must not precede state.t")
     if t_end == state.t:

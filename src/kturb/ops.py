@@ -8,14 +8,8 @@ Sobolev seminorms use Plancherel sums over the half spectrum.
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
-from .grid import TorusGrid
-
 LP_EXPONENTS = (1.0, 6.0 / 5.0, 3.0 / 2.0, 2.0, 3.0, 4.0, 6.0, np.inf)
 
-
-# ---------------------------------------------------------------------------
-# array-level kernels (shared with the dynamics hot path)
 
 def grad_hat(grid, fhat):
     """Spectral gradient of one scalar spectrum: shape (3,) + spectral."""
@@ -88,89 +82,29 @@ def integral(grid, values):
     return float(np.sum(values)) * grid.cell_volume
 
 
-# ---------------------------------------------------------------------------
-# field-level operations
-
-def gradient(f: ScalarField) -> VectorField:
-    g = f.grid
-    return VectorField(g, g.irfft(grad_hat(g, g.rfft(f.values))))
-
-
-def divergence(u: VectorField) -> ScalarField:
-    g = u.grid
-    return ScalarField(g, g.irfft(div_hat(g, g.rfft(u.values))))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    g = f.grid
-    return ScalarField(g, g.irfft(-g.k_sq * g.rfft(f.values)))
-
-
-def sym_gradient(u: VectorField) -> np.ndarray:
-    """Rate-of-strain tensor as a full symmetric (3, 3, N1, N2, N3) array."""
-    g = u.grid
-    six = g.irfft(sym_grad_hat(g, g.rfft(u.values)))
-    out = np.empty((3, 3) + g.resolution)
-    out[0, 0], out[1, 1], out[2, 2] = six[0], six[1], six[2]
-    out[0, 1] = out[1, 0] = six[3]
-    out[0, 2] = out[2, 0] = six[4]
-    out[1, 2] = out[2, 1] = six[5]
-    return out
-
-
-def leray_project(u: VectorField) -> VectorField:
-    g = u.grid
-    return VectorField(g, g.irfft(leray_hat(g, g.rfft(u.values))))
-
-
-def norm(f, p):
-    """L^p norm, p in {1, 6/5, 3/2, 2, 3, 4, 6, inf}."""
-    return lp_norm(f.grid, f.values, p)
-
-
-def seminorm(f, order):
-    """Homogeneous Sobolev seminorm: 1 -> |grad f|_2, 2 -> |lap f|_2,
-    3 -> |grad lap f|_2."""
-    if order not in (1, 2, 3):
-        raise ValueError("seminorm order must be 1, 2 or 3")
-    g = f.grid
-    fhat = g.rfft(f.values)
-    if isinstance(f, VectorField):
-        return float(np.sqrt(sum(l2sq_hat(g, fhat[i], order) for i in range(3))))
-    return float(np.sqrt(l2sq_hat(g, fhat, order)))
-
-
-def inner(f, g):
-    """Discrete L2 inner product via quadrature (components summed for
-    vector fields)."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires a shared grid")
-    return float(np.sum(f.values * g.values)) * f.grid.cell_volume
-
-
-def gagliardo_ratios(f: ScalarField) -> dict:
-    """Empirical interpolation-inequality ratios for one zero-mean field.
+def gagliardo_ratios(grid, values) -> dict:
+    """Empirical interpolation-inequality ratios for one zero-mean
+    physical array.
 
     Each value is the left-hand side of one of the inequalities used by
     the a-priori estimates divided by its right-hand side with unit
     constant; finite corpus maxima of these ratios serve as regression
     references, not as proofs of the constants.
     """
-    g = f.grid
-    fhat = g.rfft(f.values)
-    l1 = lp_norm(g, f.values, 1)
-    l2 = np.sqrt(l2sq_hat(g, fhat))
-    l3 = lp_norm(g, f.values, 3)
-    l6 = lp_norm(g, f.values, 6)
-    linf = lp_norm(g, f.values, np.inf)
-    l32 = lp_norm(g, f.values, 1.5)
-    grad = g.irfft(grad_hat(g, fhat))
-    g2 = np.sqrt(l2sq_hat(g, fhat, 1))
-    g4 = lp_norm(g, grad, 4)
-    g6 = lp_norm(g, grad, 6)
-    g32 = lp_norm(g, grad, 1.5)
-    lap2 = np.sqrt(l2sq_hat(g, fhat, 2))
-    d3 = np.sqrt(l2sq_hat(g, fhat, 3))
+    fhat = grid.rfft(values)
+    l1 = lp_norm(grid, values, 1)
+    l2 = np.sqrt(l2sq_hat(grid, fhat))
+    l3 = lp_norm(grid, values, 3)
+    l6 = lp_norm(grid, values, 6)
+    linf = lp_norm(grid, values, np.inf)
+    l32 = lp_norm(grid, values, 1.5)
+    grad = grid.irfft(grad_hat(grid, fhat))
+    g2 = np.sqrt(l2sq_hat(grid, fhat, 1))
+    g4 = lp_norm(grid, grad, 4)
+    g6 = lp_norm(grid, grad, 6)
+    g32 = lp_norm(grid, grad, 1.5)
+    lap2 = np.sqrt(l2sq_hat(grid, fhat, 2))
+    d3 = np.sqrt(l2sq_hat(grid, fhat, 3))
     return {
         "grad_l4_sq": g4**2 / (g2 * d3),
         "l3_sq": l3**2 / (g2 * l2),

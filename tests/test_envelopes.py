@@ -97,8 +97,8 @@ class TestUniformOdeCrossCheck:
             b_min=b0, omega_min=om0, omega_max=om0,
             b0_l1=b0 * g.volume, v0_l2sq=0.0, lap_sum=0.0,
             kappa2=k2, c_p=1.0))
-        om_num = float(out.omega.values[0, 0, 0])
-        b_num = float(out.b.values[0, 0, 0])
+        om_num = float(out.omega[0, 0, 0])
+        b_num = float(out.b[0, 0, 0])
         assert om_num == pytest.approx(env.omega_lower(2.0), rel=1e-9)
         assert om_num == pytest.approx(env.omega_upper(2.0), rel=1e-9)
         assert b_num == pytest.approx(env.b_lower(2.0), rel=1e-9)

@@ -93,6 +93,14 @@ class TestConfigFailClosed:
         with pytest.raises(ConfigError):
             parse_config("not an ini file")
 
+    def test_non_finite_t_end_rejected(self):
+        # an infinite t_end would march forever, a NaN one not at all
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                RunConfig(t_end=bad)
+        with pytest.raises(ConfigError):
+            parse_config("[run]\nt_end = inf\n")
+
 
 class TestInitialData:
     def test_spec_validation(self):
@@ -112,11 +120,11 @@ class TestInitialData:
         spec = InitialDataSpec(seed=11, band=3)
         a = generate_initial(spec, g)
         b = generate_initial(spec, g)
-        assert np.array_equal(a.v.values, b.v.values)
-        assert np.array_equal(a.omega.values, b.omega.values)
-        assert np.array_equal(a.b.values, b.b.values)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.b, b.b)
         c = generate_initial(dataclasses.replace(spec, seed=12), g)
-        assert not np.array_equal(a.b.values, c.b.values)
+        assert not np.array_equal(a.b, c.b)
 
     def test_amplitudes_and_admissibility(self):
         g = TorusGrid(resolution=(16, 16, 16))
@@ -125,11 +133,11 @@ class TestInitialData:
                                v_amp=0.01, band=4)
         s = generate_initial(spec, g)
         s.validate()
-        assert np.min(s.b.values) >= 1.5 - 1e-12
-        assert np.max(np.abs(s.b.values - 2.0)) == pytest.approx(0.5)
-        assert np.max(np.abs(s.omega.values - 1.0)) == pytest.approx(0.25)
-        assert np.max(np.abs(s.v.values)) == pytest.approx(0.01)
-        div = ops.divergence(s.v).values
+        assert np.min(s.b) >= 1.5 - 1e-12
+        assert np.max(np.abs(s.b - 2.0)) == pytest.approx(0.5)
+        assert np.max(np.abs(s.omega - 1.0)) == pytest.approx(0.25)
+        assert np.max(np.abs(s.v)) == pytest.approx(0.01)
+        div = g.irfft(ops.div_hat(g, g.rfft(s.v)))
         assert np.max(np.abs(div)) < 1e-13
 
     def test_band_beyond_dealiased_range_rejected(self):
@@ -147,13 +155,17 @@ class TestInitialData:
         assert bd.b0_l1 == pytest.approx(2.0 * PI2**3, rel=1e-13)
         assert bd.v0_l2sq == 0.0 and bd.lap_sum == 0.0
         assert bd.kappa2 == 1.5
-        assert bd.c_p == pytest.approx(1.0)
+        assert bd.c_p == pytest.approx(math.sqrt(2.0))
         assert extract_bounds(s, ModelParams(), 2.5).c_p == 2.5
 
     def test_c_p_tracks_longest_edge(self):
         g = TorusGrid(lengths=(PI2, 6 * np.pi, PI2), resolution=(8, 8, 8))
         s = generate_initial(InitialDataSpec(kind="uniform"), g)
-        assert extract_bounds(s, ModelParams()).c_p == pytest.approx(3.0)
+        assert extract_bounds(s, ModelParams()).c_p == pytest.approx(
+            3.0 * math.sqrt(2.0))
+        # c_v = 2 makes the energy-identity rate the sharp Poincare rate
+        assert extract_bounds(s, ModelParams(momentum_diffusion_coeff=2.0)
+                              ).c_p == pytest.approx(3.0)
 
 
 class TestSnapshots:
@@ -168,9 +180,9 @@ class TestSnapshots:
         back, pback = read_snapshot(path)
         assert pback == p
         assert back.grid == g and back.t == 1.25
-        assert np.array_equal(back.v.values, s.v.values)
-        assert np.array_equal(back.omega.values, s.omega.values)
-        assert np.array_equal(back.b.values, s.b.values)
+        assert np.array_equal(back.v, s.v)
+        assert np.array_equal(back.omega, s.omega)
+        assert np.array_equal(back.b, s.b)
 
     def test_bad_magic_and_truncation(self, tmp_path):
         path = tmp_path / "bad.snap"
@@ -192,7 +204,7 @@ class TestSnapshots:
         write_snapshot(path, s, ModelParams())
         spec = InitialDataSpec(kind="from_file", path=path)
         back = generate_initial(spec, g)
-        assert np.array_equal(back.b.values, s.b.values)
+        assert np.array_equal(back.b, s.b)
         with pytest.raises(ConfigError):
             generate_initial(spec, TorusGrid(resolution=(16, 16, 16)))
 
@@ -221,15 +233,16 @@ class TestMonitor:
         s = generate_initial(InitialDataSpec(seed=9, band=3, v_amp=0.1), g)
         bd = extract_bounds(s, ModelParams())
         rec = Monitor(bd).sample(s)
-        comps = [s.v.component(i) for i in range(3)] + [s.omega, s.b]
-        v_l2 = math.sqrt(sum(ops.norm(s.v.component(i), 2) ** 2
+        comps = [s.v[0], s.v[1], s.v[2], s.omega, s.b]
+        v_l2 = math.sqrt(sum(ops.lp_norm(g, s.v[i], 2) ** 2
                              for i in range(3)))
-        b_l1 = ops.norm(s.b, 1)
+        b_l1 = ops.lp_norm(g, s.b, 1)
         assert rec.x0 == pytest.approx(v_l2**2 + b_l1**2, rel=1e-11)
         for order, got in ((1, rec.x1), (2, rec.x2), (3, rec.x3)):
-            want = sum(ops.seminorm(f, order) ** 2 for f in comps)
+            want = sum(ops.l2sq_hat(g, g.rfft(f), order) for f in comps)
             assert got == pytest.approx(want, rel=1e-11)
-        assert rec.min_omega == np.min(s.omega.values)
+        assert bd.lap_sum == rec.x2
+        assert rec.min_omega == np.min(s.omega)
         assert rec.margin_b_lower == pytest.approx(
             rec.min_b - rec.env_b_lower)
 
@@ -310,9 +323,9 @@ class TestManufactured:
                         StepControl(dt_max=1.0, dt_fixed=0.02),
                         forcing=Forcing(func=mms.forcing))
         exact = mms.exact(0.2)
-        assert np.max(np.abs(final.v.values - exact[:3])) < 1e-12
-        assert np.max(np.abs(final.omega.values - exact[3])) < 1e-12
-        assert np.max(np.abs(final.b.values - exact[4])) < 1e-12
+        assert np.max(np.abs(final.v - exact[:3])) < 1e-12
+        assert np.max(np.abs(final.omega - exact[3])) < 1e-12
+        assert np.max(np.abs(final.b - exact[4])) < 1e-12
 
     def test_default_fields_admissible(self):
         g = TorusGrid(resolution=(8, 8, 8))
@@ -380,6 +393,16 @@ class TestCli:
         assert main(["verify", "--resolution", "16", "--t-end", "2",
                      "--seed", "4"]) == 0
 
+    def test_verify_velocity_envelope_with_default_c_p(self):
+        # with c_p = max L_i/(2 pi), too small by sqrt(2/c_v), the
+        # velocity L2 decay envelope was crossed at t ~ 3.41
+        assert main(["verify", "--resolution", "16", "--t-end", "3.5",
+                     "--seed", "0", "--dt", "0.004"]) == 0
+
+    def test_simulate_rejects_non_finite_t_end(self, capsys):
+        assert main(["simulate", "--resolution", "16", "--t-end", "nan"]) == 3
+        assert "t_end" in capsys.readouterr().err
+
 
 class TestRunMms:
     def test_short_study_reports_structure(self):
@@ -391,3 +414,12 @@ class TestRunMms:
         assert all(len(v) == 2 for v in rep.errors.values())
         assert all(len(v) == 1 for v in rep.orders.values())
         assert rep.passed
+
+
+def test_public_exports_resolve():
+    # a deleted module must not leave a stale name in __all__
+    import kturb
+    import kturb.harness
+    for pkg in (kturb, kturb.harness):
+        for name in pkg.__all__:
+            assert getattr(pkg, name, None) is not None, (pkg.__name__, name)

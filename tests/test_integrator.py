@@ -67,8 +67,8 @@ class TestRk4Step:
         dt = 0.01
         new = rk4_step(uniform_state(g), dt, ModelParams())
         exact = 1.0 / (1.0 + dt)
-        assert np.max(np.abs(new.omega.values - exact)) < 1e-11
-        assert np.max(np.abs(new.v.values)) == 0.0
+        assert np.max(np.abs(new.omega - exact)) < 1e-11
+        assert np.max(np.abs(new.v)) == 0.0
         assert new.t == dt
 
     def test_rejects_bad_dt(self):
@@ -81,9 +81,9 @@ class TestRk4Step:
         s = make_state(g, np.random.default_rng(31))
         a = rk4_step(s, 0.002, ModelParams())
         b = rk4_step(s, 0.002, ModelParams())
-        assert np.array_equal(a.v.values, b.v.values)
-        assert np.array_equal(a.omega.values, b.omega.values)
-        assert np.array_equal(a.b.values, b.b.values)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.b, b.b)
 
     def test_positivity_violation_on_overshoot(self):
         # dt = 3 with omega' = -omega^2 from 1 drives RK4 below zero
@@ -107,7 +107,7 @@ class TestRk4Step:
         new = s
         for _ in range(5):
             new = rk4_step(new, 0.002, ModelParams())
-        vhat = g.rfft(new.v.values)
+        vhat = g.rfft(new.v)
         div = np.max(np.abs(ops.div_hat(g, vhat)))
         assert div < 1e-11 * (np.max(np.abs(vhat)) + 1e-300)
 
@@ -121,14 +121,21 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(s, 0.5, ModelParams(), StepControl(dt_max=0.1))
 
+    def test_rejects_non_finite_t_end(self):
+        # a NaN t_end used to return at once, having advanced nothing
+        g = TorusGrid(resolution=(8, 8, 8))
+        with pytest.raises(ValueError):
+            advance(uniform_state(g), np.nan, ModelParams(),
+                    StepControl(dt_max=0.1))
+
     def test_uniform_long_run_against_ode(self):
         # omega = 1/(1+t), b = 2/(1+t) for kappa2 = 1, b0 = 2, om0 = 1
         g = TorusGrid(resolution=(8, 8, 8))
         ctl = StepControl(dt_max=1.0, dt_fixed=0.01)
         out = advance(uniform_state(g, b=2.0), 5.0, ModelParams(), ctl)
         assert out.t == 5.0
-        assert np.max(np.abs(out.omega.values - 1.0 / 6.0)) < 1e-9
-        assert np.max(np.abs(out.b.values - 2.0 / 6.0)) < 1e-9
+        assert np.max(np.abs(out.omega - 1.0 / 6.0)) < 1e-9
+        assert np.max(np.abs(out.b - 2.0 / 6.0)) < 1e-9
 
     def test_final_time_exact(self):
         g = TorusGrid(resolution=(8, 8, 8))
@@ -161,8 +168,8 @@ class TestAdvance:
         # advance keeps the spectral stack between steps while repeated
         # rk4_step round-trips through physical space, so agreement is
         # to transform roundoff only
-        assert np.max(np.abs(out.v.values - manual.v.values)) < 1e-13
-        assert np.max(np.abs(out.b.values - manual.b.values)) < 1e-13
+        assert np.max(np.abs(out.v - manual.v)) < 1e-13
+        assert np.max(np.abs(out.b - manual.b)) < 1e-13
 
     def test_positivity_abort_reports_time(self):
         g = TorusGrid(resolution=(8, 8, 8))
@@ -180,6 +187,6 @@ class TestAdvance:
         ctl = StepControl(dt_max=0.01)
         a = advance(s, 0.05, ModelParams(), ctl)
         b = advance(s, 0.05, ModelParams(), ctl)
-        assert np.array_equal(a.v.values, b.v.values)
-        assert np.array_equal(a.omega.values, b.omega.values)
-        assert np.array_equal(a.b.values, b.b.values)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.b, b.b)
