@@ -130,9 +130,15 @@ class Forcing:
 
 def _strain_sq(D):
     """|D|^2 pointwise from the six entries (11, 22, 33, 12, 13, 23) of
-    the symmetric rate-of-strain tensor."""
-    return (D[0] ** 2 + D[1] ** 2 + D[2] ** 2
-            + 2.0 * (D[3] ** 2 + D[4] ** 2 + D[5] ** 2))
+    the symmetric rate-of-strain tensor, formed in place: D is
+    overwritten and D[0] returned."""
+    np.square(D, out=D)
+    np.add(D[0], D[1], out=D[0])
+    np.add(D[0], D[2], out=D[0])
+    np.add(D[3], D[4], out=D[3])
+    np.add(D[3], D[5], out=D[3])
+    np.multiply(2.0, D[3], out=D[3])
+    return np.add(D[0], D[3], out=D[0])
 
 
 class TendencyKernel:
@@ -143,17 +149,34 @@ class TendencyKernel:
     uniform state without forcing skips the transforms: the FFT of a
     constant field is exact, so the result is bitwise identical to the
     full path.
+
+    An instance owns the two transform stacks and the i*k multipliers
+    and refills them on every call, so it is not re-entrant: a forcing
+    callback must not call the kernel that is evaluating it.  Complex
+    products keep the operand order of the plain expressions they
+    replace, since numpy's complex multiply is not bitwise commutative.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams, eps_pos=1e-10):
         self.grid = grid
         self.params = params
         self.eps_pos = eps_pos
+        self._ik = tuple(1j * k for k in grid.k)
+        self._mask = grid.dealias_mask.astype(complex)
+        # spectra of omega, b, grad omega, grad b, v, D
+        self._inv = np.empty((17,) + grid.spectral_shape, dtype=complex)
+        # s_om, s_b, Gw, Gb, T and the velocity forcing
+        self._fwd = np.empty((17,) + grid.resolution)
 
-    def __call__(self, y_hat, t=0.0, forcing=None):
+    def __call__(self, y_hat, t=0.0, forcing=None, out=None):
+        """Tendency spectrum of y_hat, written into out when given and
+        into a fresh array otherwise.  y_hat and the forcing arrays are
+        only read."""
         g = self.grid
         p = self.params
         vhat, what, bhat = y_hat[:3], y_hat[3], y_hat[4]
+        if out is None:
+            out = np.empty((5,) + g.spectral_shape, dtype=complex)
 
         if (forcing is None and not np.any(vhat)
                 and ops.is_constant_hat(y_hat[3:])):
@@ -164,15 +187,33 @@ class TendencyKernel:
                 raise NonPositiveOmega(
                     f"min(omega) = {om:.3e} at t = {t:.6g}; cannot form b/omega")
             bm = float(bhat[0, 0, 0].real) / g.npoints
-            out = np.zeros((5,) + g.spectral_shape, dtype=complex)
+            out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
             out[4, 0, 0, 0] = -bm * om * g.npoints
             return out
 
-        # one batched inverse transform: omega, b, grad omega, grad b, v, D
-        phys = g.irfft(np.stack([what, bhat, *ops.grad_hat(g, what),
-                                 *ops.grad_hat(g, bhat), *vhat,
-                                 *ops.sym_grad_hat(g, vhat)]))
+        self._fill_inverse(y_hat)
+        # the physical fields are dropped before the forward transform
+        nf = self._products(g.irfft(self._inv), t, forcing)
+        spec = g.rfft(self._fwd[:nf])
+        spec *= self._mask
+        return self._assemble(spec, out)
+
+    def _fill_inverse(self, y_hat):
+        g = self.grid
+        S = self._inv
+        S[0] = y_hat[3]
+        S[1] = y_hat[4]
+        ops.grad_hat(g, y_hat[3], out=S[2:5])
+        ops.grad_hat(g, y_hat[4], out=S[5:8])
+        S[8:11] = y_hat[:3]
+        ops.sym_grad_hat(g, y_hat[:3], out=S[11:17])
+
+    def _products(self, phys, t, forcing):
+        """Fill the forward stack from the physical fields (which are
+        overwritten) and return the number of rows to transform."""
+        p = self.params
+        F = self._fwd
         omega, b = phys[0], phys[1]
         grad_w, grad_b, v, D = phys[2:5], phys[5:8], phys[8:11], phys[11:17]
 
@@ -180,55 +221,75 @@ class TendencyKernel:
         if not np.isfinite(om_min) or om_min <= self.eps_pos:
             raise NonPositiveOmega(
                 f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega")
-        mu = b / omega
 
         f_v = f_om = f_b = None
         if forcing is not None:
             f_v, f_om, f_b = forcing(t)
 
-        # fused physical products -> one batched forward transform
-        s_om = -p.kappa2 * omega * omega
+        # s_om = -kappa2 omega^2 + F_om
+        np.multiply(-p.kappa2, omega, out=F[0])
+        np.multiply(F[0], omega, out=F[0])
         if f_om is not None:
-            s_om = s_om + f_om
-        s_b = -b * omega
+            np.add(F[0], f_om, out=F[0])
+        # s_b = -b omega + F_b + kappa4 mu |D|^2 (last term below)
+        np.negative(b, out=F[1])
+        np.multiply(F[1], omega, out=F[1])
         if f_b is not None:
-            s_b = s_b + f_b
-        s_b = s_b + p.kappa4 * mu * _strain_sq(D)
+            np.add(F[1], f_b, out=F[1])
+        # Gw = -omega v + kappa1 mu grad omega, Gb = -b v + kappa3 mu grad b
+        np.multiply(omega, v, out=F[2:5])
+        np.subtract(0.0, F[2:5], out=F[2:5])
+        np.multiply(b, v, out=F[5:8])
+        np.subtract(0.0, F[5:8], out=F[5:8])
+        # omega and b are not read past here: mu replaces b, and the
+        # coefficient times mu goes where omega was
+        mu = np.divide(b, omega, out=b)
+        kmu = omega
+        for kappa, grad, G in ((p.kappa1, grad_w, F[2:5]),
+                               (p.kappa3, grad_b, F[5:8])):
+            np.multiply(kappa, mu, out=kmu)
+            np.multiply(kmu, grad, out=grad)
+            np.add(G, grad, out=G)
+        # T_ij = c_v mu D_ij - v_i v_j, ordered (11, 22, 33, 12, 13, 23);
+        # the gradient rows hold the velocity products
+        np.multiply(p.c_v, mu, out=kmu)
+        np.multiply(kmu, D, out=F[8:14])
+        vv = phys[2:8]
+        for row, (i, j) in enumerate(((0, 0), (1, 1), (2, 2),
+                                      (0, 1), (0, 2), (1, 2))):
+            np.multiply(v[i], v[j], out=vv[row])
+        np.subtract(F[8:14], vv, out=F[8:14])
+        np.multiply(p.kappa4, mu, out=kmu)
+        np.multiply(kmu, _strain_sq(D), out=kmu)
+        np.add(F[1], kmu, out=F[1])
+        if f_v is None:
+            return 14
+        F[14:17] = f_v
+        return 17
 
-        Gw = np.zeros((3,) + g.resolution)
-        Gw -= omega * v
-        Gw += p.kappa1 * mu * grad_w
-        Gb = np.zeros((3,) + g.resolution)
-        Gb -= b * v
-        Gb += p.kappa3 * mu * grad_b
-        cv = p.c_v
-        T = np.empty((6,) + g.resolution)
-        T[0] = cv * mu * D[0] - v[0] * v[0]
-        T[1] = cv * mu * D[1] - v[1] * v[1]
-        T[2] = cv * mu * D[2] - v[2] * v[2]
-        T[3] = cv * mu * D[3] - v[0] * v[1]
-        T[4] = cv * mu * D[4] - v[0] * v[2]
-        T[5] = cv * mu * D[5] - v[1] * v[2]
-        fstack = [s_om, s_b, *Gw, *Gb, *T]
-        if f_v is not None:
-            fstack.extend(np.asarray(f_v))
-
-        spec = g.rfft(np.stack(fstack))
-        spec *= g.dealias_mask
-        Gw, Gb, T = spec[2:5], spec[5:8], spec[8:14]
-
-        out = np.zeros((5,) + g.spectral_shape, dtype=complex)
-        ik1, ik2, ik3 = (1j * g.k[0], 1j * g.k[1], 1j * g.k[2])
-        out[3] = spec[0]
-        out[4] = spec[1]
-        out[3] += ik1 * Gw[0] + ik2 * Gw[1] + ik3 * Gw[2]
-        out[4] += ik1 * Gb[0] + ik2 * Gb[1] + ik3 * Gb[2]
-        out[0] = ik1 * T[0] + ik2 * T[3] + ik3 * T[4]
-        out[1] = ik1 * T[3] + ik2 * T[1] + ik3 * T[5]
-        out[2] = ik1 * T[4] + ik2 * T[5] + ik3 * T[2]
-        if f_v is not None:
+    def _assemble(self, spec, out):
+        """out = (P div T [+ F_v], s_om + div Gw, s_b + div Gb) from the
+        dealiased forward spectra, which are overwritten."""
+        ik = self._ik
+        T = spec[8:14]
+        # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
+        for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):
+            for i in range(3):
+                np.multiply(ik[i], G[i], out=G[i])
+            np.add(G[0], G[1], out=G[0])
+            np.add(G[0], G[2], out=G[0])
+            np.add(s, G[0], out=out[row])
+        tmp = spec[2]
+        # div T row by row: entries i1, i2, i3 of the symmetric tensor as
+        # indices into its (11, 22, 33, 12, 13, 23) rows
+        for i, row in enumerate(((0, 3, 4), (3, 1, 5), (4, 5, 2))):
+            np.multiply(ik[0], T[row[0]], out=out[i])
+            for j in (1, 2):
+                np.multiply(ik[j], T[row[j]], out=tmp)
+                np.add(out[i], tmp, out=out[i])
+        if spec.shape[0] == 17:
             out[:3] += spec[14:]
-        ops.leray_hat(g, out[:3])
+        ops.leray_hat(self.grid, out[:3])
         return out
 
 

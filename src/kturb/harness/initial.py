@@ -125,7 +125,7 @@ def extract_bounds(state: State, params: ModelParams,
         omega_max=float(np.max(state.omega)),
         b0_l1=ops.lp_norm(g, state.b, 1),
         v0_l2sq=ops.lp_norm(g, state.v, 2) ** 2,
-        lap_sum=sum(ops.l2sq_hat(g, yhat[i], 2) for i in range(5)),
+        lap_sum=sum(ops.l2sq_hat_rows(g, yhat, (2,))[2]),
         kappa2=params.kappa2,
         c_p=c_p,
     )

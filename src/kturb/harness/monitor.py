@@ -72,10 +72,9 @@ class Monitor:
         g = state.grid
         env = self.env
         fhat = g.rfft(state.y)
-        l2sq = [ops.l2sq_hat(g, fhat[i]) for i in range(5)]
-        x1 = sum(ops.l2sq_hat(g, fhat[i], 1) for i in range(5))
-        x2 = sum(ops.l2sq_hat(g, fhat[i], 2) for i in range(5))
-        x3 = sum(ops.l2sq_hat(g, fhat[i], 3) for i in range(5))
+        rows = ops.l2sq_hat_rows(g, fhat, (0, 1, 2, 3))
+        l2sq = rows[0]
+        x1, x2, x3 = sum(rows[1]), sum(rows[2]), sum(rows[3])
         v_l2 = float(np.sqrt(l2sq[0] + l2sq[1] + l2sq[2]))
         omega_l2 = float(np.sqrt(l2sq[3]))
         b_l1 = ops.lp_norm(g, state.y[4], 1)

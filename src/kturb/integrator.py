@@ -21,6 +21,9 @@ from .errors import BlowUp, NonPositiveOmega, PositivityViolation
 # the diffusive step keeps a safety factor below that limit.
 RK4_REAL_AXIS_LIMIT = 2.785
 DIFFUSIVE_SAFETY = 0.9
+# advance refuses a step size that would need more steps than this to
+# reach t_end, or that no longer moves t
+MAX_STEPS = 10**8
 
 
 @dataclass
@@ -64,7 +67,9 @@ def compute_dt(state: State, params: ModelParams, control: StepControl) -> float
 
 class _Marcher:
     """Owns the spectral state between steps so fields are transformed
-    once per step, not once per call."""
+    once per step, not once per call.  It also owns the four RK4 stage
+    tendencies and the stage input, reused on every step, so it is not
+    re-entrant."""
 
     def __init__(self, grid, params, control, forcing=None):
         self.grid = grid
@@ -72,22 +77,41 @@ class _Marcher:
         self.control = control
         self.forcing = forcing
         self.kernel = TendencyKernel(grid, params, eps_pos=control.eps_pos)
+        shape = (5,) + grid.spectral_shape
+        self._k = np.empty((4,) + shape, dtype=complex)
+        self._stage = np.empty(shape, dtype=complex)
+
+    def _stage_input(self, y_hat, c, k):
+        """y_hat + c k in the stage buffer."""
+        np.multiply(c, k, out=self._stage)
+        return np.add(y_hat, self._stage, out=self._stage)
 
     def step_hat(self, y_hat, t, dt):
-        k = self.kernel
+        """Advance y_hat by one RK4 step in place and return it."""
+        kern = self.kernel
         f = self.forcing
+        k1, k2, k3, k4 = self._k
         try:
-            k1 = k(y_hat, t, f)
-            k2 = k(y_hat + 0.5 * dt * k1, t + 0.5 * dt, f)
-            k3 = k(y_hat + 0.5 * dt * k2, t + 0.5 * dt, f)
-            k4 = k(y_hat + dt * k3, t + dt, f)
+            kern(y_hat, t, f, out=k1)
+            kern(self._stage_input(y_hat, 0.5 * dt, k1), t + 0.5 * dt, f,
+                 out=k2)
+            kern(self._stage_input(y_hat, 0.5 * dt, k2), t + 0.5 * dt, f,
+                 out=k3)
+            kern(self._stage_input(y_hat, dt, k3), t + dt, f, out=k4)
         except NonPositiveOmega as exc:
             raise PositivityViolation(
                 f"stage evaluation failed during step from t = {t:.6g}: {exc}",
                 t=t) from exc
-        y_new = y_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ops.leray_hat(self.grid, y_new[:3])
-        return y_new
+        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(dt / 6.0, k1, out=k1)
+        np.add(y_hat, k1, out=y_hat)
+        ops.leray_hat(self.grid, y_hat[:3])
+        return y_hat
 
     def guard(self, phys, t):
         """Check the physical fields of an accepted step; return the
@@ -148,6 +172,15 @@ def advance(state: State, t_end: float, params: ModelParams,
     nstep = 0
     while t < t_end:
         dt = _dt_from_arrays(g, params, control, vmax, mumax)
+        if t + dt == t:
+            raise ValueError(
+                f"dt = {dt:.3e} no longer advances t = {t:.6g}: it is below "
+                f"the float spacing of t, so no number of steps reaches "
+                f"t_end = {t_end:.6g}")
+        if (t_end - t) / dt > MAX_STEPS:
+            raise ValueError(
+                f"dt = {dt:.3e} at t = {t:.6g} would need more than "
+                f"{MAX_STEPS} steps to reach t_end = {t_end:.6g}")
         # clip the final step to land on t_end exactly; the rounding slack
         # keeps accumulated float error from spawning a degenerate step
         last = t + dt >= t_end - 1e-12 * dt

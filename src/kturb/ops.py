@@ -11,9 +11,11 @@ import numpy as np
 LP_EXPONENTS = (1.0, 6.0 / 5.0, 3.0 / 2.0, 2.0, 3.0, 4.0, 6.0, np.inf)
 
 
-def grad_hat(grid, fhat):
-    """Spectral gradient of one scalar spectrum: shape (3,) + spectral."""
-    out = np.empty((3,) + grid.spectral_shape, dtype=complex)
+def grad_hat(grid, fhat, out=None):
+    """Spectral gradient of one scalar spectrum: shape (3,) + spectral,
+    written into out when given."""
+    if out is None:
+        out = np.empty((3,) + grid.spectral_shape, dtype=complex)
     for i in range(3):
         np.multiply(fhat, 1j * grid.k[i], out=out[i])
     return out
@@ -39,17 +41,21 @@ def leray_hat(grid, uhat):
     return uhat
 
 
-def sym_grad_hat(grid, vhat):
+def sym_grad_hat(grid, vhat, out=None):
     """Six independent entries of D = (grad v + grad v^T)/2 in spectral
-    space, ordered (11, 22, 33, 12, 13, 23)."""
+    space, ordered (11, 22, 33, 12, 13, 23), written into out when given."""
     k1, k2, k3 = grid.k
-    out = np.empty((6,) + grid.spectral_shape, dtype=complex)
-    out[0] = 1j * k1 * vhat[0]
-    out[1] = 1j * k2 * vhat[1]
-    out[2] = 1j * k3 * vhat[2]
-    out[3] = 0.5j * (k2 * vhat[0] + k1 * vhat[1])
-    out[4] = 0.5j * (k3 * vhat[0] + k1 * vhat[2])
-    out[5] = 0.5j * (k3 * vhat[1] + k2 * vhat[2])
+    if out is None:
+        out = np.empty((6,) + grid.spectral_shape, dtype=complex)
+    # off-diagonals 0.5i (ka va + kb vb) first: row 0 is their scratch
+    for row, ka, a, kb, b in ((3, k2, 0, k1, 1), (4, k3, 0, k1, 2),
+                              (5, k3, 1, k2, 2)):
+        np.multiply(ka, vhat[a], out=out[row])
+        np.multiply(kb, vhat[b], out=out[0])
+        np.add(out[row], out[0], out=out[row])
+        np.multiply(0.5j, out[row], out=out[row])
+    for i, k in enumerate(grid.k):
+        np.multiply(1j * k, vhat[i], out=out[i])
     return out
 
 
@@ -59,13 +65,29 @@ def is_constant_hat(fhat):
     return np.count_nonzero(fhat) == np.count_nonzero(fhat[..., 0, 0, 0])
 
 
-def l2sq_hat(grid, fhat, order=0):
-    """Squared L2 norm of nabla^order f from its spectrum (Plancherel)."""
-    power = np.abs(fhat) ** 2
-    if order:
-        power = power * grid.k_sq**order
+def _l2sq_power(grid, power, k_pow):
+    if k_pow is not None:
+        power = power * k_pow
     total = float(np.sum(power * grid.hermitian_weight))
     return total * grid.volume / grid.npoints**2
+
+
+def l2sq_hat(grid, fhat, order=0):
+    """Squared L2 norm of nabla^order f from its spectrum (Plancherel)."""
+    k_pow = grid.k_sq**order if order else None
+    return _l2sq_power(grid, np.abs(fhat) ** 2, k_pow)
+
+
+def l2sq_hat_rows(grid, fhat, orders):
+    """{order: [l2sq_hat(grid, row, order) for row in fhat]} for a stacked
+    spectrum, with |fhat|^2 formed once; every entry is bitwise equal to
+    the single-row value."""
+    power = np.abs(fhat) ** 2
+    rows = {}
+    for o in orders:
+        k_pow = grid.k_sq**o if o else None
+        rows[o] = [_l2sq_power(grid, row, k_pow) for row in power]
+    return rows
 
 
 def lp_norm(grid, values, p):

@@ -1,5 +1,7 @@
 """Right-hand-side evaluation: reductions, oracles, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,77 @@ class TestVelocityEquation:
         ops.leray_hat(g, adv_hat)
         expect = g.irfft(adv_hat)
         assert np.max(np.abs(dv - expect)) < 1e-10
+
+
+class TestKernelBuffers:
+    """The kernel reuses its transform stacks across calls; its results
+    must still behave like fresh arrays."""
+
+    def forcing(self, g, rng):
+        arrs = [rng.standard_normal((3,) + g.resolution),
+                rng.standard_normal(g.resolution),
+                rng.standard_normal(g.resolution)]
+        for a in arrs:
+            a.flags.writeable = False
+        return arrs
+
+    def test_out_matches_fresh_result_bitwise(self):
+        rng = np.random.default_rng(40)
+        g = TorusGrid(resolution=(12, 12, 12))
+        s = make_state(g, rng)
+        y_hat = g.rfft(s.y)
+        forcing = Forcing(*self.forcing(g, rng))
+        for f in (None, forcing):
+            fresh = TendencyKernel(g, ModelParams())(y_hat, 0.3, f)
+            kern = TendencyKernel(g, ModelParams())
+            out = np.full_like(fresh, np.nan)
+            assert kern(y_hat, 0.3, f, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+        uniform = g.rfft(State.uniform(g, 1.5, 2.0).y)
+        fresh = TendencyKernel(g, ModelParams())(uniform)
+        out = np.full_like(fresh, np.nan)
+        TendencyKernel(g, ModelParams())(uniform, out=out)
+        assert out.tobytes() == fresh.tobytes()
+
+    def test_successive_results_are_independent(self):
+        rng = np.random.default_rng(41)
+        g = TorusGrid(resolution=(12, 12, 12))
+        y1 = g.rfft(make_state(g, rng).y)
+        y2 = g.rfft(make_state(g, rng, v_amp=0.3).y)
+        kern = TendencyKernel(g, ModelParams())
+        r1 = kern(y1)
+        kept = r1.copy()
+        r2 = kern(y2)
+        assert not np.shares_memory(r1, r2)
+        assert r1.tobytes() == kept.tobytes()
+        assert r2.tobytes() == TendencyKernel(g, ModelParams())(y2).tobytes()
+        assert kern(y1).tobytes() == kept.tobytes()
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(42)
+        g = TorusGrid(resolution=(12, 12, 12))
+        y_hat = g.rfft(make_state(g, rng).y)
+        y_hat.flags.writeable = False
+        arrs = self.forcing(g, rng)
+        kept = [a.copy() for a in arrs]
+        # read-only arrays make any write raise; compare the values too
+        TendencyKernel(g, ModelParams())(y_hat, 0.0, Forcing(*arrs))
+        for a, b in zip(arrs, kept):
+            assert a.tobytes() == b.tobytes()
+
+    def test_allocation_per_call_is_bounded(self):
+        # the per-call temporaries used to peak at 11x the output
+        g = TorusGrid(resolution=(16, 16, 16))
+        y_hat = g.rfft(make_state(g, np.random.default_rng(43)).y)
+        kern = TendencyKernel(g, ModelParams())
+        kern(y_hat)
+        tracemalloc.start()
+        try:
+            out = kern(y_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * out.nbytes
 
 
 class TestEnergyFlux:

@@ -4,6 +4,7 @@ orchestrated runs, and the command-line interface."""
 import dataclasses
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kturb import (BlowUp, ConfigError, Forcing, ModelParams,
                    PositivityViolation, State, StepControl, TorusGrid,
                    VerificationFailure, advance, ops)
 from kturb.cli import main
+from kturb.dynamics import TendencyKernel
 from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
                            extract_bounds, generate_initial, load_config,
                            parse_config, read_snapshot, run_check, run_mms,
@@ -403,6 +405,14 @@ class TestCli:
         assert main(["simulate", "--resolution", "16", "--t-end", "nan"]) == 3
         assert "t_end" in capsys.readouterr().err
 
+    def test_simulate_tiny_dt_exits(self, capsys):
+        # t + dt == t for dt = 1e-300, so this run used to never end
+        start = time.perf_counter()
+        assert main(["simulate", "--resolution", "16", "--t-end", "1",
+                     "--dt", "1e-300"]) == 3
+        assert time.perf_counter() - start < 20.0
+        assert "steps" in capsys.readouterr().err
+
 
 class TestRunMms:
     def test_short_study_reports_structure(self):
@@ -414,6 +424,33 @@ class TestRunMms:
         assert all(len(v) == 2 for v in rep.errors.values())
         assert all(len(v) == 1 for v in rep.orders.values())
         assert rep.passed
+
+    def test_forcing_memo_evaluations(self, monkeypatch):
+        # stages 2 and 3 share a time, and so do stage 4 and the next
+        # step's stage 1: 2 forcing evaluations per step plus 1 per dt
+        calls = {"stage": 0, "forcing": 0}
+        orig = TendencyKernel.__call__
+
+        def counted(self, y_hat, t=0.0, forcing=None, out=None):
+            calls["forcing" if forcing is None else "stage"] += 1
+            return orig(self, y_hat, t, forcing, out=out)
+
+        monkeypatch.setattr(TendencyKernel, "__call__", counted)
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        dts = (5e-3, 2.5e-3)
+        run_mms(cfg, dts=dts, threshold=0.0)
+        steps = 10 + 20
+        assert calls["stage"] == 4 * steps
+        assert calls["forcing"] == 2 * steps + len(dts)
+        # a kept value is the one a fresh evaluation gives
+        g = cfg.make_grid()
+        mms = _Manufactured(g, cfg.params)
+        first = mms.forcing(0.125)
+        again = mms.forcing(0.125)
+        fresh = _Manufactured(g, cfg.params).forcing(0.125)
+        for a, b, c in zip(first, again, fresh):
+            assert a is b
+            assert a.tobytes() == c.tobytes()
 
 
 def test_public_exports_resolve():

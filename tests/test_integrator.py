@@ -7,6 +7,7 @@ from kturb import (BlowUp, Forcing, ModelParams, PositivityViolation,
                    State, StepControl, TorusGrid, advance, compute_dt,
                    rk4_step)
 from kturb import ops
+from kturb.integrator import MAX_STEPS
 from tests.test_dynamics import make_state
 
 
@@ -127,6 +128,20 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(uniform_state(g), np.nan, ModelParams(),
                     StepControl(dt_max=0.1))
+
+    def test_step_budget(self):
+        # a dt below the float spacing of t used to loop forever
+        g = TorusGrid(resolution=(8, 8, 8))
+        with pytest.raises(ValueError, match="steps"):
+            advance(uniform_state(g), 1.0, ModelParams(),
+                    StepControl(dt_max=1.0, dt_fixed=1e-300))
+        with pytest.raises(ValueError, match="steps"):
+            advance(uniform_state(g), 1.0, ModelParams(),
+                    StepControl(dt_max=1.0, dt_fixed=1.0 / MAX_STEPS / 2))
+        # t + dt == t although only 64 steps remain
+        with pytest.raises(ValueError, match="no longer advances"):
+            advance(uniform_state(g, t=1e17), 1e17 + 64, ModelParams(),
+                    StepControl(dt_max=1.0, dt_fixed=1.0))
 
     def test_uniform_long_run_against_ode(self):
         # omega = 1/(1+t), b = 2/(1+t) for kappa2 = 1, b0 = 2, om0 = 1
