@@ -13,7 +13,8 @@ quadratic products are dealiased; mu is formed pointwise and never
 floored (positivity of omega is a hard precondition).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +62,16 @@ class State:
     array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
     v, omega and b are the views y[:3], y[3] and y[4], not copies.
+    y_hat, when set, is the dealiased spectrum that y was made from:
+    advance sets it on the states it returns and on read-only copies for
+    the states it hands its callbacks.
     """
 
     grid: TorusGrid
     y: np.ndarray
     t: float = 0.0
+    y_hat: Optional[np.ndarray] = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -80,6 +86,13 @@ class State:
         y[3] = omega
         y[4] = b
         return cls(grid, y, t)
+
+    def spectrum(self):
+        """The spectrum of y on the 2/3 mask: y_hat when set, else y
+        projected afresh."""
+        if self.y_hat is not None:
+            return self.y_hat
+        return self.grid.rfft(self.y, dealiased=True)
 
     @property
     def v(self):
@@ -128,6 +141,15 @@ class Forcing:
         return self._static
 
 
+def _require_positive_omega(omega, eps_pos, t):
+    """Raise NonPositiveOmega unless min(omega) is finite and above
+    eps_pos."""
+    om_min = float(np.min(omega))
+    if not np.isfinite(om_min) or om_min <= eps_pos:
+        raise NonPositiveOmega(
+            f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega")
+
+
 def _strain_sq(D):
     """|D|^2 pointwise from the six entries (11, 22, 33, 12, 13, 23) of
     the symmetric rate-of-strain tensor, formed in place: D is
@@ -144,15 +166,20 @@ def _strain_sq(D):
 class TendencyKernel:
     """Fused evaluator of all three right-hand sides in spectral form.
 
-    Every call transforms the same 17 fields to physical space and the
-    same 14 products (17 with a velocity forcing) back.  A spatially
-    uniform state without forcing skips the transforms: the FFT of a
-    constant field is exact, so the result is bitwise identical to the
-    full path.
+    Its input y_hat must be zero outside the 2/3 mask, as the spectra
+    of TorusGrid.rfft(..., dealiased=True) and every tendency are: the
+    transforms skip those modes, so anything there would corrupt the
+    result rather than be dropped.  Every call transforms the same 17
+    fields to physical space and the same 14 products (17 with a
+    velocity forcing) back, both dealiased.  A spatially uniform state
+    without forcing skips the transforms: the FFT of a constant field is
+    exact, so the result is bitwise identical to the full path.
 
-    An instance owns the two transform stacks and the i*k multipliers
-    and refills them on every call, so it is not re-entrant: a forcing
-    callback must not call the kernel that is evaluating it.  Complex
+    An instance owns the spectral stack, which the inverse transform
+    consumes and the forward transform refills, the physical fields, the
+    physical products and the i*k multipliers.  It refills them on every
+    call, so it is not re-entrant: a forcing callback must not call the
+    kernel that is evaluating it.  Complex
     products keep the operand order of the plain expressions they
     replace, since numpy's complex multiply is not bitwise commutative.
     """
@@ -162,9 +189,11 @@ class TendencyKernel:
         self.params = params
         self.eps_pos = eps_pos
         self._ik = tuple(1j * k for k in grid.k)
-        self._mask = grid.dealias_mask.astype(complex)
-        # spectra of omega, b, grad omega, grad b, v, D
-        self._inv = np.empty((17,) + grid.spectral_shape, dtype=complex)
+        # spectra of omega, b, grad omega, grad b, v, D; then those of
+        # the products
+        self._spec = np.empty((17,) + grid.spectral_shape, dtype=complex)
+        # their physical fields
+        self._phys = np.empty((17,) + grid.resolution)
         # s_om, s_b, Gw, Gb, T and the velocity forcing
         self._fwd = np.empty((17,) + grid.resolution)
 
@@ -183,9 +212,7 @@ class TendencyKernel:
             # spatially uniform state: the reaction ODEs are the whole
             # dynamics
             om = float(what[0, 0, 0].real) / g.npoints
-            if not np.isfinite(om) or om <= self.eps_pos:
-                raise NonPositiveOmega(
-                    f"min(omega) = {om:.3e} at t = {t:.6g}; cannot form b/omega")
+            _require_positive_omega(om, self.eps_pos, t)
             bm = float(bhat[0, 0, 0].real) / g.npoints
             out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
@@ -193,15 +220,14 @@ class TendencyKernel:
             return out
 
         self._fill_inverse(y_hat)
-        # the physical fields are dropped before the forward transform
-        nf = self._products(g.irfft(self._inv), t, forcing)
-        spec = g.rfft(self._fwd[:nf])
-        spec *= self._mask
+        phys = g.irfft(self._spec, out=self._phys, dealiased=True)
+        nf = self._products(phys, t, forcing)
+        spec = g.rfft(self._fwd[:nf], out=self._spec[:nf], dealiased=True)
         return self._assemble(spec, out)
 
     def _fill_inverse(self, y_hat):
         g = self.grid
-        S = self._inv
+        S = self._spec
         S[0] = y_hat[3]
         S[1] = y_hat[4]
         ops.grad_hat(g, y_hat[3], out=S[2:5])
@@ -217,10 +243,7 @@ class TendencyKernel:
         omega, b = phys[0], phys[1]
         grad_w, grad_b, v, D = phys[2:5], phys[5:8], phys[8:11], phys[11:17]
 
-        om_min = float(np.min(omega))
-        if not np.isfinite(om_min) or om_min <= self.eps_pos:
-            raise NonPositiveOmega(
-                f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega")
+        _require_positive_omega(omega, self.eps_pos, t)
 
         f_v = f_om = f_b = None
         if forcing is not None:
@@ -303,10 +326,15 @@ def eddy_viscosity(state: State, eps_pos=0.0) -> np.ndarray:
 
 def evaluate_tendency(state: State, params: ModelParams, forcing=None) -> np.ndarray:
     """All three right-hand sides at once, as one physical array of
-    shape (5, N1, N2, N3) with rows (dv1, dv2, dv3, domega, db)."""
+    shape (5, N1, N2, N3) with rows (dv1, dv2, dv3, domega, db).
+
+    omega is checked on the physical state, before projection onto the
+    2/3 mask could smooth a non-positive point away."""
     g = state.grid
     kernel = TendencyKernel(g, params)
-    return g.irfft(kernel(g.rfft(state.y), state.t, forcing))
+    _require_positive_omega(state.omega, kernel.eps_pos, state.t)
+    y_hat = g.rfft(state.y, dealiased=True)
+    return g.irfft(kernel(y_hat, state.t, forcing), dealiased=True)
 
 
 def energy_flux(state: State, params: ModelParams):

@@ -2,11 +2,31 @@
 
 All fields live on a uniform collocation grid over the box
 prod_i (0, L_i) with N_i points per axis.  Spectra use the real-FFT
-half-spectrum layout (last axis holds N_3//2 + 1 modes).
+half-spectrum layout (last axis holds N_3//2 + 1 modes).  The
+dealiased transforms skip the modes the 2/3 rule drops; they call
+scipy's private pocketfft binding and fall back to the public
+rfftn/irfftn when it is missing or has changed.
 """
 
 import numpy as np
 import scipy.fft as _fft
+
+
+def _pruning_backend():
+    """scipy's private pocketfft binding, if its in-place strided out=
+    form works; None makes the dealiased transforms use the public
+    rfftn/irfftn instead."""
+    try:
+        from scipy.fft._pocketfft import pypocketfft as pp
+        a = np.zeros((2, 3), dtype=complex)
+        cols = a[:, :2]
+        pp.c2c(cols, (0,), False, 0, cols, 1)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    return pp
+
+
+_pocketfft = _pruning_backend()
 
 
 class TorusGrid:
@@ -68,6 +88,8 @@ class TorusGrid:
             & (np.abs(self.modes[2]) * 3 <= N3)
         )
         self.dealias_mask = keep
+        # kept |m_i| <= N_i // 3; the pruned transforms skip the rest
+        self._kept = tuple(N // 3 for N in resolution)
         # largest |k|^2 the dealiased tendency acts on; it sets the
         # diffusive step limit
         self.k_sq_max = float(np.max(self.k_sq[keep]))
@@ -84,6 +106,9 @@ class TorusGrid:
         self.cell_volume = self.volume / self.npoints
         self.min_spacing = min(L / N for L, N in zip(lengths, resolution))
         self.spectral_shape = (N1, N2, m3.size)
+        # pocketfft's inverse normalisation, rounded through long double
+        # as pocketfft rounds it
+        self._inv_npoints = float(np.longdouble(1) / self.npoints)
 
     def __eq__(self, other):
         return (
@@ -100,13 +125,77 @@ class TorusGrid:
 
     # -- transforms -------------------------------------------------------
 
-    def rfft(self, values):
-        """Forward real transform over the trailing three axes."""
-        return _fft.rfftn(values, axes=(-3, -2, -1))
+    def rfft(self, values, out=None, dealiased=False):
+        """Forward real transform over the trailing three axes, written
+        into out when given.
 
-    def irfft(self, spectrum):
-        """Inverse real transform over the trailing three axes."""
-        return _fft.irfftn(spectrum, s=self.resolution, axes=(-3, -2, -1))
+        dealiased=True gives rfftn(values) * dealias_mask in value (only
+        the signs of zeros may differ) and transforms only what the mask
+        keeps: r2c over axis -1, c2c over axis -3 on the m3 <= N3/3 slab,
+        c2c over axis -2 on the kept m1 rows of it, then the rest is
+        zeroed.
+        """
+        if dealiased and _pocketfft is not None:
+            return self._pruned_rfft(np.asarray(values, dtype=float), out)
+        spec = _fft.rfftn(values, axes=(-3, -2, -1))
+        if dealiased:
+            spec *= self.dealias_mask
+        if out is None:
+            return spec
+        out[...] = spec
+        return out
+
+    def irfft(self, spectrum, out=None, dealiased=False):
+        """Inverse real transform over the trailing three axes, written
+        into out when given.
+
+        dealiased=True requires spectrum to be zero outside the 2/3 mask
+        and may overwrite it.  It transforms only the kept modes: c2c over
+        axis -3 on the kept (m2, m3) columns, c2c over axis -2 on the
+        m3 <= N3/3 slab, c2r over axis -1, then the 1/N scaling.  This
+        is pocketfft's own pass order, so the result is bitwise that of
+        irfftn.
+        """
+        if dealiased and _pocketfft is not None:
+            return self._pruned_irfft(spectrum, out)
+        phys = _fft.irfftn(spectrum, s=self.resolution, axes=(-3, -2, -1))
+        if out is None:
+            return phys
+        out[...] = phys
+        return out
+
+    def _pruned_rfft(self, values, out):
+        pp = _pocketfft
+        N1, N2, _ = self.resolution
+        c1, c2, c3 = self._kept
+        ax = values.ndim - 3
+        if out is None:
+            out = np.empty(values.shape[:-3] + self.spectral_shape,
+                           dtype=complex)
+        pp.r2c(values, (ax + 2,), True, 0, out, 1)
+        slab = out[..., :c3 + 1]
+        pp.c2c(slab, (ax,), True, 0, slab, 1)
+        for rows in (slab[..., :c1 + 1, :, :], slab[..., N1 - c1:, :, :]):
+            pp.c2c(rows, (ax + 1,), True, 0, rows, 1)
+        out[..., c3 + 1:] = 0.0
+        slab[..., c1 + 1:N1 - c1, :, :] = 0.0
+        slab[..., c2 + 1:N2 - c2, :] = 0.0
+        return out
+
+    def _pruned_irfft(self, spectrum, out):
+        pp = _pocketfft
+        _, N2, N3 = self.resolution
+        _, c2, c3 = self._kept
+        ax = spectrum.ndim - 3
+        slab = spectrum[..., :c3 + 1]
+        for cols in (slab[..., :c2 + 1, :], slab[..., N2 - c2:, :]):
+            pp.c2c(cols, (ax,), False, 0, cols, 1)
+        pp.c2c(slab, (ax + 1,), False, 0, slab, 1)
+        if out is None:
+            out = np.empty(spectrum.shape[:-3] + self.resolution)
+        pp.c2r(spectrum, (ax + 2,), N3, False, 0, out, 1)
+        out *= self._inv_npoints
+        return out
 
     def coordinates(self):
         """Collocation coordinates as three broadcastable arrays."""

@@ -118,7 +118,7 @@ def extract_bounds(state: State, params: ModelParams,
         c_p = c_p_override
     else:
         c_p = math.sqrt(2.0 / params.c_v) * max(g.lengths) / (2.0 * math.pi)
-    yhat = g.rfft(state.y)
+    yhat = state.spectrum()
     return DataBounds(
         b_min=float(np.min(state.b)),
         omega_min=float(np.min(state.omega)),

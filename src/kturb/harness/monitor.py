@@ -69,9 +69,13 @@ class Monitor:
         self._finalized = False
 
     def sample(self, state):
+        """Record one state.  X1..X3 and the L2 norms are Plancherel sums
+        over state.spectrum(), which for the states advance hands out is
+        the evolved spectrum itself; the extrema and L1 terms come from
+        the physical fields."""
         g = state.grid
         env = self.env
-        fhat = g.rfft(state.y)
+        fhat = state.spectrum()
         rows = ops.l2sq_hat_rows(g, fhat, (0, 1, 2, 3))
         l2sq = rows[0]
         x1, x2, x3 = sum(rows[1]), sum(rows[2]), sum(rows[3])

@@ -7,6 +7,7 @@ fields would silently invalidate every envelope comparison downstream.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -113,9 +114,23 @@ class _Marcher:
         ops.leray_hat(self.grid, y_hat[:3])
         return y_hat
 
-    def guard(self, phys, t):
-        """Check the physical fields of an accepted step; return the
-        quantities the next CFL selection needs."""
+    def guard(self, y_hat, t, physical=False):
+        """Check the state y_hat reached at t; return (phys, vmax, mumax)
+        with phys its physical fields and vmax, mumax what the next step
+        size needs.  A spatially uniform state is checked on its k = 0
+        coefficients without a transform, and phys is None, unless
+        physical is set.  y_hat is not written: the transform consumes a
+        copy in the stage buffer, which is free between steps."""
+        g = self.grid
+        if physical or np.any(y_hat[:3]) or not ops.is_constant_hat(y_hat[3:]):
+            np.copyto(self._stage, y_hat)
+            phys = g.irfft(self._stage, dealiased=True)
+            return (phys,) + self.check(phys, t)
+        return (None,) + self.check(y_hat[:, 0, 0, 0].real / g.npoints, t)
+
+    def check(self, phys, t):
+        """Check physical values of the five fields (any trailing shape);
+        return max |v| and max mu."""
         if not np.all(np.isfinite(phys)):
             raise BlowUp(f"non-finite field values at t = {t:.6g}", t=t)
         om_min = float(np.min(phys[3]))
@@ -130,15 +145,18 @@ class _Marcher:
 
 def rk4_step(state: State, dt: float, params: ModelParams, forcing=None,
              control: Optional[StepControl] = None) -> State:
-    """One classical RK4 step of length dt with guards applied."""
+    """One classical RK4 step of length dt with guards applied.  The
+    state is checked in physical space, then projected onto the 2/3
+    mask."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if control is None:
         control = StepControl(dt_max=dt)
     g = state.grid
     m = _Marcher(g, params, control, forcing)
-    phys = g.irfft(m.step_hat(g.rfft(state.y), state.t, dt))
-    m.guard(phys, state.t + dt)
+    m.check(state.y, state.t)
+    y_hat = m.step_hat(g.rfft(state.y, dealiased=True), state.t, dt)
+    phys, _, _ = m.guard(y_hat, state.t + dt, physical=True)
     return State(g, phys, state.t + dt)
 
 
@@ -146,9 +164,16 @@ def advance(state: State, t_end: float, params: ModelParams,
             control: StepControl, callbacks=None, forcing=None) -> State:
     """March from state.t to exactly t_end.
 
-    callbacks: iterable of callables or (cadence, callable) pairs; each
-    callable receives the freshly accepted State and is invoked on steps
+    The state is checked in physical space, then projected once onto the
+    2/3 mask; the spectrum stays there.  callbacks: iterable of callables
+    or (cadence, callable) pairs; each callable receives the freshly
+    accepted State, with its spectrum as y_hat, and is invoked on steps
     1, 1+cadence, 1+2*cadence, ...
+
+    A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
+    k2_max) of the current state raises a RuntimeWarning on the first
+    such step, and a later PositivityViolation or BlowUp names that
+    step.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
@@ -166,48 +191,53 @@ def advance(state: State, t_end: float, params: ModelParams,
 
     g = state.grid
     m = _Marcher(g, params, control, forcing)
-    y = g.rfft(state.y)
     t = state.t
-    vmax, mumax = _speed_and_mu_max(state.y)
+    vmax, mumax = m.check(state.y, t)
+    y = g.rfft(state.y, dealiased=True)
     nstep = 0
-    while t < t_end:
-        dt = _dt_from_arrays(g, params, control, vmax, mumax)
-        if t + dt == t:
-            raise ValueError(
-                f"dt = {dt:.3e} no longer advances t = {t:.6g}: it is below "
-                f"the float spacing of t, so no number of steps reaches "
-                f"t_end = {t_end:.6g}")
-        if (t_end - t) / dt > MAX_STEPS:
-            raise ValueError(
-                f"dt = {dt:.3e} at t = {t:.6g} would need more than "
-                f"{MAX_STEPS} steps to reach t_end = {t_end:.6g}")
-        # clip the final step to land on t_end exactly; the rounding slack
-        # keeps accumulated float error from spawning a degenerate step
-        last = t + dt >= t_end - 1e-12 * dt
-        if last:
-            dt = t_end - t
-        y = m.step_hat(y, t, dt)
-        t = t_end if last else t + dt
-        nstep += 1
-        cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
-        if cb_due or np.any(y[:3]) or not ops.is_constant_hat(y[3:]):
-            phys = g.irfft(y)
-            vmax, mumax = m.guard(phys, t)
-        else:
-            # uniform state: extrema are the k = 0 coefficients
-            om = float(y[3, 0, 0, 0].real) / g.npoints
-            bm = float(y[4, 0, 0, 0].real) / g.npoints
-            if not (math.isfinite(om) and math.isfinite(bm)):
-                raise BlowUp(f"non-finite field values at t = {t:.6g}", t=t)
-            if om <= control.eps_pos or bm <= control.eps_pos:
-                raise PositivityViolation(
-                    f"min(omega) = {om:.3e}, min(b) = {bm:.3e} at or below "
-                    f"floor {control.eps_pos:.1e} at t = {t:.6g}", t=t)
-            vmax, mumax = 0.0, bm / om
-        if cb_due:
-            # phys is a fresh transform each step, so callbacks may keep it
-            snap = State(g, phys, t)
-            for every, fn in cbs:
-                if (nstep - 1) % every == 0:
-                    fn(snap)
-    return State(g, g.irfft(y), t)
+    alarm = None
+    try:
+        while t < t_end:
+            dt = _dt_from_arrays(g, params, control, vmax, mumax)
+            if t + dt == t:
+                raise ValueError(
+                    f"dt = {dt:.3e} no longer advances t = {t:.6g}: it is "
+                    f"below the float spacing of t, so no number of steps "
+                    f"reaches t_end = {t_end:.6g}")
+            if (t_end - t) / dt > MAX_STEPS:
+                raise ValueError(
+                    f"dt = {dt:.3e} at t = {t:.6g} would need more than "
+                    f"{MAX_STEPS} steps to reach t_end = {t_end:.6g}")
+            rate = params.c_diff * mumax * g.k_sq_max
+            if (alarm is None and control.dt_fixed is not None
+                    and dt * rate > RK4_REAL_AXIS_LIMIT):
+                alarm = (f"fixed dt = {dt:.4g} exceeds the RK4 stability "
+                         f"limit {RK4_REAL_AXIS_LIMIT / rate:.4g} = "
+                         f"{RK4_REAL_AXIS_LIMIT}/(c_diff max mu k2_max) "
+                         f"from step {nstep + 1} (t = {t:.6g}) on")
+                warnings.warn(alarm, RuntimeWarning, stacklevel=2)
+            # clip the final step to land on t_end exactly; the rounding
+            # slack keeps accumulated float error from spawning a
+            # degenerate step
+            last = t + dt >= t_end - 1e-12 * dt
+            if last:
+                dt = t_end - t
+            y = m.step_hat(y, t, dt)
+            t = t_end if last else t + dt
+            nstep += 1
+            cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
+            phys, vmax, mumax = m.guard(y, t, physical=cb_due)
+            if cb_due:
+                # phys is a fresh transform and y_hat a copy, so
+                # callbacks may keep the state
+                y_hat = y.copy()
+                y_hat.flags.writeable = False
+                snap = State(g, phys, t, y_hat)
+                for every, fn in cbs:
+                    if (nstep - 1) % every == 0:
+                        fn(snap)
+    except (PositivityViolation, BlowUp) as exc:
+        if alarm is None:
+            raise
+        raise type(exc)(f"{exc}; {alarm}", t=exc.t) from exc
+    return State(g, g.irfft(y.copy(), dealiased=True), t, y)

@@ -103,37 +103,3 @@ def lp_norm(grid, values, p):
 def integral(grid, values):
     return float(np.sum(values)) * grid.cell_volume
 
-
-def gagliardo_ratios(grid, values) -> dict:
-    """Empirical interpolation-inequality ratios for one zero-mean
-    physical array.
-
-    Each value is the left-hand side of one of the inequalities used by
-    the a-priori estimates divided by its right-hand side with unit
-    constant; finite corpus maxima of these ratios serve as regression
-    references, not as proofs of the constants.
-    """
-    fhat = grid.rfft(values)
-    l1 = lp_norm(grid, values, 1)
-    l2 = np.sqrt(l2sq_hat(grid, fhat))
-    l3 = lp_norm(grid, values, 3)
-    l6 = lp_norm(grid, values, 6)
-    linf = lp_norm(grid, values, np.inf)
-    l32 = lp_norm(grid, values, 1.5)
-    grad = grid.irfft(grad_hat(grid, fhat))
-    g2 = np.sqrt(l2sq_hat(grid, fhat, 1))
-    g4 = lp_norm(grid, grad, 4)
-    g6 = lp_norm(grid, grad, 6)
-    g32 = lp_norm(grid, grad, 1.5)
-    lap2 = np.sqrt(l2sq_hat(grid, fhat, 2))
-    d3 = np.sqrt(l2sq_hat(grid, fhat, 3))
-    return {
-        "grad_l4_sq": g4**2 / (g2 * d3),
-        "l3_sq": l3**2 / (g2 * l2),
-        "l6": l6 / g2,
-        "grad_l6_sq": g6**2 / (d3 * g2),
-        "grad_l4_mixed": g4**2 / (d3 * g32),
-        "linf_lap_l1": linf / (lap2 + l1),
-        "linf_lap": linf / lap2,
-        "l32_interp": l32 / (np.sqrt(g32) * np.sqrt(l1) + l1),
-    }

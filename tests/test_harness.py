@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,40 @@ class TestMonitor:
         assert rec.margin_b_lower == pytest.approx(
             rec.min_b - rec.env_b_lower)
 
+    def test_reads_the_spectrum_advance_hands_out(self, monkeypatch):
+        # after t = 0 the monitor transforms nothing: each sampled state
+        # carries the evolved spectrum
+        g = TorusGrid(resolution=(8, 8, 8))
+        s = generate_initial(InitialDataSpec(seed=2, band=2), g)
+        mon = Monitor(extract_bounds(s, ModelParams()))
+        mon.sample(s)
+        calls = []
+        orig = TorusGrid.rfft
+
+        def counted(self, *args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "rfft", counted)
+        seen = []
+
+        def keep(state):
+            seen.append(state)
+            mon.sample(state)
+
+        final = advance(s, 0.03, ModelParams(),
+                        StepControl(dt_max=1.0, dt_fixed=0.01),
+                        callbacks=[keep])
+        # the projection on entry; the kernel transforms 14-row stacks
+        assert [c for c in calls if c[0] == 5] == [s.y.shape]
+        assert len(mon.records) == 4
+        assert not any(state.y_hat.flags.writeable for state in seen)
+        for state in seen + [final]:
+            back = g.irfft(state.y_hat.copy(), dealiased=True)
+            assert back.tobytes() == state.y.tobytes()
+        # the kept spectra are copies, not the marcher's buffer
+        assert not np.shares_memory(seen[0].y_hat, seen[1].y_hat)
+
     def test_csv_layout(self):
         g = TorusGrid(resolution=(8, 8, 8))
         s = generate_initial(InitialDataSpec(kind="uniform"), g)
@@ -404,6 +439,24 @@ class TestCli:
     def test_simulate_rejects_non_finite_t_end(self, capsys):
         assert main(["simulate", "--resolution", "16", "--t-end", "nan"]) == 3
         assert "t_end" in capsys.readouterr().err
+
+    def test_fixed_dt_above_rk4_limit_warns_and_names_step(self, capsys):
+        # dt = 0.02 is 1.2x the RK4 limit 0.0165 of this data; the run
+        # used to die at t = 0.18 with only "cannot form b/omega"
+        args = ["simulate", "--resolution", "16", "--seed", "0",
+                "--t-end", "9", "--dt", "0.02"]
+        with pytest.warns(RuntimeWarning, match="from step 1 "):
+            assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "cannot form b/omega" in err
+        assert "stability limit" in err and "from step 1 " in err
+
+    def test_fixed_dt_below_rk4_limit_is_silent(self):
+        args = ["simulate", "--resolution", "16", "--seed", "0",
+                "--t-end", "9", "--dt", "0.016"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 0
 
     def test_simulate_tiny_dt_exits(self, capsys):
         # t + dt == t for dt = 1e-300, so this run used to never end

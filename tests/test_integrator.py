@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from kturb import (BlowUp, Forcing, ModelParams, PositivityViolation,
-                   State, StepControl, TorusGrid, advance, compute_dt,
-                   rk4_step)
+from kturb import (BlowUp, Forcing, ModelParams, NonPositiveOmega,
+                   PositivityViolation, State, StepControl, TorusGrid,
+                   advance, compute_dt, evaluate_tendency, rk4_step)
 from kturb import ops
 from kturb.integrator import MAX_STEPS
 from tests.test_dynamics import make_state
@@ -111,6 +111,48 @@ class TestRk4Step:
         vhat = g.rfft(new.v)
         div = np.max(np.abs(ops.div_hat(g, vhat)))
         assert div < 1e-11 * (np.max(np.abs(vhat)) + 1e-300)
+
+
+class TestEntryProjection:
+    """advance, rk4_step and evaluate_tendency check the physical input,
+    then project it onto the 2/3 mask."""
+
+    def off_mask(self, g, eps=1e-2):
+        # modes with |m| = 7 > 16/3 in omega, b and a solenoidal velocity
+        x1, x2, x3 = g.coordinates()
+        p = np.zeros((5,) + g.resolution)
+        p[0] = eps * np.sin(7 * x2)
+        p[3] = eps * np.cos(7 * x1) * np.cos(6 * x3)
+        p[4] = eps * np.sin(7 * x3)
+        return p
+
+    def test_off_mask_input_dropped_alike(self):
+        g = TorusGrid(resolution=(16, 16, 16))
+        s = make_state(g, np.random.default_rng(35))
+        noisy = State(g, s.y + self.off_mask(g))
+        p = ModelParams()
+        ctl = StepControl(dt_max=1.0, dt_fixed=0.002)
+        pairs = [
+            (evaluate_tendency(s, p), evaluate_tendency(noisy, p)),
+            (rk4_step(s, 0.002, p).y, rk4_step(noisy, 0.002, p).y),
+            (advance(s, 0.004, p, ctl).y, advance(noisy, 0.004, p, ctl).y),
+        ]
+        for clean, dropped in pairs:
+            scale = np.max(np.abs(clean))
+            assert np.max(np.abs(dropped - clean)) < 1e-13 * scale
+
+    def test_nonpositive_omega_point_raises(self):
+        # projection alone would smooth this point away
+        g = TorusGrid(resolution=(8, 8, 8))
+        s = uniform_state(g)
+        s.y[3, 0, 0, 0] = -0.5
+        assert np.min(g.irfft(g.rfft(s.y, dealiased=True))[3]) > 0.0
+        with pytest.raises(NonPositiveOmega):
+            evaluate_tendency(s, ModelParams())
+        with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
+            rk4_step(s, 0.01, ModelParams())
+        with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
+            advance(s, 0.1, ModelParams(), StepControl(dt_max=0.01))
 
 
 class TestAdvance:

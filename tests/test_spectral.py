@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kturb import TorusGrid
+from kturb import grid as grid_module
 from kturb import ops
 
 PI2 = 2.0 * np.pi
@@ -214,38 +215,45 @@ class TestNorms:
         assert ops.lp_norm(g, f, 2) == pytest.approx(c_p * grad_l2, rel=1e-12)
 
 
-# corpus maxima of the interpolation ratios, frozen with 10% headroom;
-# these are regression references, not proofs of constants
-RATIO_CEILINGS = {
-    "grad_l4_sq": 0.0353,
-    "l3_sq": 0.1854,
-    "l6": 0.2108,
-    "grad_l6_sq": 0.0162,
-    "grad_l4_mixed": 0.0129,
-    "linf_lap_l1": 0.0163,
-    "linf_lap": 0.1279,
-    "l32_interp": 0.1296,
-}
 
+class TestDealiasedTransforms:
+    """The pruned transforms against the full ones, on masked input: the
+    private pocketfft path and the public-API fallback."""
 
-class TestGagliardoRatios:
-    def test_ratios_finite_positive(self):
-        rng = np.random.default_rng(21)
-        g = TorusGrid(resolution=(16, 16, 16))
-        f = random_scalar(g, rng, band=3)
-        r = ops.gagliardo_ratios(g, f)
-        assert set(r) == set(RATIO_CEILINGS)
-        for v in r.values():
-            assert np.isfinite(v) and v > 0
+    @pytest.fixture(params=["pruned", "fallback"])
+    def backend(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        elif grid_module._pocketfft is None:
+            pytest.skip("scipy has no usable private pocketfft binding")
+        return request.param
 
-    def test_ratios_below_frozen_ceilings(self):
-        cases = [((16, 16, 16), (PI2,) * 3),
-                 ((24, 24, 24), (PI2,) * 3),
-                 ((16, 16, 16), (PI2, 4 * np.pi, np.pi))]
-        for res, lengths in cases:
-            g = TorusGrid(lengths=lengths, resolution=res)
-            for seed in range(40):
-                rng = np.random.default_rng(seed)
-                f = random_scalar(g, rng, band=1 + seed % 5)
-                for key, val in ops.gagliardo_ratios(g, f).items():
-                    assert val <= RATIO_CEILINGS[key], (key, seed, res)
+    @pytest.mark.parametrize("n, nfields", [(16, 17), (24, 5), (32, 5),
+                                            (64, 2)])
+    def test_match_full_transforms(self, backend, n, nfields):
+        g = TorusGrid(resolution=(n, n, n))
+        rng = np.random.default_rng(n)
+        phys = rng.standard_normal((nfields,) + g.resolution)
+        masked = g.rfft(phys) * g.dealias_mask
+        want = g.irfft(masked)
+        got = g.irfft(masked.copy(), dealiased=True)
+        assert got.tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan)
+        assert g.irfft(masked.copy(), out, dealiased=True) is out
+        assert out.tobytes() == want.tobytes()
+        assert g.irfft(masked[0].copy(), dealiased=True).tobytes() \
+            == want[0].tobytes()
+        fwd = g.rfft(want, dealiased=True)
+        assert np.array_equal(fwd, g.rfft(want) * g.dealias_mask)
+        spec = np.full(fwd.shape, np.nan, dtype=complex)
+        assert g.rfft(want, spec, dealiased=True) is spec
+        assert np.array_equal(spec, fwd)
+        assert np.array_equal(g.rfft(want[0], dealiased=True), fwd[0])
+
+    def test_forward_drops_off_mask_modes(self, backend):
+        g = TorusGrid(resolution=(12, 16, 8))
+        rng = np.random.default_rng(3)
+        phys = rng.standard_normal((2,) + g.resolution)
+        spec = g.rfft(phys, dealiased=True)
+        assert np.all(spec[:, ~g.dealias_mask] == 0.0)
+        assert np.array_equal(spec, g.rfft(phys) * g.dealias_mask)

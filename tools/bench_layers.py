@@ -1,0 +1,173 @@
+"""Per-layer timings of the solver, written to one BENCH_<n>.json file.
+
+    PYTHONPATH=src python tools/bench_layers.py --out BENCH_6.json \
+        [--label TEXT] [--src DIR] [--parent FILE] [--skip-tier1]
+
+At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
+inverse and the 14-field forward transform the kernel makes, and one
+RK4 step of `advance` (its guard included), on the acceptance initial
+data (band 5, default ModelParams).  Each figure is the min and median
+of several calls, in ms.  It also runs the tier-1 suite once in a
+subprocess and records its wall time and pass count.
+
+--src times another checkout's package (for example the parent commit's
+`src`); a checkout whose TorusGrid transforms have no dealiased flag is
+timed on its full transforms, with the mask multiply its kernel made.
+--parent copies the layer figures of an earlier output file into this
+one, under "parent".
+"""
+
+import argparse
+import inspect
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+SIZES = (16, 32, 64)
+REPEATS = {16: 60, 32: 30, 64: 8}
+STEPS_PER_CALL = 4
+
+
+def _stats(times):
+    ms = np.asarray(times) * 1e3
+    return {"min": round(float(ms.min()), 4),
+            "median": round(float(np.median(ms)), 4)}
+
+
+def _timed(fn, prepare, repeats):
+    """Times of fn() after prepare(), which is not timed."""
+    times = []
+    for _ in range(repeats):
+        prepare()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def time_layers(kturb, n):
+    from kturb.harness import InitialDataSpec, generate_initial
+    from kturb.dynamics import TendencyKernel
+
+    g = kturb.TorusGrid(resolution=(n, n, n))
+    params = kturb.ModelParams()
+    state = generate_initial(InitialDataSpec(seed=1, band=5), g)
+    pruned = "dealiased" in inspect.signature(g.irfft).parameters
+    reps = REPEATS[n]
+    rng = np.random.default_rng(n)
+    mask = g.dealias_mask
+
+    y_hat = g.rfft(state.y, dealiased=True) if pruned else g.rfft(state.y)
+    kern = TendencyKernel(g, params)
+    out = np.empty_like(y_hat)
+    kern(y_hat, 0.0, None, out=out)
+    kernel = _timed(lambda: kern(y_hat, 0.0, None, out=out),
+                    lambda: None, reps)
+
+    spec = g.rfft(rng.standard_normal((17,) + g.resolution)) * mask
+    work = np.empty_like(spec)
+    phys = np.empty((17,) + g.resolution)
+    if pruned:
+        inverse = _timed(lambda: g.irfft(work, out=phys, dealiased=True),
+                         lambda: np.copyto(work, spec), reps)
+    else:
+        inverse = _timed(lambda: g.irfft(work), lambda: None, reps)
+
+    prod = rng.standard_normal((14,) + g.resolution)
+    fwd = np.empty((14,) + g.spectral_shape, dtype=complex)
+    if pruned:
+        forward = _timed(lambda: g.rfft(prod, out=fwd, dealiased=True),
+                         lambda: None, reps)
+    else:
+        cmask = mask.astype(complex)
+
+        def full():
+            s = g.rfft(prod)
+            s *= cmask
+        forward = _timed(full, lambda: None, reps)
+
+    dt = kturb.compute_dt(state, params, kturb.StepControl(dt_max=1.0))
+    ctl = kturb.StepControl(dt_max=1.0, dt_fixed=dt)
+    span = STEPS_PER_CALL * dt
+    steps = _timed(lambda: kturb.advance(state, span, params, ctl),
+                   lambda: None, max(3, reps // 3))
+    return {
+        "kernel_ms": _stats(kernel),
+        "inverse17_ms": _stats(inverse),
+        "forward14_ms": _stats(forward),
+        "rk4_step_ms": _stats(np.asarray(steps) / STEPS_PER_CALL),
+        "dt": dt,
+        "pruned_transforms": pruned,
+    }
+
+
+def run_tier1(root, src):
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {k: int(v) for v, k in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped)", summary)}
+    return {"wall_s": round(wall, 2), "summary": summary,
+            "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "returncode": proc.returncode}
+
+
+def main(argv=None):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="output JSON path")
+    ap.add_argument("--label", default="",
+                    help="what was timed, for example a commit")
+    ap.add_argument("--src", default=os.path.join(root, "src"),
+                    help="directory holding the kturb package to time")
+    ap.add_argument("--parent", help="earlier output whose layers to quote")
+    ap.add_argument("--skip-tier1", action="store_true",
+                    help="leave out the tier-1 run")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import scipy
+    import kturb
+    import kturb.grid
+
+    result = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "packages": {"numpy": np.__version__, "scipy": scipy.__version__,
+                     "kturb": kturb.__version__},
+        "label": args.label,
+        "private_pocketfft": getattr(kturb.grid, "_pocketfft", None)
+        is not None,
+        "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
+    }
+    if not args.skip_tier1:
+        result["tier1"] = run_tier1(os.path.dirname(src), src)
+    if args.parent:
+        with open(args.parent) as fh:
+            parent = json.load(fh)
+        result["parent"] = {k: parent[k] for k in ("label", "layers", "tier1")
+                            if k in parent}
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(result["layers"], indent=1))
+
+
+if __name__ == "__main__":
+    main()
