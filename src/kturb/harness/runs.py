@@ -4,6 +4,7 @@ checks, and the criterion front end."""
 import dataclasses
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -244,25 +245,148 @@ class _Manufactured:
         return State(self.grid, self.exact(0.0))
 
 
-def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
-            threshold=3.8) -> ConvergenceReport:
-    """Temporal convergence study against a manufactured solution."""
+def _mms_errors(config: RunConfig, dt):
+    """L2 errors of v, omega and b at config.t_end of one fixed-dt run
+    against the manufactured solution."""
     grid = config.make_grid()
     mms = _Manufactured(grid, config.params)
-    forcing = Forcing(func=mms.forcing)
+    control = StepControl(dt_max=dt, dt_fixed=dt,
+                          eps_pos=config.control.eps_pos)
+    final = advance(mms.initial_state(), config.t_end, config.params, control,
+                    forcing=Forcing(func=mms.forcing))
+    exact = mms.exact(config.t_end)
+    return (float(np.sqrt(sum(ops.lp_norm(grid, final.y[i] - exact[i], 2) ** 2
+                              for i in range(3)))),
+            ops.lp_norm(grid, final.y[3] - exact[3], 2),
+            ops.lp_norm(grid, final.y[4] - exact[4], 2))
+
+
+def _mms_batch(config, runs, first_failure):
+    """Make the runs, (index in dts, dt) pairs, in order in this process
+    and return one (index, errors, exception, warnings) outcome per run
+    made.
+
+    first_failure is the lowest index of a failed run so far, shared by
+    the processes of the study.  A run starts only below it, because a
+    serial loop over dts stops at its first failure, and a failing run
+    lowers it.  So a failure cancels every run not yet started that
+    could not change the error raised."""
+    outcomes = []
+    for i, dt in runs:
+        if i > first_failure.value:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                errors, exc = _mms_errors(config, dt), None
+            except Exception as err:  # raised again by _mms_study
+                errors, exc = None, err
+        outcomes.append((i, errors, exc, [w.message for w in caught]))
+        if exc is not None:
+            with first_failure.get_lock():
+                first_failure.value = min(first_failure.value, i)
+    return outcomes
+
+
+# A forked worker's shared first-failure index.  The pool's initializer
+# hands it over, because shared memory cannot be pickled into a call.
+_worker_first_failure = None
+
+
+def _init_mms_worker(first_failure):
+    global _worker_first_failure
+    _worker_first_failure = first_failure
+
+
+def _mms_worker_batch(config, runs):
+    return _mms_batch(config, runs, _worker_first_failure)
+
+
+def _pack_mms_runs(dts, processes):
+    """One batch of (index in dts, dt) runs per process, the caller's
+    first.  With one process the caller makes every run, in dts order.
+    Otherwise it makes the run with the most steps, and the others go
+    longest-first to the worker with the fewest steps so far."""
+    runs = list(enumerate(dts))
+    if processes == 1:
+        return [runs]
+    longest_first = sorted(runs, key=lambda run: run[1])
+    batches = [longest_first[:1]] + [[] for _ in range(processes - 1)]
+    steps = [0.0] * (processes - 1)
+    for run in longest_first[1:]:
+        w = steps.index(min(steps))
+        batches[w + 1].append(run)
+        steps[w] += 1.0 / run[1]
+    return batches
+
+
+def _mms_study(config: RunConfig, dts, processes):
+    """Errors of every dt's run, in dts order, made by `processes`
+    processes: the caller and processes - 1 forked workers, which get
+    their runs before the caller starts its own.
+
+    Every run is deterministic, so its errors do not depend on the
+    process that made it.  Warnings from the runs are issued again here,
+    and failures are raised, as a serial loop over dts would: in dts
+    order, up to the first failing dt, whose error is raised with its
+    type, message and t.
+    """
+    import multiprocessing
+    batches = _pack_mms_runs(dts, processes)
+    ctx = multiprocessing.get_context("fork" if processes > 1 else None)
+    first_failure = ctx.Value("q", len(dts))
+    if processes == 1:
+        outcomes = _mms_batch(config, batches[0], first_failure)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(processes - 1, mp_context=ctx,
+                                 initializer=_init_mms_worker,
+                                 initargs=(first_failure,)) as pool:
+            futures = [pool.submit(_mms_worker_batch, config, batch)
+                       for batch in batches[1:]]
+            outcomes = _mms_batch(config, batches[0], first_failure)
+            for fut in futures:
+                outcomes += fut.result()
+    made = {i: rest for i, *rest in outcomes}
+    for i in range(len(dts)):
+        _, exc, messages = made[i]
+        for message in messages:
+            warnings.warn(message, stacklevel=3)
+        if exc is not None:
+            raise exc
+    return [made[i][0] for i in range(len(dts))]
+
+
+def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
+            threshold=3.8) -> ConvergenceReport:
+    """Temporal convergence study against a manufactured solution.
+
+    The runs at the different dts are independent, so they are spread
+    over one process per usable CPU, up to one per run (see
+    `_mms_study`), and over one process where fork or the CPU affinity
+    is unavailable.  The report is the one a serial loop over dts gives,
+    bit for bit."""
+    dts = tuple(dts)
     t_end = config.t_end
-    errors = {"v": [], "omega": [], "b": []}
-    for dt in dts:
-        control = StepControl(dt_max=dt, dt_fixed=dt,
-                              eps_pos=config.control.eps_pos)
-        final = advance(mms.initial_state(), t_end, config.params, control,
-                        forcing=forcing)
-        exact = mms.exact(t_end)
-        errors["v"].append(float(np.sqrt(sum(
-            ops.lp_norm(grid, final.y[i] - exact[i], 2) ** 2
-            for i in range(3)))))
-        errors["omega"].append(ops.lp_norm(grid, final.y[3] - exact[3], 2))
-        errors["b"].append(ops.lp_norm(grid, final.y[4] - exact[4], 2))
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+    if len(dts) < 2:
+        raise ValueError(f"dts must hold at least two steps, got {dts!r}")
+    if not all(math.isfinite(dt) and dt > 0 for dt in dts):
+        raise ValueError(f"dts must be finite and positive, got {dts!r}")
+    if len(set(dts)) < len(dts):
+        raise ValueError(f"dts must not repeat a step, got {dts!r}")
+    if max(dts) > t_end:
+        raise ValueError(f"dts must not exceed t_end = {t_end!r}, "
+                         f"got {dts!r}")
+    import multiprocessing
+    processes = 1
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity")):
+        processes = min(len(dts), len(os.sched_getaffinity(0)))
+    runs = _mms_study(config, dts, processes)
+    errors = {name: [r[j] for r in runs]
+              for j, name in enumerate(("v", "omega", "b"))}
     orders = {}
     passed = True
     for name, errs in errors.items():

@@ -21,6 +21,7 @@ from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
                            run_simulate, run_verify, serialize_config,
                            write_snapshot)
 from kturb.harness.monitor import FIELD_NAMES, records_to_csv
+from kturb.harness import runs
 from kturb.harness.runs import _Manufactured, report_to_kv
 
 PI2 = 2.0 * math.pi
@@ -480,7 +481,9 @@ class TestRunMms:
 
     def test_forcing_memo_evaluations(self, monkeypatch):
         # stages 2 and 3 share a time, and so do stage 4 and the next
-        # step's stage 1: 2 forcing evaluations per step plus 1 per dt
+        # step's stage 1: 2 forcing evaluations per step plus 1 per dt.
+        # Each dt run is counted here, since a forked study worker's
+        # counts never reach this process.
         calls = {"stage": 0, "forcing": 0}
         orig = TendencyKernel.__call__
 
@@ -490,11 +493,11 @@ class TestRunMms:
 
         monkeypatch.setattr(TendencyKernel, "__call__", counted)
         cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
-        dts = (5e-3, 2.5e-3)
-        run_mms(cfg, dts=dts, threshold=0.0)
-        steps = 10 + 20
-        assert calls["stage"] == 4 * steps
-        assert calls["forcing"] == 2 * steps + len(dts)
+        for dt, steps in ((5e-3, 10), (2.5e-3, 20)):
+            calls.update(stage=0, forcing=0)
+            runs._mms_errors(cfg, dt)
+            assert calls["stage"] == 4 * steps
+            assert calls["forcing"] == 2 * steps + 1
         # a kept value is the one a fresh evaluation gives
         g = cfg.make_grid()
         mms = _Manufactured(g, cfg.params)
@@ -504,6 +507,124 @@ class TestRunMms:
         for a, b, c in zip(first, again, fresh):
             assert a is b
             assert a.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("dts, t_end, name", [
+        ((5e-3,), 0.05, "dts"),
+        ((), 0.05, "dts"),
+        ((5e-3, 5e-3), 0.05, "dts"),
+        ((5e-3, 0.0), 0.05, "dts"),
+        ((5e-3, -1e-3), 0.05, "dts"),
+        ((5e-3, math.nan), 0.05, "dts"),
+        ((5e-3, math.inf), 0.05, "dts"),
+        ((0.1, 5e-3), 0.05, "dts"),
+        ((5e-3, 2.5e-3), 0.0, "t_end"),
+        ((5e-3, 2.5e-3), -1.0, "t_end"),
+        ((5e-3, 2.5e-3), math.inf, "t_end"),
+        ((5e-3, 2.5e-3), math.nan, "t_end"),
+    ])
+    def test_rejects_bad_input_before_any_run(self, monkeypatch, dts, t_end,
+                                              name):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runs, "_mms_study", no_run)
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        cfg.t_end = t_end   # RunConfig itself refuses non-finite t_end
+        with pytest.raises(ValueError, match=name):
+            run_mms(cfg, dts=dts)
+
+    def test_cli_zero_t_end_is_invalid(self, capsys):
+        assert main(["mms", "--resolution", "8", "--t-end", "0"]) == 3
+        assert "t_end must be finite and positive" in capsys.readouterr().err
+
+    def test_packing(self):
+        dts = (4e-3, 2e-3, 1e-3)
+        assert runs._pack_mms_runs(dts, 1) == [[(0, 4e-3), (1, 2e-3),
+                                                (2, 1e-3)]]
+        assert runs._pack_mms_runs(dts, 2) == [[(2, 1e-3)],
+                                               [(1, 2e-3), (0, 4e-3)]]
+
+    def test_workers_match_in_process_runs_bitwise(self):
+        # dts out of order: the report keeps their order, and the caller
+        # and the forked worker both make runs whatever the CPU count
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        dts = (2.5e-3, 1e-2, 5e-3)
+        alone = [runs._mms_errors(cfg, dt) for dt in dts]
+        assert runs._mms_study(cfg, dts, 2) == alone
+        assert runs._mms_study(cfg, dts, 3) == alone
+        rep = run_mms(cfg, dts=dts, threshold=0.0)
+        assert rep.dts == list(dts)
+        for j, name in enumerate(("v", "omega", "b")):
+            errs = [e[j] for e in alone]
+            assert rep.errors[name] == errs
+            assert rep.orders[name] == [
+                math.log2(errs[i] / errs[i + 1]) / math.log2(dts[i] / dts[i + 1])
+                for i in range(2)]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_worker_failure_and_alarm_reach_the_caller(self, processes):
+        # dt = 0.5 is far past the RK4 limit: it warns on step 1 and
+        # loses positivity at t = 0.5, in the forked worker when there
+        # are two processes
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=1.0)
+        with pytest.raises(PositivityViolation) as alone, \
+                pytest.warns(RuntimeWarning, match="fixed dt = 0.5 exceeds"):
+            runs._mms_errors(cfg, 0.5)
+        with pytest.raises(PositivityViolation) as study, \
+                pytest.warns(RuntimeWarning,
+                             match="fixed dt = 0.5 exceeds") as caught:
+            runs._mms_study(cfg, (0.5, 0.05), processes)
+        assert type(study.value) is PositivityViolation
+        assert str(study.value) == str(alone.value)
+        assert study.value.t == alone.value.t == 0.5
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_first_failing_dt_in_dts_order_is_raised(self, monkeypatch,
+                                                     processes):
+        # with two processes the caller's 2.5e-3 run fails first, and the
+        # worker's 5e-3 run must still be made: its error is the one a
+        # serial loop raises
+        def fail(config, dt):
+            raise BlowUp(f"blow-up at dt = {dt}", t=dt)
+
+        monkeypatch.setattr(runs, "_mms_errors", fail)
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        with pytest.raises(BlowUp) as exc:
+            runs._mms_study(cfg, (5e-3, 2.5e-3), processes)
+        assert str(exc.value) == "blow-up at dt = 0.005"
+        assert exc.value.t == 5e-3
+
+    def test_failure_cancels_runs_not_yet_started(self, monkeypatch,
+                                                  tmp_path):
+        # Three processes: the caller makes 1e-3, one worker 2e-3 and the
+        # other 4e-3 then 8e-3.  The 2e-3 run fails once 4e-3 has
+        # started, and 4e-3 ends once it sees that failure.  So 8e-3,
+        # later in dts order than the failure, must never start.
+        def wait_for(done):
+            deadline = time.monotonic() + 30.0
+            while not done():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        def fake(config, dt):
+            (tmp_path / f"ran-{dt}").touch()
+            if dt == 2e-3:
+                wait_for((tmp_path / "ran-0.004").exists)
+                raise PositivityViolation("lost positivity", t=0.25)
+            if dt == 4e-3:
+                wait_for(lambda: runs._worker_first_failure.value == 1)
+            return (dt, dt, dt)
+
+        monkeypatch.setattr(runs, "_mms_errors", fake)
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        dts = (1e-3, 2e-3, 4e-3, 8e-3)
+        assert runs._pack_mms_runs(dts, 3) == [
+            [(0, 1e-3)], [(1, 2e-3)], [(2, 4e-3), (3, 8e-3)]]
+        with pytest.raises(PositivityViolation, match="lost positivity"):
+            runs._mms_study(cfg, dts, 3)
+        ran = sorted(p.name for p in tmp_path.iterdir())
+        assert ran == ["ran-0.001", "ran-0.002", "ran-0.004"]
 
 
 def test_public_exports_resolve():

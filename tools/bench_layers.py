@@ -6,9 +6,11 @@
 At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
 inverse and the 14-field forward transform the kernel makes, and one
 RK4 step of `advance` (its guard included), on the acceptance initial
-data (band 5, default ModelParams).  Each figure is the min and median
-of several calls, in ms.  It also runs the tier-1 suite once in a
-subprocess and records its wall time and pass count.
+data (band 5, default ModelParams).  It also times one 16^3
+manufactured-solution study (`run_mms` at t_end 0.04, default dts) as
+`mms_study_ms`.  Each figure is the min and median of several calls, in
+ms.  It also runs the tier-1 suite once in a subprocess and records its
+wall time and pass count.
 
 --src times another checkout's package (for example the parent commit's
 `src`); a checkout whose TorusGrid transforms have no dealiased flag is
@@ -32,6 +34,7 @@ import numpy as np
 SIZES = (16, 32, 64)
 REPEATS = {16: 60, 32: 30, 64: 8}
 STEPS_PER_CALL = 4
+MMS_REPEATS = 9
 
 
 def _stats(times):
@@ -107,6 +110,14 @@ def time_layers(kturb, n):
     }
 
 
+def time_mms_study():
+    from kturb.harness import RunConfig, run_mms
+
+    cfg = RunConfig(resolution=(16, 16, 16), t_end=0.04)
+    run_mms(cfg)
+    return _stats(_timed(lambda: run_mms(cfg), lambda: None, MMS_REPEATS))
+
+
 def run_tier1(root, src):
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
@@ -155,18 +166,21 @@ def main(argv=None):
         "private_pocketfft": getattr(kturb.grid, "_pocketfft", None)
         is not None,
         "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
+        "mms_study_ms": time_mms_study(),
     }
     if not args.skip_tier1:
         result["tier1"] = run_tier1(os.path.dirname(src), src)
     if args.parent:
         with open(args.parent) as fh:
             parent = json.load(fh)
-        result["parent"] = {k: parent[k] for k in ("label", "layers", "tier1")
+        result["parent"] = {k: parent[k] for k in ("label", "layers",
+                                                   "mms_study_ms", "tier1")
                             if k in parent}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(json.dumps(result["layers"], indent=1))
+    print(json.dumps({k: result[k] for k in ("layers", "mms_study_ms")},
+                     indent=1))
 
 
 if __name__ == "__main__":
