@@ -11,21 +11,20 @@ against the smallness functional Z0(t).
 
 from .criterion import (CriterionConfig, CriterionReport, check_corollary,
                         check_glob_add, compute_a0, full_report, margin)
-from .dynamics import (Forcing, ModelParams, State, eddy_viscosity,
-                       energy_flux, evaluate_tendency)
+from .dynamics import Forcing, ModelParams, State, eddy_viscosity, energy_flux
 from .envelopes import DataBounds, EnvelopeSet, geometric_times
 from .errors import (BlowUp, ConfigError, InconclusiveTail, Kappa2TooSmall,
                      KturbError, NonPositiveOmega, PositivityViolation,
                      VerificationFailure)
 from .grid import TorusGrid
-from .integrator import StepControl, advance, compute_dt, rk4_step
+from .integrator import StepControl, advance, compute_dt
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TorusGrid", "ModelParams", "State",
-    "Forcing", "eddy_viscosity", "energy_flux", "evaluate_tendency",
-    "StepControl", "compute_dt", "rk4_step", "advance",
+    "Forcing", "eddy_viscosity", "energy_flux",
+    "StepControl", "compute_dt", "advance",
     "DataBounds", "EnvelopeSet", "geometric_times",
     "CriterionConfig", "CriterionReport", "margin", "check_glob_add",
     "compute_a0", "check_corollary", "full_report",

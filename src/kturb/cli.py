@@ -4,13 +4,12 @@ Subcommands: check (existence criterion), simulate, verify (simulate +
 envelope assertions), mms (temporal convergence study).
 
 Exit codes: 0 success, 2 verification/convergence failure, 3 invalid
-parameters (including kappa2 <= 1/2 where the theory requires more),
-4 runtime blow-up or positivity loss.
+parameters (including a malformed command line, and kappa2 <= 1/2 where
+the theory requires more), 4 runtime blow-up or positivity loss.
 """
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -30,8 +29,18 @@ _BOUND_FLAGS = ("b_min", "omega_min", "omega_max", "b0_l1", "v0_l2sq",
                 "lap_sum", "c_p")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INVALID on a malformed command line, such as a
+    flag value of the wrong type: argparse's own code 2 means a
+    verification failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kturb",
         description="pseudo-spectral two-equation turbulence model solver "
                     "and analytic envelope verifier")
@@ -50,7 +59,8 @@ def _build_parser():
                         help="cubic resolution override (N^3)")
         sp.add_argument("--constant-C", type=float, dest="constant_c",
                         help="criterion constant C override")
-        sp.add_argument("--horizon", help="criterion horizon (number or inf)")
+        sp.add_argument("--horizon", type=float,
+                        help="criterion horizon (number or inf)")
         sp.add_argument("--kappa2", type=float, help="kappa2 override")
 
     sp = sub.add_parser("check", help="evaluate the existence criterion")
@@ -82,8 +92,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         criterion = dataclasses.replace(criterion,
                                         c_omega_kappa=args.constant_c)
     if args.horizon is not None:
-        hz = math.inf if args.horizon.strip() == "inf" else float(args.horizon)
-        criterion = dataclasses.replace(criterion, horizon=hz)
+        criterion = dataclasses.replace(criterion, horizon=args.horizon)
     kw = {}
     if args.resolution is not None:
         kw["resolution"] = (args.resolution,) * 3

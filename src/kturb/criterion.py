@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .envelopes import DataBounds, EnvelopeSet, geometric_times
-from .errors import InconclusiveTail, Kappa2TooSmall
+from .errors import InconclusiveTail, Kappa2TooSmall, require_finite
 
 
 @dataclass
@@ -45,10 +45,12 @@ class CriterionConfig:
     sup_horizon: float = 1.0e4
 
     def __post_init__(self):
+        require_finite(self, skip=("horizon",))
         if self.c_omega_kappa <= 0:
             raise ValueError("c_omega_kappa must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not self.horizon >= 0:
+            raise ValueError(f"horizon must be nonnegative or inf, got "
+                             f"{self.horizon}")
         if self.delta <= 0 or self.sup_horizon <= 0:
             raise ValueError("delta and sup_horizon must be positive")
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import NonPositiveOmega
+from .errors import NonPositiveOmega, require_finite
 from .grid import TorusGrid
 
 
@@ -42,6 +42,7 @@ class ModelParams:
     momentum_diffusion_coeff: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("nu0", "kappa1", "kappa2", "kappa3", "kappa4",
                      "momentum_diffusion_coeff"):
             if getattr(self, name) <= 0:
@@ -107,6 +108,8 @@ class State:
         return self.y[4]
 
     def validate(self, div_tol=1e-12, eps_pos=0.0):
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("field values must be finite")
         g = self.grid
         vhat = g.rfft(self.y[:3])
         vnorm = np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3)))
@@ -322,19 +325,6 @@ def eddy_viscosity(state: State, eps_pos=0.0) -> np.ndarray:
     if om_min <= eps_pos:
         raise NonPositiveOmega(f"min(omega) = {om_min:.3e}")
     return state.b / state.omega
-
-
-def evaluate_tendency(state: State, params: ModelParams, forcing=None) -> np.ndarray:
-    """All three right-hand sides at once, as one physical array of
-    shape (5, N1, N2, N3) with rows (dv1, dv2, dv3, domega, db).
-
-    omega is checked on the physical state, before projection onto the
-    2/3 mask could smooth a non-positive point away."""
-    g = state.grid
-    kernel = TendencyKernel(g, params)
-    _require_positive_omega(state.omega, kernel.eps_pos, state.t)
-    y_hat = g.rfft(state.y, dealiased=True)
-    return g.irfft(kernel(y_hat, state.t, forcing), dealiased=True)
 
 
 def energy_flux(state: State, params: ModelParams):

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Kappa2TooSmall
+from .errors import Kappa2TooSmall, require_finite
 
 
 @dataclass
@@ -42,6 +42,7 @@ class DataBounds:
     v0_l2: Optional[float] = None
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.omega_min <= self.omega_max):
             raise ValueError("need 0 < omega_min <= omega_max")
         if self.b_min <= 0:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+every settings dataclass makes on construction."""
+
+import dataclasses
+import functools
+import math
+from typing import Optional
 
 
 class KturbError(Exception):
@@ -48,3 +54,19 @@ class VerificationFailure(KturbError):
 
 class ConfigError(KturbError):
     """Malformed or incomplete run configuration."""
+
+
+@functools.cache
+def _float_fields(cls, skip):
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.type in (float, Optional[float]) and f.name not in skip)
+
+
+def require_finite(obj, error=ValueError, skip=()):
+    """Raise error naming the first field of the dataclass obj annotated
+    float or Optional[float] that holds a NaN or an infinity, leaving the
+    fields named in skip alone."""
+    for name in _float_fields(type(obj), skip):
+        val = getattr(obj, name)
+        if val is not None and not math.isfinite(val):
+            raise error(f"{name} must be finite, got {val}")

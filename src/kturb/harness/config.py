@@ -1,12 +1,17 @@
 """Flat key = value run configuration with bracketed sections.
 
-Parsing is fail-closed: unknown sections or keys raise ConfigError.
-Serialization is canonical (fixed section and key order, repr floats),
-so parse(serialize(cfg)) == cfg and a serialized file round-trips to an
-identical file.
+The keys of [model], [step], [initial] and [criterion] are the fields of
+the settings dataclass each section fills, in field order; [grid], [run]
+and [output] map onto RunConfig's own fields.  A raw value is read by
+its field's annotation, "none" unsets an optional number (not a string),
+and defaults come from RunConfig().  Parsing is fail-closed: unknown
+sections or keys raise ConfigError.  Serialization is canonical (fixed
+section and key order, repr floats), so parse(serialize(cfg)) == cfg and
+a serialized file round-trips to an identical file.
 """
 
 import configparser
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
@@ -14,7 +19,7 @@ from typing import Optional
 
 from ..criterion import CriterionConfig
 from ..dynamics import ModelParams
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 from ..grid import TorusGrid
 from ..integrator import StepControl
 from .initial import InitialDataSpec
@@ -37,8 +42,11 @@ class RunConfig:
     def __post_init__(self):
         self.lengths = tuple(float(x) for x in self.lengths)
         self.resolution = tuple(int(x) for x in self.resolution)
-        if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ConfigError("t_end must be finite and nonnegative")
+        require_finite(self, error=ConfigError)
+        if not all(map(math.isfinite, self.lengths)):
+            raise ConfigError(f"lengths must be finite, got {self.lengths}")
+        if self.t_end < 0:
+            raise ConfigError("t_end must be nonnegative")
         if self.monitor_every < 1:
             raise ConfigError("monitor_every must be >= 1")
         if self.snapshot_every < 0:
@@ -50,34 +58,46 @@ class RunConfig:
         return TorusGrid(lengths=self.lengths, resolution=self.resolution)
 
 
-_SCHEMA = {
-    "grid": ("n1", "n2", "n3", "l1", "l2", "l3"),
-    "model": ("nu0", "kappa1", "kappa2", "kappa3", "kappa4",
-              "momentum_diffusion_coeff"),
-    "step": ("dt_max", "cfl_adv", "dt_fixed", "eps_pos"),
-    "initial": ("kind", "seed", "b_mean", "b_amp", "omega_mean", "omega_amp",
-                "v_amp", "band", "path"),
-    "criterion": ("c_omega_kappa", "horizon", "delta", "sup_horizon"),
-    "run": ("t_end", "monitor_every", "snapshot_every", "c_p_override"),
-    "output": ("dir",),
-}
+# [section] -> the RunConfig field it fills with a settings dataclass
+_NESTED = {"model": "params", "step": "control", "initial": "initial",
+           "criterion": "criterion"}
+_GRID_N = ("n1", "n2", "n3")
+_GRID_L = ("l1", "l2", "l3")
+_RUN = ("t_end", "monitor_every", "snapshot_every", "c_p_override")
+_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# how a raw value becomes a field of each supported annotation
+_READERS = {float: float, int: int, str: str, Optional[str]: str,
+            Optional[float]: lambda raw: None if raw == "none" else float(raw)}
 
 
-def _float(sec, key, raw):
+def _schema():
+    """{section: {key: reader}} in canonical order; a field annotation
+    without a reader fails on import."""
+    types = {"grid": {**dict.fromkeys(_GRID_N, int),
+                      **dict.fromkeys(_GRID_L, float)}}
+    for sec, attr in _NESTED.items():
+        types[sec] = {f.name: f.type for f in dataclasses.fields(_TYPES[attr])}
+    types["run"] = {k: _TYPES[k] for k in _RUN}
+    types["output"] = {"dir": _TYPES["out_dir"]}
     try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key}: not a number: '{raw}'") from None
-    if math.isnan(val):
-        raise ConfigError(f"[{sec}] {key}: NaN is not allowed")
-    return val
+        return {sec: {k: _READERS[tp] for k, tp in keys.items()}
+                for sec, keys in types.items()}
+    except KeyError as exc:
+        raise TypeError(f"no config reader for fields of type {exc}") from None
 
 
-def _int(sec, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key}: not an integer: '{raw}'") from None
+_SECTIONS = _schema()
+
+
+def _tables(cfg):
+    """The values of cfg as {section: {key: value}}, in _SECTIONS's order."""
+    tables = {"grid": dict(zip(_GRID_N + _GRID_L,
+                               cfg.resolution + cfg.lengths))}
+    for sec, attr in _NESTED.items():
+        tables[sec] = dataclasses.asdict(getattr(cfg, attr))
+    tables["run"] = {k: getattr(cfg, k) for k in _RUN}
+    tables["output"] = {"dir": cfg.out_dir}
+    return tables
 
 
 def parse_config(text: str) -> RunConfig:
@@ -86,75 +106,29 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
-    data = {}
+    tables = _tables(RunConfig())
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, raw in cp.items(sec):
-            if key not in _SCHEMA[sec]:
+            if key not in _SECTIONS[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-            data[(sec, key)] = raw.strip()
-
-    def get(sec, key, conv, default):
-        if (sec, key) not in data:
-            return default
-        return conv(sec, key, data[(sec, key)])
-
-    def gets(sec, key, default=None):
-        return data.get((sec, key), default)
-
-    lengths = tuple(get("grid", k, _float, 2.0 * math.pi)
-                    for k in ("l1", "l2", "l3"))
-    resolution = tuple(get("grid", k, _int, 32) for k in ("n1", "n2", "n3"))
+            read = _SECTIONS[sec][key]
+            try:
+                tables[sec][key] = read(raw.strip())
+            except ValueError:
+                what = "an integer" if read is int else "a number"
+                raise ConfigError(
+                    f"[{sec}] {key}: not {what}: '{raw.strip()}'") from None
+    grid = tables["grid"]
     try:
-        params = ModelParams(
-            nu0=get("model", "nu0", _float, 1.0),
-            kappa1=get("model", "kappa1", _float, 1.0),
-            kappa2=get("model", "kappa2", _float, 1.0),
-            kappa3=get("model", "kappa3", _float, 1.0),
-            kappa4=get("model", "kappa4", _float, 1.0),
-            momentum_diffusion_coeff=get(
-                "model", "momentum_diffusion_coeff", _float, 1.0),
-        )
-        dt_fixed = gets("step", "dt_fixed")
-        control = StepControl(
-            dt_max=get("step", "dt_max", _float, 0.1),
-            cfl_adv=get("step", "cfl_adv", _float, 0.4),
-            dt_fixed=None if dt_fixed in (None, "none") else
-            _float("step", "dt_fixed", dt_fixed),
-            eps_pos=get("step", "eps_pos", _float, 1e-10),
-        )
-        initial = InitialDataSpec(
-            kind=gets("initial", "kind", "random_band"),
-            seed=get("initial", "seed", _int, 0),
-            b_mean=get("initial", "b_mean", _float, 2.0),
-            b_amp=get("initial", "b_amp", _float, 0.1),
-            omega_mean=get("initial", "omega_mean", _float, 1.0),
-            omega_amp=get("initial", "omega_amp", _float, 0.1),
-            v_amp=get("initial", "v_amp", _float, 1e-3),
-            band=get("initial", "band", _int, 5),
-            path=gets("initial", "path"),
-        )
-        criterion = CriterionConfig(
-            c_omega_kappa=get("criterion", "c_omega_kappa", _float, 1.0),
-            horizon=get("criterion", "horizon", _float, math.inf),
-            delta=get("criterion", "delta", _float, 0.01),
-            sup_horizon=get("criterion", "sup_horizon", _float, 1.0e4),
-        )
-        c_p_raw = gets("run", "c_p_override")
         return RunConfig(
-            lengths=lengths,
-            resolution=resolution,
-            params=params,
-            control=control,
-            initial=initial,
-            criterion=criterion,
-            t_end=get("run", "t_end", _float, 1.0),
-            monitor_every=get("run", "monitor_every", _int, 1),
-            snapshot_every=get("run", "snapshot_every", _int, 0),
-            c_p_override=None if c_p_raw in (None, "none") else
-            _float("run", "c_p_override", c_p_raw),
-            out_dir=gets("output", "dir"),
+            resolution=tuple(grid[k] for k in _GRID_N),
+            lengths=tuple(grid[k] for k in _GRID_L),
+            **{attr: _TYPES[attr](**tables[sec])
+               for sec, attr in _NESTED.items()},
+            **tables["run"],
+            out_dir=tables["output"]["dir"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -168,36 +142,11 @@ def load_config(path) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; optional keys are omitted when unset."""
     out = io.StringIO()
-
-    def sec(name, pairs):
-        out.write(f"[{name}]\n")
-        for k, v in pairs:
-            if v is None:
-                continue
-            if isinstance(v, float):
-                v = repr(v)
-            out.write(f"{k} = {v}\n")
+    for sec, table in _tables(cfg).items():
+        out.write(f"[{sec}]\n")
+        for key, val in table.items():
+            if val is not None:
+                val = repr(float(val)) if isinstance(val, float) else val
+                out.write(f"{key} = {val}\n")
         out.write("\n")
-
-    n1, n2, n3 = cfg.resolution
-    l1, l2, l3 = cfg.lengths
-    p, c, i, cr = cfg.params, cfg.control, cfg.initial, cfg.criterion
-    sec("grid", [("n1", n1), ("n2", n2), ("n3", n3),
-                 ("l1", l1), ("l2", l2), ("l3", l3)])
-    sec("model", [("nu0", p.nu0), ("kappa1", p.kappa1), ("kappa2", p.kappa2),
-                  ("kappa3", p.kappa3), ("kappa4", p.kappa4),
-                  ("momentum_diffusion_coeff", p.momentum_diffusion_coeff)])
-    sec("step", [("dt_max", c.dt_max), ("cfl_adv", c.cfl_adv),
-                 ("dt_fixed", c.dt_fixed), ("eps_pos", c.eps_pos)])
-    sec("initial", [("kind", i.kind), ("seed", i.seed), ("b_mean", i.b_mean),
-                    ("b_amp", i.b_amp), ("omega_mean", i.omega_mean),
-                    ("omega_amp", i.omega_amp), ("v_amp", i.v_amp),
-                    ("band", i.band), ("path", i.path)])
-    sec("criterion", [("c_omega_kappa", cr.c_omega_kappa),
-                      ("horizon", cr.horizon), ("delta", cr.delta),
-                      ("sup_horizon", cr.sup_horizon)])
-    sec("run", [("t_end", cfg.t_end), ("monitor_every", cfg.monitor_every),
-                ("snapshot_every", cfg.snapshot_every),
-                ("c_p_override", cfg.c_p_override)])
-    sec("output", [("dir", cfg.out_dir)])
     return out.getvalue()

@@ -9,7 +9,7 @@ import numpy as np
 from .. import ops
 from ..dynamics import ModelParams, State
 from ..envelopes import DataBounds
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 from ..grid import TorusGrid
 
 KINDS = ("uniform", "random_band", "from_file")
@@ -37,6 +37,7 @@ class InitialDataSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
+        require_finite(self, error=ConfigError)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown initial data kind '{self.kind}'")
         if self.b_amp < 0 or self.omega_amp < 0 or self.v_amp < 0:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ops
 from .dynamics import ModelParams, State, TendencyKernel
-from .errors import BlowUp, NonPositiveOmega, PositivityViolation
+from .errors import (BlowUp, NonPositiveOmega, PositivityViolation,
+                     require_finite)
 
 # Classical RK4 is stable for real negative eigenvalues lambda with
 # |lambda| dt <= 2.785 (Hairer & Wanner, Solving ODEs II, sec. IV.2);
@@ -37,6 +38,7 @@ class StepControl:
     eps_pos: float = 1e-10
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("dt_max", "cfl_adv", "eps_pos"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -141,23 +143,6 @@ class _Marcher:
                 f"at or below floor {self.control.eps_pos:.1e} at t = {t:.6g}",
                 t=t)
         return _speed_and_mu_max(phys)
-
-
-def rk4_step(state: State, dt: float, params: ModelParams, forcing=None,
-             control: Optional[StepControl] = None) -> State:
-    """One classical RK4 step of length dt with guards applied.  The
-    state is checked in physical space, then projected onto the 2/3
-    mask."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if control is None:
-        control = StepControl(dt_max=dt)
-    g = state.grid
-    m = _Marcher(g, params, control, forcing)
-    m.check(state.y, state.t)
-    y_hat = m.step_hat(g.rfft(state.y, dealiased=True), state.t, dt)
-    phys, _, _ = m.guard(y_hat, state.t + dt, physical=True)
-    return State(g, phys, state.t + dt)
 
 
 def advance(state: State, t_end: float, params: ModelParams,

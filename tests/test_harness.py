@@ -6,13 +6,14 @@ import math
 import os
 import time
 import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from kturb import (BlowUp, ConfigError, Forcing, ModelParams,
-                   PositivityViolation, State, StepControl, TorusGrid,
-                   VerificationFailure, advance, ops)
+from kturb import (BlowUp, ConfigError, CriterionConfig, DataBounds, Forcing,
+                   ModelParams, PositivityViolation, State, StepControl,
+                   TorusGrid, VerificationFailure, advance, ops)
 from kturb.cli import main
 from kturb.dynamics import TendencyKernel
 from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
@@ -36,6 +37,106 @@ def small_run_config(**over):
     )
     base.update(over)
     return RunConfig(**base)
+
+
+# serialize_config's canonical text for RunConfig() and for
+# TestConfigRoundTrip.sample(); a change to either is a format change
+DEFAULT_TEXT = """\
+[grid]
+n1 = 32
+n2 = 32
+n3 = 32
+l1 = 6.283185307179586
+l2 = 6.283185307179586
+l3 = 6.283185307179586
+
+[model]
+nu0 = 1.0
+kappa1 = 1.0
+kappa2 = 1.0
+kappa3 = 1.0
+kappa4 = 1.0
+momentum_diffusion_coeff = 1.0
+
+[step]
+dt_max = 0.1
+cfl_adv = 0.4
+eps_pos = 1e-10
+
+[initial]
+kind = random_band
+seed = 0
+b_mean = 2.0
+b_amp = 0.1
+omega_mean = 1.0
+omega_amp = 0.1
+v_amp = 0.001
+band = 5
+
+[criterion]
+c_omega_kappa = 1.0
+horizon = inf
+delta = 0.01
+sup_horizon = 10000.0
+
+[run]
+t_end = 1.0
+monitor_every = 1
+snapshot_every = 0
+
+[output]
+
+"""
+
+SAMPLE_TEXT = """\
+[grid]
+n1 = 16
+n2 = 12
+n3 = 8
+l1 = 6.283185307179586
+l2 = 3.0
+l3 = 5.0
+
+[model]
+nu0 = 0.7
+kappa1 = 1.0
+kappa2 = 1.5
+kappa3 = 1.0
+kappa4 = 1.0
+momentum_diffusion_coeff = 1.0
+
+[step]
+dt_max = 0.2
+cfl_adv = 0.3
+dt_fixed = 0.004
+eps_pos = 1e-10
+
+[initial]
+kind = random_band
+seed = 7
+b_mean = 2.5
+b_amp = 0.1
+omega_mean = 1.0
+omega_amp = 0.1
+v_amp = 0.001
+band = 2
+
+[criterion]
+c_omega_kappa = 1.0
+horizon = inf
+delta = 0.01
+sup_horizon = 10000.0
+
+[run]
+t_end = 0.75
+monitor_every = 4
+snapshot_every = 10
+c_p_override = 1.25
+
+[output]
+dir = out/run1
+
+"""
 
 
 class TestConfigRoundTrip:
@@ -64,6 +165,47 @@ class TestConfigRoundTrip:
 
     def test_defaults_from_empty_text(self):
         assert parse_config("") == RunConfig()
+
+    def test_canonical_text_is_pinned(self):
+        assert serialize_config(RunConfig()) == DEFAULT_TEXT
+        assert serialize_config(self.sample()) == SAMPLE_TEXT
+        assert parse_config(SAMPLE_TEXT) == self.sample()
+        # a numpy float used to be written as np.float64(0.75)
+        assert serialize_config(dataclasses.replace(
+            self.sample(), t_end=np.float64(0.75))) == SAMPLE_TEXT
+
+    def test_every_settings_field_round_trips(self):
+        # every field of each settings dataclass, a later one included,
+        # set away from its default
+        strings = {"kind": "uniform", "path": "init.snap"}
+
+        def changed(obj):
+            new = {}
+            for f in dataclasses.fields(obj):
+                val = getattr(obj, f.name)
+                if f.type is int:
+                    new[f.name] = val + 1
+                elif f.type in (float, Optional[float]):
+                    finite = val is not None and math.isfinite(val)
+                    new[f.name] = 1.5 * val if finite else 2.5
+                else:
+                    new[f.name] = strings[f.name]
+                assert new[f.name] != val, f.name
+            return dataclasses.replace(obj, **new)
+
+        base = RunConfig()
+        cfg = dataclasses.replace(
+            base, **{attr: changed(getattr(base, attr))
+                     for attr in ("params", "control", "initial",
+                                  "criterion")})
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_none_unsets_only_optional_numbers(self):
+        cfg = parse_config("[step]\ndt_fixed = none\n[run]\n"
+                           "c_p_override = none\n[initial]\npath = none\n"
+                           "[output]\ndir = none\n")
+        assert cfg.control.dt_fixed is None and cfg.c_p_override is None
+        assert cfg.initial.path == "none" and cfg.out_dir == "none"
 
     def test_load_config(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -96,6 +238,38 @@ class TestConfigFailClosed:
             parse_config("[run]\nmonitor_every = 0\n")
         with pytest.raises(ConfigError):
             parse_config("not an ini file")
+
+    def test_settings_refuse_non_finite_values(self):
+        # the dataclasses check, so the parser and the CLI flags share
+        # one check; horizon alone may be +inf
+        settings = [ModelParams(), StepControl(dt_max=0.1, dt_fixed=0.01),
+                    InitialDataSpec(), CriterionConfig(horizon=1.0),
+                    DataBounds(b_min=1.0, omega_min=1.0, omega_max=1.0,
+                               b0_l1=1.0, v0_l2sq=1.0, lap_sum=1.0,
+                               kappa2=1.0, c_p=1.0),
+                    RunConfig(c_p_override=1.0)]
+        for obj in settings:
+            for f in dataclasses.fields(obj):
+                if not isinstance(getattr(obj, f.name), float):
+                    continue
+                for bad in (math.nan, math.inf, -math.inf):
+                    if f.name == "horizon" and bad == math.inf:
+                        assert dataclasses.replace(
+                            obj, horizon=bad).horizon == math.inf
+                        continue
+                    with pytest.raises((ValueError, ConfigError),
+                                       match=f"{f.name} must be"):
+                        dataclasses.replace(obj, **{f.name: bad})
+        with pytest.raises(ConfigError, match="lengths"):
+            RunConfig(lengths=(1.0, math.inf, 1.0))
+        with pytest.raises(ValueError, match="kappa2 must be finite"):
+            ModelParams(kappa2=np.float32("nan"))
+        for text in ("[grid]\nl2 = nan\n", "[step]\ndt_fixed = inf\n",
+                     "[run]\nc_p_override = inf\n",
+                     "[criterion]\nhorizon = nan\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+        assert parse_config("[criterion]\nhorizon = inf\n") == RunConfig()
 
     def test_non_finite_t_end_rejected(self):
         # an infinite t_end would march forever, a NaN one not at all
@@ -219,11 +393,18 @@ class TestSnapshots:
         bad_omega.y[3, 2, 3, 4] = 0.0
         divergent = State.uniform(g, 1.0, 1.0)
         divergent.y[0] = 1e-3 * np.sin(x1)
-        for name, state in (("omega", bad_omega), ("div", divergent)):
+        cases = [("omega", bad_omega, "omega must be strictly positive"),
+                 ("div", divergent, "not divergence-free")]
+        # one NaN in v, omega or b; the run used to start and exit 4
+        for row, name in ((1, "nan_v"), (3, "nan_omega"), (4, "nan_b")):
+            state = State.uniform(g, 1.0, 1.0)
+            state.y[row, 1, 2, 3] = np.nan
+            cases.append((name, state, "must be finite"))
+        for name, state, why in cases:
             path = str(tmp_path / f"{name}.snap")
             write_snapshot(path, state, ModelParams())
             spec = InitialDataSpec(kind="from_file", path=path)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=why):
                 generate_initial(spec, g)
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(serialize_config(RunConfig(
@@ -436,6 +617,32 @@ class TestCli:
         # velocity L2 decay envelope was crossed at t ~ 3.41
         assert main(["verify", "--resolution", "16", "--t-end", "3.5",
                      "--seed", "0", "--dt", "0.004"]) == 0
+
+    def test_malformed_flag_value_is_invalid(self, capsys):
+        # argparse's own exit code 2 means a verification failure here
+        for args in (["check", "--kappa2", "abc"],
+                     ["mms", "--resolution", "8.5"],
+                     ["check", "--horizon", "soon"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 3
+            assert "invalid" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+
+    def test_non_finite_flag_values_are_invalid(self, capsys):
+        # --b-min nan used to print HOLDS with a0 = nan and exit 0, and
+        # --dt nan or inf to start the run and exit 4
+        for args, name in ((["check", "--b-min", "nan"], "b_min"),
+                           (["check", "--c-p", "inf"], "c_p"),
+                           (["check", "--horizon", "nan"], "horizon"),
+                           (["simulate", "--resolution", "16", "--dt", "nan"],
+                            "dt_fixed"),
+                           (["simulate", "--resolution", "16", "--dt", "inf"],
+                            "dt_fixed")):
+            assert main(args) == 3
+            assert name in capsys.readouterr().err
 
     def test_simulate_rejects_non_finite_t_end(self, capsys):
         assert main(["simulate", "--resolution", "16", "--t-end", "nan"]) == 3

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
-from kturb import (BlowUp, Forcing, ModelParams, NonPositiveOmega,
-                   PositivityViolation, State, StepControl, TorusGrid,
-                   advance, compute_dt, evaluate_tendency, rk4_step)
+from kturb import (BlowUp, Forcing, ModelParams, PositivityViolation, State,
+                   StepControl, TorusGrid, advance, compute_dt)
 from kturb import ops
 from kturb.integrator import MAX_STEPS
-from tests.test_dynamics import make_state
+from tests.test_dynamics import make_state, tendency
 
 
 def uniform_state(grid, om=1.0, b=1.0, t=0.0):
     return State.uniform(grid, om, b, t)
+
+
+def one_step(state, dt, params, forcing=None):
+    """One RK4 step of length dt: advance at a fixed dt, from the
+    physical state to the physical state."""
+    return advance(state, state.t + dt, params,
+                   StepControl(dt_max=dt, dt_fixed=dt), forcing=forcing)
 
 
 class TestStepControl:
@@ -23,6 +29,11 @@ class TestStepControl:
             StepControl(dt_max=0.1, cfl_adv=-1.0)
         with pytest.raises(ValueError):
             StepControl(dt_max=0.1, dt_fixed=0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepControl(dt_max=0.1, dt_fixed=bad)
+            with pytest.raises(ValueError, match="finite"):
+                StepControl(dt_max=bad)
 
 
 class TestComputeDt:
@@ -66,7 +77,7 @@ class TestRk4Step:
         # omega' = -omega^2 from omega = 1: exact 1/(1+dt)
         g = TorusGrid(resolution=(8, 8, 8))
         dt = 0.01
-        new = rk4_step(uniform_state(g), dt, ModelParams())
+        new = one_step(uniform_state(g), dt, ModelParams())
         exact = 1.0 / (1.0 + dt)
         assert np.max(np.abs(new.omega - exact)) < 1e-11
         assert np.max(np.abs(new.v)) == 0.0
@@ -75,13 +86,13 @@ class TestRk4Step:
     def test_rejects_bad_dt(self):
         g = TorusGrid(resolution=(8, 8, 8))
         with pytest.raises(ValueError):
-            rk4_step(uniform_state(g), -0.1, ModelParams())
+            one_step(uniform_state(g), -0.1, ModelParams())
 
     def test_bitwise_determinism(self):
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, np.random.default_rng(31))
-        a = rk4_step(s, 0.002, ModelParams())
-        b = rk4_step(s, 0.002, ModelParams())
+        a = one_step(s, 0.002, ModelParams())
+        b = one_step(s, 0.002, ModelParams())
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.b, b.b)
@@ -89,8 +100,9 @@ class TestRk4Step:
     def test_positivity_violation_on_overshoot(self):
         # dt = 3 with omega' = -omega^2 from 1 drives RK4 below zero
         g = TorusGrid(resolution=(8, 8, 8))
-        with pytest.raises(PositivityViolation) as exc:
-            rk4_step(uniform_state(g), 3.0, ModelParams())
+        with pytest.raises(PositivityViolation) as exc, \
+                pytest.warns(RuntimeWarning, match="stability limit"):
+            one_step(uniform_state(g), 3.0, ModelParams())
         assert exc.value.t is not None
 
     def test_blowup_on_nonfinite_forcing(self):
@@ -99,23 +111,22 @@ class TestRk4Step:
         forcing = Forcing(f_omega=bad)
         with np.errstate(invalid="ignore"):
             with pytest.raises((BlowUp, PositivityViolation)):
-                rk4_step(uniform_state(g), 0.01, ModelParams(),
+                one_step(uniform_state(g), 0.01, ModelParams(),
                          forcing=forcing)
 
     def test_velocity_stays_solenoidal(self):
         g = TorusGrid(resolution=(16, 16, 16))
         s = make_state(g, np.random.default_rng(32), v_amp=0.5)
-        new = s
-        for _ in range(5):
-            new = rk4_step(new, 0.002, ModelParams())
+        new = advance(s, 0.01, ModelParams(),
+                      StepControl(dt_max=0.002, dt_fixed=0.002))
         vhat = g.rfft(new.v)
         div = np.max(np.abs(ops.div_hat(g, vhat)))
         assert div < 1e-11 * (np.max(np.abs(vhat)) + 1e-300)
 
 
 class TestEntryProjection:
-    """advance, rk4_step and evaluate_tendency check the physical input,
-    then project it onto the 2/3 mask."""
+    """advance checks its physical input, then projects it onto the 2/3
+    mask, as the tendency's dealiased transform does."""
 
     def off_mask(self, g, eps=1e-2):
         # modes with |m| = 7 > 16/3 in omega, b and a solenoidal velocity
@@ -133,8 +144,8 @@ class TestEntryProjection:
         p = ModelParams()
         ctl = StepControl(dt_max=1.0, dt_fixed=0.002)
         pairs = [
-            (evaluate_tendency(s, p), evaluate_tendency(noisy, p)),
-            (rk4_step(s, 0.002, p).y, rk4_step(noisy, 0.002, p).y),
+            (tendency(s, p), tendency(noisy, p)),
+            (one_step(s, 0.002, p).y, one_step(noisy, 0.002, p).y),
             (advance(s, 0.004, p, ctl).y, advance(noisy, 0.004, p, ctl).y),
         ]
         for clean, dropped in pairs:
@@ -147,10 +158,8 @@ class TestEntryProjection:
         s = uniform_state(g)
         s.y[3, 0, 0, 0] = -0.5
         assert np.min(g.irfft(g.rfft(s.y, dealiased=True))[3]) > 0.0
-        with pytest.raises(NonPositiveOmega):
-            evaluate_tendency(s, ModelParams())
         with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
-            rk4_step(s, 0.01, ModelParams())
+            one_step(s, 0.01, ModelParams())
         with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
             advance(s, 0.1, ModelParams(), StepControl(dt_max=0.01))
 
@@ -221,10 +230,10 @@ class TestAdvance:
         out = advance(s, 0.02, ModelParams(), ctl)
         manual = s
         for _ in range(4):
-            manual = rk4_step(manual, 0.005, ModelParams())
-        # advance keeps the spectral stack between steps while repeated
-        # rk4_step round-trips through physical space, so agreement is
-        # to transform roundoff only
+            manual = one_step(manual, 0.005, ModelParams())
+        # one advance keeps the spectral stack between steps while
+        # repeated one-step runs round-trip through physical space, so
+        # agreement is to transform roundoff only
         assert np.max(np.abs(out.v - manual.v)) < 1e-13
         assert np.max(np.abs(out.b - manual.b)) < 1e-13
 
