@@ -18,14 +18,15 @@ range needs grid sampling.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .envelopes import DataBounds, EnvelopeSet, geometric_times
-from .errors import InconclusiveTail, Kappa2TooSmall, require_finite
+from .envelopes import (DataBounds, EnvelopeSet, coeff_a, coeff_b, coeff_c,
+                        coeff_d, geometric_times)
+from .errors import InconclusiveTail, require_finite
 
 
 @dataclass
@@ -67,16 +68,10 @@ class CriterionReport:
     z2_holds: Optional[bool] = None
 
 
-def _require_kappa2(bounds):
-    if bounds.kappa2 <= 0.5:
-        raise Kappa2TooSmall(
-            f"kappa2 = {bounds.kappa2}; the criterion requires kappa2 > 1/2")
-
-
 def margin(t, bounds: DataBounds, config: CriterionConfig):
     """mu_min(t) - c_omega_kappa * Z0(t); positive margin certifies
     existence up to t."""
-    _require_kappa2(bounds)
+    bounds.require_large_kappa2()
     env = EnvelopeSet(bounds)
     return env.mu_min(t) - config.c_omega_kappa * env.z0(t)
 
@@ -93,33 +88,32 @@ class _TailModel:
     def __init__(self, bounds, c_omega_kappa):
         b = bounds
         k2 = b.kappa2
-        self.k2 = k2
         self.r = 2.0 - 1.0 / k2
         self.beta = k2 * b.b_min / (b.c_p**2 * b.omega_max**2 * (2.0 * k2 - 1.0))
         self.m0 = b.b_min / b.omega_max
-        rho = b.omega_min / b.omega_max
+        self.rho = rho = b.omega_min / b.omega_max
         self.M = M = b.b0_l1 + 0.5 * b.v0_l2sq
-        Cc = c_omega_kappa
         w = b.omega_min
         Y0 = b.lap_sum
-        # (log c, p, q) triples for C*Z0 <= sum of c * s^p * e^{-q beta (s^r-1)}
-        self.terms = []
-        self.a_terms = []
-        if M > 0:
-            self.terms.append((math.log(Cc * M) - math.log(rho) / k2, -1.0 / k2, 0.0))
+        # (K0, p, q): for s >= 1 each Z0 term K(t) Y2^q is at most
+        # K0 Y0^q s^p e^{-q beta (s^r - 1)} with K0 = K(0); the b-mass term
+        # is at most M (rho s)^{-1/k2}.  With Y0 = 0 only that term is left.
+        table = [(M, -1.0 / k2, 0.0)]
         if Y0 > 0:
-            # crude s >= 1 majorants of the coefficient functions
-            B0 = 1.0 + 1.0 / w + M / w + M / w**2
-            C0 = 1.0 / w + 1.0 / w**2 + M / w**2 + M / w**3
-            D0 = 1.0 / w**2 + 1.0 / w**3
-            A0 = (b.v0_l2sq + M * M) ** 0.25
-            self.terms.append((math.log(Cc * A0) + 0.25 * math.log(Y0), 0.0, 0.25))
-            self.terms.append((math.log(Cc * B0) + 0.5 * math.log(Y0), 2.0, 0.5))
-            self.terms.append((math.log(Cc * C0) + math.log(Y0), 3.0, 1.0))
-            self.terms.append((math.log(Cc * D0) + 1.5 * math.log(Y0), 3.0, 1.5))
-            self.a_terms = [(B0, 1.0 / k2 + 1.0, 0.25),
-                            (C0, 1.0 / k2 + 2.0, 0.75),
-                            (D0, 1.0 / k2 + 2.0, 1.25)]
+            table += [(coeff_a(b.v0_l2sq, M), 0.0, 0.25),
+                      (coeff_b(M, w), 2.0, 0.5),
+                      (coeff_c(M, w), 3.0, 1.0),
+                      (coeff_d(w), 3.0, 1.5)]
+        # (log c, p, q) for C*Z0 <= sum of c * s^p * e^{-q beta (s^r - 1)},
+        # and the a(t) terms: a Z0 term over Y2^{1/4}, times s^{1/k2 - 1}
+        self.terms, self.a_terms = [], []
+        for K0, p, q in table:
+            if K0 == 0.0:  # a zero term has no majorant to add
+                continue
+            extra = q * math.log(Y0) if q > 0.0 else -math.log(rho) / k2
+            self.terms.append((math.log(c_omega_kappa * K0) + extra, p, q))
+            if q > 0.25:
+                self.a_terms.append((K0, 1.0 / k2 + (p - 1.0), q - 0.25))
 
     def log_term(self, logc, p, q, s):
         val = logc + p * math.log(s)
@@ -134,15 +128,13 @@ class _TailModel:
         """Peak of s^p * exp(-q*beta*s^r) for p, q > 0."""
         return (p / (q * self.beta * self.r)) ** (1.0 / self.r)
 
-    def ratio_peak_s(self, logc, p, q):
-        """Peak of (term / mu_min)(s); the ratio decreases beyond it."""
+    def ratio_peak_s(self, p, q):
+        """Peak of (term / mu_min)(s); the ratio decreases beyond it.  A
+        power-only ratio (q = 0) that grows has no peak: math.inf."""
         pr = p - (self.r - 1.0)
-        if q == 0.0:
-            # power-only ratio; decreasing everywhere iff pr <= 0
-            return 1.0 if pr <= 0.0 else math.inf
         if pr <= 0.0:
             return 1.0
-        return self.peak_s(pr, q)
+        return self.peak_s(pr, q) if q > 0.0 else math.inf
 
     def ratio_sum(self, s):
         lm = self.log_mu_min(s)
@@ -155,20 +147,18 @@ class _TailModel:
         """Smallest sampled s >= s_start beyond which margin > 0 is
         guaranteed, or raise InconclusiveTail."""
         s = max(s_start, 1.0)
-        for logc, p, q in self.terms:
-            peak = self.ratio_peak_s(logc, p, q)
+        for _, p, q in self.terms:
+            peak = self.ratio_peak_s(p, q)
             if not math.isfinite(peak):
                 raise InconclusiveTail(
                     "a Z0 term does not decay relative to mu_min")
             s = max(s, peak)
-        for _ in range(2000):
-            if self.ratio_sum(s) < 1.0:
-                return s
+        while not self.ratio_sum(s) < 1.0:
             if s > 1e200:
                 raise InconclusiveTail(
                     "tail domination not achieved within the searchable range")
             s *= 2.0
-        raise InconclusiveTail("tail domination search did not converge")
+        return s
 
 
 def _first_root(ts, vals, f):
@@ -192,30 +182,27 @@ def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionRepo
     With horizon = inf the finite sampling range is chosen so that the
     analytic tail model certifies positivity beyond it.
     """
-    _require_kappa2(bounds)
-    env = EnvelopeSet(bounds)
-    C = config.c_omega_kappa
+    bounds.require_large_kappa2()
 
     def f(t):
-        return float(env.mu_min(t) - C * env.z0(t))
+        return float(margin(t, bounds, config))
 
-    if math.isinf(config.horizon):
-        tail = _TailModel(bounds, C)
+    horizon = config.horizon
+    if math.isinf(horizon):
+        tail = _TailModel(bounds, config.c_omega_kappa)
         s_cert = tail.certified_from(
             1.0 + bounds.kappa2 * bounds.omega_max * config.sup_horizon)
-        t_cert = (s_cert - 1.0) / (bounds.kappa2 * bounds.omega_max)
-        ts = geometric_times(t_cert, config.delta)
-    else:
-        ts = geometric_times(config.horizon, config.delta)
+        horizon = (s_cert - 1.0) / (bounds.kappa2 * bounds.omega_max)
+    ts = geometric_times(horizon, config.delta)
 
-    vals = env.mu_min(ts) - C * env.z0(ts)
+    vals = margin(ts, bounds, config)
     root = _first_root(ts, vals, f)
     samples = list(zip(ts.tolist(), np.asarray(vals).tolist()))
     return CriterionReport(
         holds=root is None,
         first_violation_t=root,
         margin_samples=samples,
-        c_omega_kappa=C,
+        c_omega_kappa=config.c_omega_kappa,
         horizon=config.horizon,
     )
 
@@ -229,7 +216,7 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     grows without bound and the supremum is infinite; math.inf is
     returned rather than a truncated value.
     """
-    _require_kappa2(bounds)
+    bounds.require_large_kappa2()
     b = bounds
     k2 = b.kappa2
     Cc = config.c_omega_kappa
@@ -249,8 +236,7 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     tail = _TailModel(bounds, Cc)
     horizon = config.sup_horizon
     for _, p, q in tail.a_terms:
-        s_star = tail.peak_s(p, q)
-        horizon = max(horizon, (s_star - 1.0) / (k2 * b.omega_max))
+        horizon = max(horizon, (tail.peak_s(p, q) - 1.0) / (k2 * b.omega_max))
     ts = geometric_times(horizon, config.delta)
     vals = np.asarray(a_of_t(ts))
     j = int(np.argmax(vals))
@@ -266,10 +252,8 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     # analytic tail: every constituent is decreasing past the grid end,
     # so the tail supremum is bounded by the majorants evaluated there
     s_end = 1.0 + k2 * b.omega_max * float(ts[-1])
-    rho = b.omega_min / b.omega_max
-    bmax_end = tail.M * rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)
-    tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) \
-        * (b.v0_l2sq + bmax_end**2) ** 0.25
+    bmax_end = tail.M * tail.rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)
+    tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) * coeff_a(b.v0_l2sq, bmax_end)
     for K0, p, q in tail.a_terms:
         logc = math.log(2.0 * Cc * K0) + q * math.log(b.lap_sum)
         tail_sup += math.exp(min(tail.log_term(logc, p, q, s_end), 700.0))
@@ -289,7 +273,7 @@ def _corollary(bounds, config, a0):
 
 def check_corollary(bounds: DataBounds, config: CriterionConfig):
     """The two closed-form sufficient conditions (z1, z2)."""
-    _require_kappa2(bounds)
+    bounds.require_large_kappa2()
     a0 = compute_a0(bounds, config) if bounds.lap_sum != 0.0 else None
     return _corollary(bounds, config, a0)
 

@@ -206,17 +206,15 @@ class TendencyKernel:
         only read."""
         g = self.grid
         p = self.params
-        vhat, what, bhat = y_hat[:3], y_hat[3], y_hat[4]
         if out is None:
             out = np.empty((5,) + g.spectral_shape, dtype=complex)
 
-        if (forcing is None and not np.any(vhat)
-                and ops.is_constant_hat(y_hat[3:])):
+        if forcing is None and ops.is_uniform_state_hat(y_hat):
             # spatially uniform state: the reaction ODEs are the whole
             # dynamics
-            om = float(what[0, 0, 0].real) / g.npoints
+            om = float(y_hat[3, 0, 0, 0].real) / g.npoints
             _require_positive_omega(om, self.eps_pos, t)
-            bm = float(bhat[0, 0, 0].real) / g.npoints
+            bm = float(y_hat[4, 0, 0, 0].real) / g.npoints
             out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
             out[4, 0, 0, 0] = -bm * om * g.npoints
@@ -321,9 +319,7 @@ class TendencyKernel:
 
 def eddy_viscosity(state: State, eps_pos=0.0) -> np.ndarray:
     """Pointwise eddy viscosity mu = b/omega."""
-    om_min = float(np.min(state.omega))
-    if om_min <= eps_pos:
-        raise NonPositiveOmega(f"min(omega) = {om_min:.3e}")
+    _require_positive_omega(state.omega, eps_pos, state.t)
     return state.b / state.omega
 
 

@@ -8,7 +8,6 @@ is the common clock set by the upper omega envelope.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class DataBounds:
     lap_sum: float
     kappa2: float
     c_p: float
-    v0_l2: Optional[float] = None
 
     def __post_init__(self):
         require_finite(self)
@@ -53,8 +51,40 @@ class DataBounds:
             raise ValueError("c_p must be positive")
         if self.kappa2 <= 0:
             raise ValueError("kappa2 must be positive")
-        if self.v0_l2 is None:
-            self.v0_l2 = math.sqrt(self.v0_l2sq)
+
+    @property
+    def v0_l2(self):
+        return math.sqrt(self.v0_l2sq)
+
+    @property
+    def large_kappa2(self):
+        """kappa2 > 1/2, where the decay envelopes and the criterion exist."""
+        return self.kappa2 > 0.5
+
+    def require_large_kappa2(self):
+        if not self.large_kappa2:
+            raise Kappa2TooSmall(
+                f"kappa2 = {self.kappa2} but the decay envelopes and the "
+                "existence criterion require kappa2 > 1/2")
+
+
+# The coefficients A-D of Z0 as plain arithmetic on the b-mass envelope
+# bmax and the omega lower envelope w: EnvelopeSet.coeff_* applies them to
+# arrays, the criterion's tail model to floats at t = 0.
+def coeff_a(v0_l2sq, bmax):
+    return (v0_l2sq + bmax**2) ** 0.25
+
+
+def coeff_b(bmax, w):
+    return 1.0 + 1.0 / w + bmax / w + bmax / w**2
+
+
+def coeff_c(bmax, w):
+    return 1.0 / w + 1.0 / w**2 + bmax / w**2 + bmax / w**3
+
+
+def coeff_d(w):
+    return 1.0 / w**2 + 1.0 / w**3
 
 
 def geometric_times(horizon, delta=0.01):
@@ -92,12 +122,6 @@ class EnvelopeSet:
     def _s(self, t):
         b = self.bounds
         return 1.0 + b.kappa2 * b.omega_max * t
-
-    def _require_large_kappa2(self):
-        if self.bounds.kappa2 <= 0.5:
-            raise Kappa2TooSmall(
-                f"kappa2 = {self.bounds.kappa2} but the decay envelopes "
-                "require kappa2 > 1/2")
 
     def _decay_exponent(self, t):
         """The bracket (1/c_p^2)(b_min/(omega_max^2 (2 kappa2 - 1)))
@@ -150,38 +174,31 @@ class EnvelopeSet:
     # -- energy-norm envelopes (need kappa2 > 1/2) ------------------------
 
     def v_l2_envelope(self, t):
-        self._require_large_kappa2()
+        self.bounds.require_large_kappa2()
         return self.bounds.v0_l2 * np.exp(-self._decay_exponent(self._t(t)))
 
     def y2(self, t):
         """Envelope of the summed squared-laplacian energy."""
-        self._require_large_kappa2()
+        self.bounds.require_large_kappa2()
         b = self.bounds
         return b.lap_sum * np.exp(-b.kappa2 * self._decay_exponent(self._t(t)))
 
     # -- coefficient functions and the criterion aggregate ----------------
 
     def coeff_A(self, t):
-        bmax = self.b_l1_upper(t, "max")
-        return (self.bounds.v0_l2sq + bmax**2) ** 0.25
+        return coeff_a(self.bounds.v0_l2sq, self.b_l1_upper(t, "max"))
 
     def coeff_B(self, t):
-        bmax = self.b_l1_upper(t, "max")
-        w = self.omega_lower(t)
-        return 1.0 + 1.0 / w + bmax / w + bmax / w**2
+        return coeff_b(self.b_l1_upper(t, "max"), self.omega_lower(t))
 
     def coeff_C(self, t):
-        bmax = self.b_l1_upper(t, "max")
-        w = self.omega_lower(t)
-        return 1.0 / w + 1.0 / w**2 + bmax / w**2 + bmax / w**3
+        return coeff_c(self.b_l1_upper(t, "max"), self.omega_lower(t))
 
     def coeff_D(self, t):
-        w = self.omega_lower(t)
-        return 1.0 / w**2 + 1.0 / w**3
+        return coeff_d(self.omega_lower(t))
 
     def z0(self, t):
         """b_l1_upper(max) + A Y2^{1/4} + B Y2^{1/2} + C Y2 + D Y2^{3/2}."""
-        self._require_large_kappa2()
         t = self._t(t)
         y = self.y2(t)
         q = y**0.25

@@ -29,28 +29,33 @@ def _pruning_backend():
 _pocketfft = _pruning_backend()
 
 
+def check_box(lengths, resolution, error=ValueError):
+    """The box's (lengths, resolution) as float and int 3-tuples, checked."""
+    lengths = tuple(float(L) for L in lengths)
+    resolution = tuple(int(N) for N in resolution)
+    if len(lengths) != 3 or len(resolution) != 3:
+        raise error("lengths and resolution must have 3 entries")
+    if not all(0.0 < L < np.inf for L in lengths):
+        raise error(f"box lengths must be finite and positive, got {lengths}")
+    if any(N < 4 or N % 2 for N in resolution):
+        raise error("resolution entries must be even and >= 4")
+    return lengths, resolution
+
+
 class TorusGrid:
     """Geometry, wavenumber tables and transforms for one periodic box.
 
     Parameters
     ----------
-    lengths : tuple of 3 positive floats
+    lengths : tuple of 3 finite positive floats
         Box edge lengths (L1, L2, L3).
     resolution : tuple of 3 even ints >= 4
         Collocation points per axis (N1, N2, N3).
     """
 
     def __init__(self, lengths=(2.0 * np.pi,) * 3, resolution=(32, 32, 32)):
-        lengths = tuple(float(L) for L in lengths)
-        resolution = tuple(int(N) for N in resolution)
-        if len(lengths) != 3 or len(resolution) != 3:
-            raise ValueError("lengths and resolution must have 3 entries")
-        if any(L <= 0 for L in lengths):
-            raise ValueError("box lengths must be positive")
-        if any(N < 4 or N % 2 for N in resolution):
-            raise ValueError("resolution entries must be even and >= 4")
-        self.lengths = lengths
-        self.resolution = resolution
+        lengths, resolution = check_box(lengths, resolution)
+        self.lengths, self.resolution = lengths, resolution
         N1, N2, N3 = resolution
         L1, L2, L3 = lengths
 

@@ -20,7 +20,7 @@ from typing import Optional
 from ..criterion import CriterionConfig
 from ..dynamics import ModelParams
 from ..errors import ConfigError, require_finite
-from ..grid import TorusGrid
+from ..grid import TorusGrid, check_box
 from ..integrator import StepControl
 from .initial import InitialDataSpec
 
@@ -40,11 +40,10 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        self.lengths = tuple(float(x) for x in self.lengths)
-        self.resolution = tuple(int(x) for x in self.resolution)
+        # checked as TorusGrid checks them, without building one
+        self.lengths, self.resolution = check_box(
+            self.lengths, self.resolution, ConfigError)
         require_finite(self, error=ConfigError)
-        if not all(map(math.isfinite, self.lengths)):
-            raise ConfigError(f"lengths must be finite, got {self.lengths}")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
         if self.monitor_every < 1:

@@ -95,7 +95,7 @@ class Monitor:
         e_ol = float(env.omega_lower(t))
         e_ou = float(env.omega_upper(t))
         e_bl = float(env.b_lower(t))
-        e_v = float(env.v_l2_envelope(t)) if env.bounds.kappa2 > 0.5 else np.nan
+        e_v = float(env.v_l2_envelope(t)) if env.bounds.large_kappa2 else np.nan
         e_b1 = float(env.b_l1_upper(t, "min"))
         min_omega = float(np.min(state.y[3]))
         max_omega = float(np.max(state.y[3]))

@@ -5,14 +5,14 @@ import dataclasses
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .. import ops
-from ..criterion import CriterionConfig, CriterionReport, check_glob_add, full_report
-from ..dynamics import Forcing, ModelParams, State, TendencyKernel
+from ..criterion import CriterionReport, check_glob_add, full_report
+from ..dynamics import Forcing, State, TendencyKernel
 from ..envelopes import EnvelopeSet
 from ..errors import KturbError, VerificationFailure
 from ..integrator import StepControl, advance, compute_dt
@@ -88,7 +88,7 @@ class VerificationReport:
 
 def run_verify(config: RunConfig) -> VerificationReport:
     """Simulate, then check every sampled state against the analytic
-    envelopes.
+    envelope values its monitor record holds.
 
     Absolute tolerances are 1e-6*scale + 10*dt^2 (scale = local envelope
     value), relative ones 1e-6 + 10*dt^2, reflecting the O(dt^2)-or-
@@ -100,10 +100,11 @@ def run_verify(config: RunConfig) -> VerificationReport:
     result = run_simulate(config)
     bounds = result.bounds
     env = EnvelopeSet(bounds)
-    grid = config.make_grid()
-    state_probe = State.uniform(grid, bounds.omega_max, bounds.b_min)
+    state_probe = State.uniform(result.final_state.grid, bounds.omega_max,
+                                bounds.b_min)
     dt = compute_dt(state_probe, config.params, config.control)
-    tol_rel = 1e-6 + 10.0 * dt * dt
+    slack = 10.0 * dt * dt
+    tol_rel = 1e-6 + slack
 
     crit_cfg = dataclasses.replace(config.criterion, horizon=config.t_end)
     crit = check_glob_add(bounds, crit_cfg)
@@ -115,33 +116,29 @@ def run_verify(config: RunConfig) -> VerificationReport:
             f"t = {rec.t:.8g}: {what}: measured {measured:.12g} vs "
             f"bound {bound:.12g}")
 
+    def tol(scale):
+        return 1e-6 * abs(scale) + slack
+
+    decays = bounds.large_kappa2
     x2_0 = result.records[0].x2
     x2_within_y2 = True
     for rec in result.records:
-        t = rec.t
-
-        def tol(scale):
-            return 1e-6 * abs(scale) + 10.0 * dt * dt
-
-        lo = float(env.omega_lower(t))
-        hi = float(env.omega_upper(t))
+        lo, hi = rec.env_omega_lower, rec.env_omega_upper
         if rec.min_omega < lo - tol(lo):
             fail(rec, "min omega below lower envelope", rec.min_omega, lo)
         if rec.max_omega > hi + tol(hi):
             fail(rec, "max omega above upper envelope", rec.max_omega, hi)
-        bl = float(env.b_lower(t))
+        bl = rec.env_b_lower
         if rec.min_b < bl - tol(bl):
             fail(rec, "min b below lower envelope", rec.min_b, bl)
-        if bounds.kappa2 > 0.5:
-            ve = float(env.v_l2_envelope(t))
-            if rec.v_l2 > ve * (1.0 + tol_rel):
-                fail(rec, "velocity L2 above decay envelope", rec.v_l2, ve)
-        b1 = float(env.b_l1_upper(t, "min"))
-        if rec.b_l1 > b1 * (1.0 + tol_rel):
-            fail(rec, "b L1 mass above decay envelope", rec.b_l1, b1)
+        if decays and rec.v_l2 > rec.env_v_l2 * (1.0 + tol_rel):
+            fail(rec, "velocity L2 above decay envelope", rec.v_l2,
+                 rec.env_v_l2)
+        if rec.b_l1 > rec.env_b_l1 * (1.0 + tol_rel):
+            fail(rec, "b L1 mass above decay envelope", rec.b_l1, rec.env_b_l1)
         if crit.holds and rec.x2 > 1.01 * x2_0:
             fail(rec, "X2 grew beyond 1% of its initial value", rec.x2, x2_0)
-        if bounds.kappa2 > 0.5 and rec.x2 > float(env.y2(t)) * (1.0 + tol_rel):
+        if decays and rec.x2 > float(env.y2(rec.t)) * (1.0 + tol_rel):
             x2_within_y2 = False
 
     report = VerificationReport(
@@ -149,8 +146,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
         failures=failures,
         records=result.records,
         criterion_holds=crit.holds,
-        x2_within_y2=x2_within_y2 if bounds.kappa2 > 0.5 else None,
-        tol_abs_coeff=10.0 * dt * dt,
+        x2_within_y2=x2_within_y2 if decays else None,
+        tol_abs_coeff=slack,
         tol_rel=tol_rel,
         result=result,
     )

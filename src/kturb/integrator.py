@@ -124,7 +124,7 @@ class _Marcher:
         physical is set.  y_hat is not written: the transform consumes a
         copy in the stage buffer, which is free between steps."""
         g = self.grid
-        if physical or np.any(y_hat[:3]) or not ops.is_constant_hat(y_hat[3:]):
+        if physical or not ops.is_uniform_state_hat(y_hat):
             np.copyto(self._stage, y_hat)
             phys = g.irfft(self._stage, dealiased=True)
             return (phys,) + self.check(phys, t)

@@ -59,10 +59,11 @@ def sym_grad_hat(grid, vhat, out=None):
     return out
 
 
-def is_constant_hat(fhat):
-    """True when no spectrum in fhat has a nonzero coefficient away from
-    k = 0, i.e. every field it transforms is spatially constant."""
-    return np.count_nonzero(fhat) == np.count_nonzero(fhat[..., 0, 0, 0])
+def is_uniform_state_hat(y_hat):
+    """True when the stacked (v, omega, b) spectrum y_hat is a uniform state
+    at rest: v is zero, and omega and b have no mode away from k = 0."""
+    return not np.any(y_hat[:3]) and (np.count_nonzero(y_hat[3:])
+                                      == np.count_nonzero(y_hat[3:, 0, 0, 0]))
 
 
 def _l2sq_power(grid, power, k_pow):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from kturb import (CriterionConfig, DataBounds, InconclusiveTail,
+from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_corollary, check_glob_add,
                    compute_a0, full_report, margin)
+from kturb.cli import main
 from tests.test_envelopes import random_bounds, simple_bounds
 
 PI2 = 2.0 * math.pi
@@ -223,13 +224,39 @@ class TestGates:
     def test_small_kappa2_raises_everywhere(self):
         bd = simple_bounds(kappa2=0.5)
         cfg = CriterionConfig()
+        env = EnvelopeSet(bd)
+        messages = set()
         for call in (lambda: margin(1.0, bd, cfg),
                      lambda: check_glob_add(bd, cfg),
                      lambda: compute_a0(bd, cfg),
                      lambda: check_corollary(bd, cfg),
-                     lambda: full_report(bd, cfg)):
-            with pytest.raises(Kappa2TooSmall):
+                     lambda: full_report(bd, cfg),
+                     lambda: env.v_l2_envelope(1.0),
+                     lambda: env.y2(1.0),
+                     lambda: env.z0(1.0)):
+            with pytest.raises(Kappa2TooSmall) as err:
                 call()
+            messages.add(str(err.value))
+        assert messages == {"kappa2 = 0.5 but the decay envelopes and the "
+                            "existence criterion require kappa2 > 1/2"}
+
+
+class TestZeroTerms:
+    def test_report_without_mass_or_velocity(self):
+        # b0_l1 = v0_l2sq = 0 make the A coefficient and the b-mass term
+        # zero; both are left out of the tail majorants
+        bd = simple_bounds(b0_l1=0.0, v0_l2sq=0.0, lap_sum=1.0)
+        for horizon in (math.inf, 5.0):
+            rep = full_report(bd, CriterionConfig(c_omega_kappa=0.01,
+                                                  horizon=horizon))
+            assert rep.holds and math.isfinite(rep.a0) and rep.a0 > 0.0
+            assert rep.horizon == horizon
+
+    def test_cli_defaults_with_laplacian_energy(self, capsys):
+        # the CLI's own defaults are b0_l1 = v0_l2sq = 0
+        assert main(["check", "--lap-sum", "1"]) == 0
+        assert main(["check", "--lap-sum", "1", "--horizon", "5"]) == 0
+        assert capsys.readouterr().out.count("existence criterion:") == 2
 
 
 class TestFullReport:

@@ -1,5 +1,6 @@
 """Closed-form envelopes: plug-in values, ODE cross-checks, structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestDataBounds:
 
     def test_v0_l2_autofill(self):
         assert simple_bounds(v0_l2sq=9.0).v0_l2 == 3.0
+
+    def test_v0_l2_derived_not_stored(self):
+        # replace() must not keep a stale norm, and the norm is no input
+        bd = dataclasses.replace(simple_bounds(v0_l2sq=1.0), v0_l2sq=4.0)
+        assert bd.v0_l2 == 2.0
+        assert EnvelopeSet(bd).v_l2_envelope(0.0) == 2.0
+        with pytest.raises(TypeError):
+            simple_bounds(v0_l2=100.0)
+        assert [f.name for f in dataclasses.fields(DataBounds)] == [
+            "b_min", "omega_min", "omega_max", "b0_l1", "v0_l2sq", "lap_sum",
+            "kappa2", "c_p"]
 
 
 class TestPlugInValues:

@@ -271,6 +271,17 @@ class TestConfigFailClosed:
                 parse_config(text)
         assert parse_config("[criterion]\nhorizon = inf\n") == RunConfig()
 
+    def test_grid_checked_where_it_enters(self):
+        # RunConfig checks the box as TorusGrid does, without building one
+        for text in ("[grid]\nn1 = 7\n", "[grid]\nn2 = 2\n",
+                     "[grid]\nl1 = -1\n", "[grid]\nl3 = 0\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+        with pytest.raises(ConfigError, match="even"):
+            RunConfig(resolution=(8, 7, 8))
+        with pytest.raises(ConfigError, match="3 entries"):
+            RunConfig(lengths=(1.0, 1.0))
+
     def test_non_finite_t_end_rejected(self):
         # an infinite t_end would march forever, a NaN one not at all
         for bad in (math.inf, math.nan):
@@ -521,6 +532,22 @@ class TestRunVerify:
         assert rep.passed and not rep.failures
         assert rep.records[-1].t == cfg.t_end
 
+    def test_breach_quotes_the_record_envelope(self):
+        # a tiny c_p makes the velocity envelope decay far too fast
+        with pytest.raises(VerificationFailure) as err:
+            run_verify(small_run_config(c_p_override=1e-2))
+        report = err.value.report
+        assert not report.passed
+        breached = [rec for rec in report.records
+                    if rec.v_l2 > rec.env_v_l2 * (1.0 + report.tol_rel)]
+        assert breached
+        lines = [f for f in report.failures if "velocity L2" in f]
+        assert len(lines) == len(breached)
+        for rec, line in zip(breached, lines):
+            assert line == (f"t = {rec.t:.8g}: velocity L2 above decay "
+                            f"envelope: measured {rec.v_l2:.12g} vs bound "
+                            f"{rec.env_v_l2:.12g}")
+
     def test_unstable_step_raises(self):
         cfg = small_run_config(
             control=StepControl(dt_max=5.0, dt_fixed=2.0), t_end=10.0)
@@ -587,6 +614,13 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "kappa2" in err
+
+    def test_check_refuses_a_bad_grid_in_the_config(self, tmp_path, capsys):
+        # explicit bounds skip the grid, but the config is still checked
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[grid]\nn1 = 7\n")
+        assert main(["check", "--config", str(bad), "--b-min", "1"]) == 3
+        assert "even" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/no/such/file.cfg"]) == 3

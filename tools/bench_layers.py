@@ -8,9 +8,11 @@ inverse and the 14-field forward transform the kernel makes, and one
 RK4 step of `advance` (its guard included), on the acceptance initial
 data (band 5, default ModelParams).  It also times one 16^3
 manufactured-solution study (`run_mms` at t_end 0.04, default dts) as
-`mms_study_ms`.  Each figure is the min and median of several calls, in
-ms.  It also runs the tier-1 suite once in a subprocess and records its
-wall time and pass count.
+`mms_study_ms`, and `full_report` with an infinite horizon on fixed-seed
+random bounds, drawn as the `criterion` benchmark workload draws them,
+as `criterion_report_ms`.  Each figure is the min and median of several
+calls, in ms.  It also runs the tier-1 suite once in a subprocess and
+records its wall time and pass count.
 
 --src times another checkout's package (for example the parent commit's
 `src`); a checkout whose TorusGrid transforms have no dealiased flag is
@@ -22,6 +24,7 @@ one, under "parent".
 import argparse
 import inspect
 import json
+import math
 import os
 import platform
 import re
@@ -35,6 +38,7 @@ SIZES = (16, 32, 64)
 REPEATS = {16: 60, 32: 30, 64: 8}
 STEPS_PER_CALL = 4
 MMS_REPEATS = 9
+CRITERION_REPORTS = 300
 
 
 def _stats(times):
@@ -118,6 +122,28 @@ def time_mms_study():
     return _stats(_timed(lambda: run_mms(cfg), lambda: None, MMS_REPEATS))
 
 
+def time_criterion_report(kturb):
+    rng = np.random.default_rng(2)
+    cases = []
+    for _ in range(CRITERION_REPORTS):
+        om_min = rng.uniform(0.05, 2.0)
+        bounds = kturb.DataBounds(
+            b_min=rng.uniform(0.01, 5.0), omega_min=om_min,
+            omega_max=om_min * rng.uniform(1.0, 4.0),
+            b0_l1=rng.uniform(0.0, 10.0), v0_l2sq=rng.uniform(0.0, 10.0),
+            lap_sum=rng.uniform(0.0, 10.0), kappa2=rng.uniform(1.0, 3.0),
+            c_p=rng.uniform(0.2, 5.0))
+        c = math.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))
+        cases.append((bounds, kturb.CriterionConfig(c_omega_kappa=c)))
+    kturb.full_report(*cases[0])
+    times = []
+    for bounds, cfg in cases:
+        t0 = time.perf_counter()
+        kturb.full_report(bounds, cfg)
+        times.append(time.perf_counter() - t0)
+    return _stats(times)
+
+
 def run_tier1(root, src):
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
@@ -167,20 +193,21 @@ def main(argv=None):
         is not None,
         "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
         "mms_study_ms": time_mms_study(),
+        "criterion_report_ms": time_criterion_report(kturb),
     }
     if not args.skip_tier1:
         result["tier1"] = run_tier1(os.path.dirname(src), src)
     if args.parent:
         with open(args.parent) as fh:
             parent = json.load(fh)
-        result["parent"] = {k: parent[k] for k in ("label", "layers",
-                                                   "mms_study_ms", "tier1")
-                            if k in parent}
+        result["parent"] = {k: parent[k] for k in (
+            "label", "layers", "mms_study_ms", "criterion_report_ms", "tier1")
+            if k in parent}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(json.dumps({k: result[k] for k in ("layers", "mms_study_ms")},
-                     indent=1))
+    print(json.dumps({k: result[k] for k in (
+        "layers", "mms_study_ms", "criterion_report_ms")}, indent=1))
 
 
 if __name__ == "__main__":
