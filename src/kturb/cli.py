@@ -154,8 +154,7 @@ def _cmd_verify(args):
     print(f"verify: all envelope checks passed on {len(report.records)} "
           f"samples (tol_rel = {report.tol_rel:.3e})")
     print(f"criterion holds on [0, t_end]: {report.criterion_holds}")
-    if report.x2_within_y2 is not None:
-        print(f"informational: X2 within Y2 envelope: {report.x2_within_y2}")
+    print(f"informational: X2 within Y2 envelope: {report.x2_within_y2}")
     return EXIT_OK
 
 

@@ -76,6 +76,18 @@ def margin(t, bounds: DataBounds, config: CriterionConfig):
     return env.mu_min(t) - config.c_omega_kappa * env.z0(t)
 
 
+def _at_zero(name, coeff, *args):
+    """A Z0 coefficient at t = 0 as a float, or InconclusiveTail when it
+    is out of floating-point range (omega_min**3 underflows to 0 below
+    about 1e-108)."""
+    try:
+        return coeff(*args)
+    except (ZeroDivisionError, OverflowError):
+        raise InconclusiveTail(
+            f"the Z0 coefficient {name} at t = 0 is out of floating-point "
+            "range") from None
+
+
 class _TailModel:
     """Per-term dominations of C*Z0 in the clock s = 1 + k2*om_max*t.
 
@@ -100,10 +112,10 @@ class _TailModel:
         # is at most M (rho s)^{-1/k2}.  With Y0 = 0 only that term is left.
         table = [(M, -1.0 / k2, 0.0)]
         if Y0 > 0:
-            table += [(coeff_a(b.v0_l2sq, M), 0.0, 0.25),
-                      (coeff_b(M, w), 2.0, 0.5),
-                      (coeff_c(M, w), 3.0, 1.0),
-                      (coeff_d(w), 3.0, 1.5)]
+            table += [(_at_zero("A", coeff_a, b.v0_l2sq, M), 0.0, 0.25),
+                      (_at_zero("B", coeff_b, M, w), 2.0, 0.5),
+                      (_at_zero("C", coeff_c, M, w), 3.0, 1.0),
+                      (_at_zero("D", coeff_d, w), 3.0, 1.5)]
         # (log c, p, q) for C*Z0 <= sum of c * s^p * e^{-q beta (s^r - 1)},
         # and the a(t) terms: a Z0 term over Y2^{1/4}, times s^{1/k2 - 1}
         self.terms, self.a_terms = [], []
@@ -126,7 +138,12 @@ class _TailModel:
 
     def peak_s(self, p, q):
         """Peak of s^p * exp(-q*beta*s^r) for p, q > 0."""
-        return (p / (q * self.beta * self.r)) ** (1.0 / self.r)
+        try:
+            return (p / (q * self.beta * self.r)) ** (1.0 / self.r)
+        except OverflowError:
+            raise InconclusiveTail(
+                "the peak of a Z0 term lies beyond the floating-point range "
+                f"(r = 2 - 1/kappa2 = {self.r:.3g})") from None
 
     def ratio_peak_s(self, p, q):
         """Peak of (term / mu_min)(s); the ratio decreases beyond it.  A
@@ -223,28 +240,19 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     if k2 < 1.0 and b.v0_l2sq > 0.0:
         return math.inf
     env = EnvelopeSet(bounds)
-
-    def a_of_t(t):
-        s = 1.0 + k2 * b.omega_max * np.asarray(t, dtype=float)
-        y = env.y2(t)
-        q = y**0.25
-        inner = (env.coeff_A(t) + env.coeff_B(t) * q
-                 + env.coeff_C(t) * q**3 + env.coeff_D(t) * q**5)
-        return 2.0 * Cc * s ** (1.0 / k2 - 1.0) * inner
-
     # finite sampling range, stretched to cover every bound-term peak
     tail = _TailModel(bounds, Cc)
     horizon = config.sup_horizon
     for _, p, q in tail.a_terms:
         horizon = max(horizon, (tail.peak_s(p, q) - 1.0) / (k2 * b.omega_max))
     ts = geometric_times(horizon, config.delta)
-    vals = np.asarray(a_of_t(ts))
+    vals = np.asarray(env.a(ts, Cc))
     j = int(np.argmax(vals))
     best = float(vals[j])
     lo = float(ts[max(j - 1, 0)])
     hi = float(ts[min(j + 1, ts.size - 1)])
     if hi > lo:
-        res = minimize_scalar(lambda t: -a_of_t(t), bounds=(lo, hi),
+        res = minimize_scalar(lambda t: -env.a(t, Cc), bounds=(lo, hi),
                               method="bounded",
                               options={"xatol": 1e-12 * max(hi, 1.0)})
         best = max(best, float(-res.fun))

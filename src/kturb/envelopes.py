@@ -62,10 +62,15 @@ class DataBounds:
         return self.kappa2 > 0.5
 
     def require_large_kappa2(self):
-        if not self.large_kappa2:
-            raise Kappa2TooSmall(
-                f"kappa2 = {self.kappa2} but the decay envelopes and the "
-                "existence criterion require kappa2 > 1/2")
+        require_large_kappa2(self.kappa2)
+
+
+def require_large_kappa2(kappa2):
+    """The kappa2 gate, also for callers that hold no DataBounds yet."""
+    if not kappa2 > 0.5:
+        raise Kappa2TooSmall(
+            f"kappa2 = {kappa2} but the decay envelopes and the "
+            "existence criterion require kappa2 > 1/2")
 
 
 # The coefficients A-D of Z0 as plain arithmetic on the b-mass envelope
@@ -119,23 +124,43 @@ class EnvelopeSet:
             raise ValueError("envelope functions require t >= 0")
         return t
 
-    def _s(self, t):
-        b = self.bounds
-        return 1.0 + b.kappa2 * b.omega_max * t
+    def _clock(self, om, t):
+        """1 + kappa2 * om * t; s(t) is the clock of om = omega_max."""
+        return 1.0 + self.bounds.kappa2 * om * t
 
-    def _decay_exponent(self, t):
+    def _s(self, t):
+        return self._clock(self.bounds.omega_max, t)
+
+    def _decay_exponent(self, s):
         """The bracket (1/c_p^2)(b_min/(omega_max^2 (2 kappa2 - 1)))
         (s^{2 - 1/kappa2} - 1) driving the v and Y2 decay."""
         b = self.bounds
         rate = b.b_min / (b.omega_max**2 * (2.0 * b.kappa2 - 1.0)) / b.c_p**2
-        return rate * (self._s(t) ** (2.0 - 1.0 / b.kappa2) - 1.0)
+        return rate * (s ** (2.0 - 1.0 / b.kappa2) - 1.0)
+
+    def _b_mass(self, clock):
+        b = self.bounds
+        num = b.b0_l1 + 0.5 * b.v0_l2sq
+        return num / clock ** (1.0 / b.kappa2)
+
+    def _omega_lower(self, t):
+        return self.bounds.omega_min / self._clock(self.bounds.omega_min, t)
+
+    def _y2(self, s):
+        b = self.bounds
+        return b.lap_sum * np.exp(-b.kappa2 * self._decay_exponent(s))
+
+    def _shared(self, t):
+        """The clock s, the "max" b-mass envelope, the omega lower envelope
+        and Y2 at already-checked times t: the terms z0 and a share."""
+        self.bounds.require_large_kappa2()
+        s = self._s(t)
+        return s, self._b_mass(s), self._omega_lower(t), self._y2(s)
 
     # -- pointwise scalar envelopes ---------------------------------------
 
     def omega_lower(self, t):
-        b = self.bounds
-        t = self._t(t)
-        return b.omega_min / (1.0 + b.kappa2 * b.omega_min * t)
+        return self._omega_lower(self._t(t))
 
     def omega_upper(self, t):
         b = self.bounds
@@ -162,8 +187,7 @@ class EnvelopeSet:
             om = b.omega_min
         else:
             raise ValueError("omega_choice must be 'min' or 'max'")
-        num = b.b0_l1 + 0.5 * b.v0_l2sq
-        return num / (1.0 + b.kappa2 * om * t) ** (1.0 / b.kappa2)
+        return self._b_mass(self._clock(om, t))
 
     def mu_min(self, t):
         """Lower envelope of the eddy viscosity, b_lower/omega_upper."""
@@ -175,15 +199,15 @@ class EnvelopeSet:
 
     def v_l2_envelope(self, t):
         self.bounds.require_large_kappa2()
-        return self.bounds.v0_l2 * np.exp(-self._decay_exponent(self._t(t)))
+        return self.bounds.v0_l2 * np.exp(
+            -self._decay_exponent(self._s(self._t(t))))
 
     def y2(self, t):
         """Envelope of the summed squared-laplacian energy."""
         self.bounds.require_large_kappa2()
-        b = self.bounds
-        return b.lap_sum * np.exp(-b.kappa2 * self._decay_exponent(self._t(t)))
+        return self._y2(self._s(self._t(t)))
 
-    # -- coefficient functions and the criterion aggregate ----------------
+    # -- coefficient functions and the criterion aggregates ---------------
 
     def coeff_A(self, t):
         return coeff_a(self.bounds.v0_l2sq, self.b_l1_upper(t, "max"))
@@ -199,11 +223,20 @@ class EnvelopeSet:
 
     def z0(self, t):
         """b_l1_upper(max) + A Y2^{1/4} + B Y2^{1/2} + C Y2 + D Y2^{3/2}."""
-        t = self._t(t)
-        y = self.y2(t)
+        _, bmax, w, y = self._shared(self._t(t))
         q = y**0.25
-        return (self.b_l1_upper(t, "max")
-                + self.coeff_A(t) * q
-                + self.coeff_B(t) * q**2
-                + self.coeff_C(t) * y
-                + self.coeff_D(t) * y**1.5)
+        return (bmax
+                + coeff_a(self.bounds.v0_l2sq, bmax) * q
+                + coeff_b(bmax, w) * q**2
+                + coeff_c(bmax, w) * y
+                + coeff_d(w) * y**1.5)
+
+    def a(self, t, c_omega_kappa):
+        """2 C s^{1/kappa2 - 1} (A + B Y2^{1/4} + C Y2^{3/4} + D Y2^{5/4}),
+        whose supremum over t >= 0 is the corollary's a0."""
+        s, bmax, w, y = self._shared(self._t(t))
+        q = y**0.25
+        inner = (coeff_a(self.bounds.v0_l2sq, bmax) + coeff_b(bmax, w) * q
+                 + coeff_c(bmax, w) * q**3 + coeff_d(w) * q**5)
+        return (2.0 * c_omega_kappa * s ** (1.0 / self.bounds.kappa2 - 1.0)
+                * inner)

@@ -13,7 +13,7 @@ import numpy as np
 from .. import ops
 from ..criterion import CriterionReport, check_glob_add, full_report
 from ..dynamics import Forcing, State, TendencyKernel
-from ..envelopes import EnvelopeSet
+from ..envelopes import EnvelopeSet, require_large_kappa2
 from ..errors import KturbError, VerificationFailure
 from ..integrator import StepControl, advance, compute_dt
 from .config import RunConfig
@@ -80,7 +80,7 @@ class VerificationReport:
     failures: List[str]
     records: list
     criterion_holds: bool
-    x2_within_y2: Optional[bool]
+    x2_within_y2: bool
     tol_abs_coeff: float
     tol_rel: float
     result: SimulationResult = None
@@ -95,8 +95,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
     better accuracy of the sampled comparisons.  The H2 aggregate X2 is
     checked for non-growth (within 1%) whenever the existence margin is
     positive on [0, t_end]; the pointwise X2 <= Y2 comparison is only
-    reported, not asserted.
+    reported, not asserted.  kappa2 <= 1/2, where these envelopes do not
+    exist, is refused before the simulation starts.
     """
+    require_large_kappa2(config.params.kappa2)
     result = run_simulate(config)
     bounds = result.bounds
     env = EnvelopeSet(bounds)
@@ -119,7 +121,6 @@ def run_verify(config: RunConfig) -> VerificationReport:
     def tol(scale):
         return 1e-6 * abs(scale) + slack
 
-    decays = bounds.large_kappa2
     x2_0 = result.records[0].x2
     x2_within_y2 = True
     for rec in result.records:
@@ -131,14 +132,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
         bl = rec.env_b_lower
         if rec.min_b < bl - tol(bl):
             fail(rec, "min b below lower envelope", rec.min_b, bl)
-        if decays and rec.v_l2 > rec.env_v_l2 * (1.0 + tol_rel):
+        if rec.v_l2 > rec.env_v_l2 * (1.0 + tol_rel):
             fail(rec, "velocity L2 above decay envelope", rec.v_l2,
                  rec.env_v_l2)
         if rec.b_l1 > rec.env_b_l1 * (1.0 + tol_rel):
             fail(rec, "b L1 mass above decay envelope", rec.b_l1, rec.env_b_l1)
         if crit.holds and rec.x2 > 1.01 * x2_0:
             fail(rec, "X2 grew beyond 1% of its initial value", rec.x2, x2_0)
-        if decays and rec.x2 > float(env.y2(rec.t)) * (1.0 + tol_rel):
+        if rec.x2 > float(env.y2(rec.t)) * (1.0 + tol_rel):
             x2_within_y2 = False
 
     report = VerificationReport(
@@ -146,7 +147,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         failures=failures,
         records=result.records,
         criterion_holds=crit.holds,
-        x2_within_y2=x2_within_y2 if decays else None,
+        x2_within_y2=x2_within_y2,
         tol_abs_coeff=slack,
         tol_rel=tol_rel,
         result=result,

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_corollary, check_glob_add,
-                   compute_a0, full_report, margin)
+                   compute_a0, full_report, geometric_times, margin)
 from kturb.cli import main
 from tests.test_envelopes import random_bounds, simple_bounds
 
@@ -257,6 +257,63 @@ class TestZeroTerms:
         assert main(["check", "--lap-sum", "1"]) == 0
         assert main(["check", "--lap-sum", "1", "--horizon", "5"]) == 0
         assert capsys.readouterr().out.count("existence criterion:") == 2
+
+
+class TestTailOutOfRange:
+    def test_peak_beyond_float_range_is_inconclusive(self, capsys):
+        # kappa2 just above 1/2 gives r = 2 - 1/kappa2 ~ 0.009, and the
+        # peak (p/(q beta r))^{1/r} of a Z0 term overflows
+        args = ["check", "--kappa2", "0.5022", "--b-min", "0.12",
+                "--omega-min", "0.0052", "--omega-max", "24", "--b0-l1", "1",
+                "--lap-sum", "4747", "--c-p", "3.3", "--constant-C", "0.0011"]
+        assert main(args) == 3
+        assert "floating-point range" in capsys.readouterr().err
+
+    def test_underflowing_coefficient_is_inconclusive(self, capsys):
+        # omega_min**2 underflows to 0, so the B coefficient at t = 0
+        # divides by zero
+        assert main(["check", "--omega-min", "1e-200", "--lap-sum", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "Z0 coefficient B" in err and "floating-point range" in err
+
+
+class TestSharedEnvelopeTerms:
+    """z0 and a(t) build s, the b-mass and omega envelopes and Y2 once; they
+    must equal, bit for bit, the same formulas read from the public
+    envelope methods."""
+
+    @staticmethod
+    def from_public_methods(env, t, C):
+        bd = env.bounds
+        y = env.y2(t)
+        q = y**0.25
+        z0 = (env.b_l1_upper(t, "max") + env.coeff_A(t) * q
+              + env.coeff_B(t) * q**2 + env.coeff_C(t) * y
+              + env.coeff_D(t) * y**1.5)
+        s = 1.0 + bd.kappa2 * bd.omega_max * np.asarray(t, dtype=float)
+        inner = (env.coeff_A(t) + env.coeff_B(t) * q
+                 + env.coeff_C(t) * q**3 + env.coeff_D(t) * q**5)
+        a = 2.0 * C * s ** (1.0 / bd.kappa2 - 1.0) * inner
+        return z0, a
+
+    def test_bitwise_equal_to_public_formula(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            bd = random_bounds(rng, kappa2=rng.uniform(0.5, 3.0))
+            cfg = CriterionConfig(c_omega_kappa=10 ** rng.uniform(-3, 0))
+            C = cfg.c_omega_kappa
+            env = EnvelopeSet(bd)
+            times = [np.concatenate([[0.0], rng.uniform(0.0, 50.0, 20),
+                                     geometric_times(1e4, 0.1)]),
+                     0.0, float(rng.uniform(0.0, 5.0)),
+                     float(10 ** rng.uniform(0, 4))]
+            for t in times:
+                z0, a = self.from_public_methods(env, t, C)
+                assert np.array_equal(env.z0(t), z0)
+                assert np.array_equal(env.a(t, C), a)
+                assert type(env.a(t, C)) is type(a)
+                assert np.array_equal(margin(t, bd, cfg),
+                                      env.mu_min(t) - C * env.z0(t))
 
 
 class TestFullReport:

@@ -640,6 +640,14 @@ class TestCli:
                      "--dt", "0.005"]) == 0
         assert "all envelope checks passed" in capsys.readouterr().out
 
+    def test_verify_refuses_small_kappa2_before_simulating(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        assert main(["verify", "--kappa2", "0.4", "--resolution", "16",
+                     "--t-end", "1", "--out", str(out)]) == 3
+        assert "kappa2 > 1/2" in capsys.readouterr().err
+        assert not (out / "monitor.csv").exists()
+
     def test_verify_default_step_is_stable(self):
         # with a diffusive step above the RK4 limit this run left the
         # omega envelope at t ~ 0.49
