@@ -72,8 +72,7 @@ def margin(t, bounds: DataBounds, config: CriterionConfig):
     """mu_min(t) - c_omega_kappa * Z0(t); positive margin certifies
     existence up to t."""
     bounds.require_large_kappa2()
-    env = EnvelopeSet(bounds)
-    return env.mu_min(t) - config.c_omega_kappa * env.z0(t)
+    return EnvelopeSet(bounds)._terms(t).margin(config.c_omega_kappa)
 
 
 def _at_zero(name, coeff, *args):
@@ -180,7 +179,9 @@ class _TailModel:
 
 def _first_root(ts, vals, f):
     """First t with f <= 0 given grid samples; bisect the bracketing
-    interval when the sign change is interior."""
+    interval when the sign change is interior.  The samples come from the
+    array path and f from the scalar one, which can differ in the last bit,
+    so f is read at the bracket before brentq needs its signs."""
     bad = np.nonzero(vals <= 0.0)[0]
     if bad.size == 0:
         return None
@@ -190,63 +191,76 @@ def _first_root(ts, vals, f):
     a, b = float(ts[j - 1]), float(ts[j])
     if vals[j] == 0.0:
         return b
+    if f(a) <= 0.0:
+        return a
+    if f(b) > 0.0:
+        return b
     return float(brentq(f, a, b, rtol=1e-10))
 
 
-def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
-    """Sample the margin over [0, horizon) and report the verdict.
+def _check_horizon(bounds, config, tail):
+    """The finite range the margin is sampled on: config.horizon, or for an
+    infinite one the range beyond which the tail model certifies it."""
+    if not math.isinf(config.horizon):
+        return config.horizon
+    k2om = bounds.kappa2 * bounds.omega_max
+    s_cert = tail.certified_from(1.0 + k2om * config.sup_horizon)
+    return (s_cert - 1.0) / k2om
 
-    With horizon = inf the finite sampling range is chosen so that the
-    analytic tail model certifies positivity beyond it.
-    """
-    bounds.require_large_kappa2()
 
+def _a0_horizon(bounds, config, tail):
+    """The finite range a(t) is sampled on, stretched to cover every
+    bound-term peak."""
+    horizon = config.sup_horizon
+    for _, p, q in tail.a_terms:
+        horizon = max(horizon, (tail.peak_s(p, q) - 1.0)
+                      / (bounds.kappa2 * bounds.omega_max))
+    return horizon
+
+
+def _a0_finite(bounds):
+    """For 1/2 < kappa2 < 1 with nonzero initial velocity a(t) grows
+    without bound and a0 is infinite."""
+    return not (bounds.kappa2 < 1.0 and bounds.v0_l2sq > 0.0)
+
+
+def _joint_times(horizons, delta):
+    """The geometric grid of the longest horizon with each shorter horizon
+    appended, and per horizon the positions in it of its own grid
+    geometric_times(h, delta): the longer grid's samples below h, then h."""
+    grid = geometric_times(max(horizons), delta)
+    ts, picks = grid, []
+    for h in horizons:
+        if h == grid[-1]:
+            picks.append(slice(None, grid.size))
+        else:
+            below = np.arange(np.searchsorted(grid, h))
+            picks.append(np.append(below, ts.size))
+            ts = np.append(ts, h)
+    return ts, picks
+
+
+def _verdict(env, config, ts, vals):
+    """The criterion report from the margin samples vals at times ts."""
     def f(t):
-        return float(margin(t, bounds, config))
+        return float(margin(t, env.bounds, config))
 
-    horizon = config.horizon
-    if math.isinf(horizon):
-        tail = _TailModel(bounds, config.c_omega_kappa)
-        s_cert = tail.certified_from(
-            1.0 + bounds.kappa2 * bounds.omega_max * config.sup_horizon)
-        horizon = (s_cert - 1.0) / (bounds.kappa2 * bounds.omega_max)
-    ts = geometric_times(horizon, config.delta)
-
-    vals = margin(ts, bounds, config)
     root = _first_root(ts, vals, f)
-    samples = list(zip(ts.tolist(), np.asarray(vals).tolist()))
     return CriterionReport(
         holds=root is None,
         first_violation_t=root,
-        margin_samples=samples,
+        margin_samples=list(zip(ts.tolist(), vals.tolist())),
         c_omega_kappa=config.c_omega_kappa,
         horizon=config.horizon,
     )
 
 
-def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
-    """sup over t >= 0 of
-
-        2 C s^{1/kappa2 - 1} (A + B Y2^{1/4} + C Y2^{3/4} + D Y2^{5/4})
-
-    For 1/2 < kappa2 < 1 with nonzero initial velocity the integrand
-    grows without bound and the supremum is infinite; math.inf is
-    returned rather than a truncated value.
-    """
-    bounds.require_large_kappa2()
-    b = bounds
+def _a0(env, tail, config, ts, vals):
+    """a0 from the a(t) samples vals at times ts: the grid maximum, refined
+    by a bounded Brent search around it, against the analytic tail bound."""
+    b = env.bounds
     k2 = b.kappa2
     Cc = config.c_omega_kappa
-    if k2 < 1.0 and b.v0_l2sq > 0.0:
-        return math.inf
-    env = EnvelopeSet(bounds)
-    # finite sampling range, stretched to cover every bound-term peak
-    tail = _TailModel(bounds, Cc)
-    horizon = config.sup_horizon
-    for _, p, q in tail.a_terms:
-        horizon = max(horizon, (tail.peak_s(p, q) - 1.0) / (k2 * b.omega_max))
-    ts = geometric_times(horizon, config.delta)
-    vals = np.asarray(env.a(ts, Cc))
     j = int(np.argmax(vals))
     best = float(vals[j])
     lo = float(ts[max(j - 1, 0)])
@@ -268,6 +282,39 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     return max(best, tail_sup)
 
 
+def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
+    """Sample the margin over [0, horizon) and report the verdict.
+
+    With horizon = inf the finite sampling range is chosen so that the
+    analytic tail model certifies positivity beyond it.
+    """
+    bounds.require_large_kappa2()
+    tail = (_TailModel(bounds, config.c_omega_kappa)
+            if math.isinf(config.horizon) else None)
+    ts = geometric_times(_check_horizon(bounds, config, tail), config.delta)
+    env = EnvelopeSet(bounds)
+    return _verdict(env, config, ts,
+                    env._terms(ts).margin(config.c_omega_kappa))
+
+
+def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
+    """sup over t >= 0 of
+
+        2 C s^{1/kappa2 - 1} (A + B Y2^{1/4} + C Y2^{3/4} + D Y2^{5/4})
+
+    For 1/2 < kappa2 < 1 with nonzero initial velocity the integrand
+    grows without bound and the supremum is infinite; math.inf is
+    returned rather than a truncated value.
+    """
+    bounds.require_large_kappa2()
+    if not _a0_finite(bounds):
+        return math.inf
+    tail = _TailModel(bounds, config.c_omega_kappa)
+    ts = geometric_times(_a0_horizon(bounds, config, tail), config.delta)
+    env = EnvelopeSet(bounds)
+    return _a0(env, tail, config, ts, env._terms(ts).a(config.c_omega_kappa))
+
+
 def _corollary(bounds, config, a0):
     """(z1, z2) given a0; a0 is only read when lap_sum > 0."""
     lhs = bounds.b_min / bounds.omega_max
@@ -287,8 +334,22 @@ def check_corollary(bounds: DataBounds, config: CriterionConfig):
 
 
 def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
-    """check_glob_add augmented with a0 and the corollary verdicts."""
-    report = check_glob_add(bounds, config)
-    report.a0 = compute_a0(bounds, config)
+    """check_glob_add augmented with a0 and the corollary verdicts, from one
+    tail model and one envelope table shared by the margin and a(t)."""
+    bounds.require_large_kappa2()
+    C = config.c_omega_kappa
+    a0_finite = _a0_finite(bounds)
+    tail = (_TailModel(bounds, C)
+            if math.isinf(config.horizon) or a0_finite else None)
+    horizons = [_check_horizon(bounds, config, tail)]
+    if a0_finite:
+        horizons.append(_a0_horizon(bounds, config, tail))
+    ts, picks = _joint_times(horizons, config.delta)
+    env = EnvelopeSet(bounds)
+    terms = env._terms(ts)
+    cert, sup = picks[0], picks[-1]
+    report = _verdict(env, config, ts[cert], terms.margin(C)[cert])
+    report.a0 = (_a0(env, tail, config, ts[sup], terms.a(C)[sup])
+                 if a0_finite else math.inf)
     report.z1_holds, report.z2_holds = _corollary(bounds, config, report.a0)
     return report

@@ -101,10 +101,7 @@ def geometric_times(horizon, delta=0.01):
         return np.zeros(1)
     jmax = int(math.ceil(math.log1p(horizon) / math.log1p(delta)))
     t = np.expm1(np.arange(jmax + 1) * math.log1p(delta))
-    t[t > horizon] = horizon
-    if t[-1] < horizon:
-        t = np.append(t, horizon)
-    return np.unique(t)
+    return np.append(t[t < horizon], horizon)
 
 
 class EnvelopeSet:
@@ -119,8 +116,16 @@ class EnvelopeSet:
     # -- helpers ----------------------------------------------------------
 
     def _t(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        """Checked times: a float (np.float64 included) as an np.float64
+        scalar, so scalar calls skip the 0-d array machinery; anything
+        else as a float array."""
+        if isinstance(t, float):
+            t = np.float64(t)
+            negative = t < 0
+        else:
+            t = np.asarray(t, dtype=float)
+            negative = np.any(t < 0)
+        if negative:
             raise ValueError("envelope functions require t >= 0")
         return t
 
@@ -150,12 +155,13 @@ class EnvelopeSet:
         b = self.bounds
         return b.lap_sum * np.exp(-b.kappa2 * self._decay_exponent(s))
 
-    def _shared(self, t):
-        """The clock s, the "max" b-mass envelope, the omega lower envelope
-        and Y2 at already-checked times t: the terms z0 and a share."""
-        self.bounds.require_large_kappa2()
-        s = self._s(t)
-        return s, self._b_mass(s), self._omega_lower(t), self._y2(s)
+    def _mu_min(self, s):
+        b = self.bounds
+        return (b.b_min / b.omega_max) * s ** (1.0 - 1.0 / b.kappa2)
+
+    def _terms(self, t):
+        """The table of z0 and a(t) terms at times t, checked here."""
+        return _Terms(self, self._t(t))
 
     # -- pointwise scalar envelopes ---------------------------------------
 
@@ -191,9 +197,7 @@ class EnvelopeSet:
 
     def mu_min(self, t):
         """Lower envelope of the eddy viscosity, b_lower/omega_upper."""
-        b = self.bounds
-        t = self._t(t)
-        return (b.b_min / b.omega_max) * self._s(t) ** (1.0 - 1.0 / b.kappa2)
+        return self._mu_min(self._s(self._t(t)))
 
     # -- energy-norm envelopes (need kappa2 > 1/2) ------------------------
 
@@ -223,20 +227,45 @@ class EnvelopeSet:
 
     def z0(self, t):
         """b_l1_upper(max) + A Y2^{1/4} + B Y2^{1/2} + C Y2 + D Y2^{3/2}."""
-        _, bmax, w, y = self._shared(self._t(t))
-        q = y**0.25
-        return (bmax
-                + coeff_a(self.bounds.v0_l2sq, bmax) * q
-                + coeff_b(bmax, w) * q**2
-                + coeff_c(bmax, w) * y
-                + coeff_d(w) * y**1.5)
+        return self._terms(t).z0()
 
     def a(self, t, c_omega_kappa):
         """2 C s^{1/kappa2 - 1} (A + B Y2^{1/4} + C Y2^{3/4} + D Y2^{5/4}),
         whose supremum over t >= 0 is the corollary's a0."""
-        s, bmax, w, y = self._shared(self._t(t))
-        q = y**0.25
-        inner = (coeff_a(self.bounds.v0_l2sq, bmax) + coeff_b(bmax, w) * q
-                 + coeff_c(bmax, w) * q**3 + coeff_d(w) * q**5)
-        return (2.0 * c_omega_kappa * s ** (1.0 / self.bounds.kappa2 - 1.0)
-                * inner)
+        return self._terms(t).a(c_omega_kappa)
+
+
+class _Terms:
+    """Every envelope term that z0, a(t) and the criterion's margin read,
+    built once at one set of checked times: the clock s, the "max" b-mass
+    envelope bmax, Y2, q = Y2^{1/4}, and the Z0 coefficients A-D from the
+    omega lower envelope."""
+
+    def __init__(self, env, t):
+        b = env.bounds
+        b.require_large_kappa2()
+        self.env = env
+        self.s = s = env._s(t)
+        self.bmax = bmax = env._b_mass(s)
+        w = env._omega_lower(t)
+        self.y = y = env._y2(s)
+        self.q = y**0.25
+        self.A = coeff_a(b.v0_l2sq, bmax)
+        self.B = coeff_b(bmax, w)
+        self.C = coeff_c(bmax, w)
+        self.D = coeff_d(w)
+
+    def z0(self):
+        q, y = self.q, self.y
+        return (self.bmax + self.A * q + self.B * q**2 + self.C * y
+                + self.D * y**1.5)
+
+    def a(self, c_omega_kappa):
+        q = self.q
+        inner = self.A + self.B * q + self.C * q**3 + self.D * q**5
+        return (2.0 * c_omega_kappa
+                * self.s ** (1.0 / self.env.bounds.kappa2 - 1.0) * inner)
+
+    def margin(self, c_omega_kappa):
+        """mu_min - c_omega_kappa * z0."""
+        return self.env._mu_min(self.s) - c_omega_kappa * self.z0()

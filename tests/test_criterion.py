@@ -1,5 +1,6 @@
 """Existence criterion: closed-form checks, root finding, a0, corollary."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_corollary, check_glob_add,
                    compute_a0, full_report, geometric_times, margin)
 from kturb.cli import main
+from kturb.criterion import _first_root, _joint_times
 from tests.test_envelopes import random_bounds, simple_bounds
 
 PI2 = 2.0 * math.pi
@@ -113,6 +115,31 @@ class TestCheckGlobAdd:
         rep = check_glob_add(bd, CriterionConfig(c_omega_kappa=0.2,
                                                  horizon=math.inf))
         assert rep.holds and math.isinf(rep.horizon)
+
+    def test_scalar_margin_disagreeing_with_samples(self):
+        # the scalar margin brentq reads may differ from the sampled one in
+        # the last bit; a bracket end that already shows the sign change
+        # is the root, and brentq only sees brackets that change sign
+        ts, vals = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, -0.5])
+        assert _first_root(ts, vals, lambda t: -1.0) == 1.0
+        assert _first_root(ts, vals, lambda t: 1.0) == 2.0
+        assert _first_root(ts, vals, lambda t: 1.5 - t) == pytest.approx(1.5)
+
+    def test_sample_sign_flip_cli(self, capsys):
+        # C sits within an ulp of a sample's critical value; brentq used to
+        # see two positive ends and the command failed with exit 3
+        args = ["check", "--b-min", "3.7592877558287747",
+                "--omega-min", "1.6524364281608261",
+                "--omega-max", "6.324655229935287",
+                "--b0-l1", "9.216691367522627",
+                "--v0-l2sq", "5.530379528488172",
+                "--lap-sum", "6.917257743704043",
+                "--kappa2", "1.7053574527161148",
+                "--c-p", "2.7839656427229507",
+                "--constant-C", "0.0018376849303752742", "--horizon", "20"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out and "first violation at t = " in out
 
     def test_infinite_horizon_inconclusive_for_extreme_ratio(self):
         # omega_min / omega_max ~ 1e-250 pushes the certified tail start
@@ -324,3 +351,72 @@ class TestFullReport:
         assert rep.holds
         assert rep.a0 is not None and rep.a0 > 0
         assert rep.z1_holds is not None and rep.z2_holds is not None
+
+    def test_joint_grid_holds_each_grid(self):
+        # a shorter grid is the longer one's samples below its horizon,
+        # then the horizon, so one table serves both horizons
+        rng = np.random.default_rng(64)
+        points = np.expm1(np.arange(1, 2000, 37) * math.log1p(0.01))
+        for _ in range(300):
+            h1 = float(rng.choice([10 ** rng.uniform(-3, 6),
+                                   rng.choice(points)]))
+            h2 = float(rng.choice([10 ** rng.uniform(-3, 6), h1, 0.0,
+                                   rng.choice(points)]))
+            for hs in ([h1, h2], [h2, h1], [h1]):
+                ts, picks = _joint_times(hs, 0.01)
+                for h, pick in zip(hs, picks):
+                    assert ts[pick].tobytes() == \
+                        geometric_times(h, 0.01).tobytes(), (h, hs)
+
+    @staticmethod
+    def outcome(fn):
+        # the extreme bounds take some envelope terms to inf or nan, which
+        # numpy warns about; what is compared is the result
+        with np.errstate(all="ignore"):
+            try:
+                return repr(fn())
+            except (InconclusiveTail, ArithmeticError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+    @staticmethod
+    def separately(bd, cfg):
+        rep = check_glob_add(bd, cfg)
+        rep.a0 = compute_a0(bd, cfg)
+        rep.z1_holds, rep.z2_holds = check_corollary(bd, cfg)
+        return rep
+
+    def test_equals_separate_functions(self):
+        # full_report samples the margin and a(t) from one table on one
+        # grid; it must match the three public functions byte for byte,
+        # with check horizons below, equal to and above the a0 horizon
+        rng = np.random.default_rng(63)
+        cases = [
+            (DataBounds(b_min=1.0, omega_min=1e-250, omega_max=1.0,
+                        b0_l1=1.0, v0_l2sq=0.0, lap_sum=0.0, kappa2=1.0,
+                        c_p=1.0), 1.0),
+            (DataBounds(b_min=0.12, omega_min=0.0052, omega_max=24.0,
+                        b0_l1=1.0, v0_l2sq=0.0, lap_sum=4747.0,
+                        kappa2=0.5022, c_p=3.3), 0.0011),
+            (simple_bounds(omega_min=1e-200, lap_sum=1.0), 1.0),
+        ]
+        for _ in range(60):
+            bd = random_bounds(rng, kappa2=rng.uniform(0.55, 3.0))
+            if rng.uniform() < 0.3:
+                bd = dataclasses.replace(bd, lap_sum=0.0)
+            cases.append((bd, 10 ** rng.uniform(-3, 0)))
+        kinds = {"inconclusive": 0, "infinite a0": 0, "report": 0}
+        for bd, C in cases:
+            for horizon in (math.inf, 0.0, 0.03, 20.0, 1e5):
+                for sup in (10.0, 1e4):
+                    cfg = CriterionConfig(c_omega_kappa=C, horizon=horizon,
+                                          sup_horizon=sup)
+                    got = self.outcome(lambda: full_report(bd, cfg))
+                    assert got == self.outcome(
+                        lambda: self.separately(bd, cfg)), (bd, cfg)
+                    if got.startswith("InconclusiveTail"):
+                        kinds["inconclusive"] += 1
+                    elif "a0=inf" in got:
+                        kinds["infinite a0"] += 1
+                    else:
+                        kinds["report"] += 1
+        assert min(kinds.values()) > 0, kinds

@@ -190,6 +190,70 @@ class TestGuards:
                 fn(-0.5)
             with pytest.raises(ValueError):
                 fn(np.array([0.0, 1.0, -1e-9]))
+            for t in (np.float64(-0.5), np.array(-0.5), -1e-300):
+                with pytest.raises(ValueError):
+                    fn(t)
+        with pytest.raises(ValueError):
+            env.a(-0.5, 1.0)
+
+
+def scalar_formulas(bd, t):
+    """Every public EnvelopeSet method's formula on an np.float64 time,
+    in the envelopes' order of operations, as method name -> value."""
+    k2 = bd.kappa2
+    s = 1.0 + k2 * bd.omega_max * t
+    s_min = 1.0 + k2 * bd.omega_min * t
+    w = bd.omega_min / s_min
+    mass = bd.b0_l1 + 0.5 * bd.v0_l2sq
+    bmax = mass / s ** (1.0 / k2)
+    rate = bd.b_min / (bd.omega_max**2 * (2.0 * k2 - 1.0)) / bd.c_p**2
+    expo = rate * (s ** (2.0 - 1.0 / k2) - 1.0)
+    y = bd.lap_sum * np.exp(-k2 * expo)
+    A = (bd.v0_l2sq + bmax**2) ** 0.25
+    B = 1.0 + 1.0 / w + bmax / w + bmax / w**2
+    C = 1.0 / w + 1.0 / w**2 + bmax / w**2 + bmax / w**3
+    D = 1.0 / w**2 + 1.0 / w**3
+    q = y**0.25
+    return {
+        "omega_lower": w,
+        "omega_upper": bd.omega_max / s,
+        "b_lower": bd.b_min / s ** (1.0 / k2),
+        "b_l1_upper": bmax,
+        "b_l1_upper_min": mass / s_min ** (1.0 / k2),
+        "mu_min": (bd.b_min / bd.omega_max) * s ** (1.0 - 1.0 / k2),
+        "v_l2_envelope": bd.v0_l2 * np.exp(-expo),
+        "y2": y,
+        "coeff_A": A, "coeff_B": B, "coeff_C": C, "coeff_D": D,
+        "z0": bmax + A * q + B * q**2 + C * y + D * y**1.5,
+        "a": (2.0 * 0.3 * s ** (1.0 / k2 - 1.0)
+              * (A + B * q + C * q**3 + D * q**5)),
+    }
+
+
+class TestScalarTimes:
+    """A float time runs as an np.float64 scalar: a Python float, an
+    np.float64 and a 0-d array must give the same bits and the same
+    result type as the formula evaluated on np.float64 scalars."""
+
+    def test_scalar_kinds_match_formula(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            bd = random_bounds(rng, kappa2=rng.uniform(0.5, 3.0))
+            env = EnvelopeSet(bd)
+            methods = {name: getattr(env, name) for name in (
+                "omega_lower", "omega_upper", "b_lower", "b_l1_upper",
+                "mu_min", "v_l2_envelope", "y2", "coeff_A", "coeff_B",
+                "coeff_C", "coeff_D", "z0")}
+            methods["b_l1_upper_min"] = lambda t: env.b_l1_upper(t, "min")
+            methods["a"] = lambda t: env.a(t, 0.3)
+            for t in (0.0, float(rng.uniform(0.0, 5.0)),
+                      float(10 ** rng.uniform(0, 6))):
+                want = scalar_formulas(bd, np.float64(t))
+                for name, fn in methods.items():
+                    for arg in (t, np.float64(t), np.array(t)):
+                        got = fn(arg)
+                        assert type(got) is np.float64, (name, type(arg))
+                        assert got.tobytes() == want[name].tobytes(), name
 
 
 def z0_oracle(bd, t):
@@ -226,6 +290,25 @@ class TestGeometricTimes:
         assert np.all(np.diff(t) > 0)
         # consecutive shifted samples grow by at most the factor 1+delta
         assert np.all((1 + t[1:]) <= (1 + t[:-1]) * 1.01 * (1 + 1e-12))
+
+    def test_equals_sorted_unique_form(self):
+        # the grid is built sorted, so it needs no np.unique pass: it is the
+        # clipped expm1 samples with duplicates removed
+        def unique_form(horizon, delta):
+            jmax = int(math.ceil(math.log1p(horizon) / math.log1p(delta)))
+            t = np.expm1(np.arange(jmax + 1) * math.log1p(delta))
+            t[t > horizon] = horizon
+            if t[-1] < horizon:
+                t = np.append(t, horizon)
+            return np.unique(t)
+
+        for delta in (0.01, 0.05, 0.1, 1e-3, 0.37):
+            points = np.expm1(np.arange(1, 300) * math.log1p(delta))
+            horizons = [0.03, 20.0, 1e4] + list(points[::7])
+            for h in horizons:
+                got, want = geometric_times(h, delta), unique_form(h, delta)
+                assert got.tobytes() == want.tobytes(), (h, delta)
+        assert geometric_times(0.0).tobytes() == np.zeros(1).tobytes()
 
     def test_edge_cases(self):
         assert np.array_equal(geometric_times(0.0), np.zeros(1))

@@ -11,8 +11,13 @@ manufactured-solution study (`run_mms` at t_end 0.04, default dts) as
 `mms_study_ms`, and `full_report` with an infinite horizon on fixed-seed
 random bounds, drawn as the `criterion` benchmark workload draws them,
 as `criterion_report_ms`.  Each figure is the min and median of several
-calls, in ms.  It also runs the tier-1 suite once in a subprocess and
-records its wall time and pass count.
+calls, in ms.  The two whole-study rows also keep every sample and their
+interquartile range over the median, `iqr_over_median`: a difference
+between two runs smaller than that ratio does not resolve.  (The
+`criterion_report_ms` samples are of 300 different bounds, in the same
+order on every run, so they can also be compared input by input.)  It
+also runs the tier-1 suite once in a subprocess and records its wall
+time and pass count.
 
 --src times another checkout's package (for example the parent commit's
 `src`); a checkout whose TorusGrid transforms have no dealiased flag is
@@ -45,6 +50,15 @@ def _stats(times):
     ms = np.asarray(times) * 1e3
     return {"min": round(float(ms.min()), 4),
             "median": round(float(np.median(ms)), 4)}
+
+
+def _spread(times):
+    """_stats plus every sample and the interquartile range over the
+    median."""
+    ms = np.asarray(times) * 1e3
+    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+    return dict(_stats(times), iqr_over_median=round(float((q3 - q1) / med), 4),
+                samples=[round(float(x), 4) for x in ms])
 
 
 def _timed(fn, prepare, repeats):
@@ -119,7 +133,7 @@ def time_mms_study():
 
     cfg = RunConfig(resolution=(16, 16, 16), t_end=0.04)
     run_mms(cfg)
-    return _stats(_timed(lambda: run_mms(cfg), lambda: None, MMS_REPEATS))
+    return _spread(_timed(lambda: run_mms(cfg), lambda: None, MMS_REPEATS))
 
 
 def time_criterion_report(kturb):
@@ -141,7 +155,7 @@ def time_criterion_report(kturb):
         t0 = time.perf_counter()
         kturb.full_report(bounds, cfg)
         times.append(time.perf_counter() - t0)
-    return _stats(times)
+    return _spread(times)
 
 
 def run_tier1(root, src):
@@ -206,8 +220,11 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(json.dumps({k: result[k] for k in (
-        "layers", "mms_study_ms", "criterion_report_ms")}, indent=1))
+    shown = {k: result[k] for k in ("layers", "mms_study_ms",
+                                     "criterion_report_ms")}
+    for k in ("mms_study_ms", "criterion_report_ms"):
+        shown[k] = {s: v for s, v in shown[k].items() if s != "samples"}
+    print(json.dumps(shown, indent=1))
 
 
 if __name__ == "__main__":
