@@ -9,9 +9,9 @@ global-existence criterion comparing the eddy-viscosity floor mu_min(t)
 against the smallness functional Z0(t).
 """
 
-from .criterion import (CriterionConfig, CriterionReport, check_corollary,
-                        check_glob_add, compute_a0, full_report, margin)
-from .dynamics import Forcing, ModelParams, State, eddy_viscosity, energy_flux
+from .criterion import (CriterionConfig, CriterionReport, check_glob_add,
+                        compute_a0, full_report, margin)
+from .dynamics import Forcing, ModelParams, State
 from .envelopes import DataBounds, EnvelopeSet, geometric_times
 from .errors import (BlowUp, ConfigError, InconclusiveTail, Kappa2TooSmall,
                      KturbError, NonPositiveOmega, PositivityViolation,
@@ -22,12 +22,11 @@ from .integrator import StepControl, advance, compute_dt
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGrid", "ModelParams", "State",
-    "Forcing", "eddy_viscosity", "energy_flux",
+    "TorusGrid", "ModelParams", "State", "Forcing",
     "StepControl", "compute_dt", "advance",
     "DataBounds", "EnvelopeSet", "geometric_times",
     "CriterionConfig", "CriterionReport", "margin", "check_glob_add",
-    "compute_a0", "check_corollary", "full_report",
+    "compute_a0", "full_report",
     "KturbError", "NonPositiveOmega", "PositivityViolation", "BlowUp",
     "Kappa2TooSmall", "InconclusiveTail", "VerificationFailure",
     "ConfigError",

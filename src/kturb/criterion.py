@@ -75,16 +75,22 @@ def margin(t, bounds: DataBounds, config: CriterionConfig):
     return EnvelopeSet(bounds)._terms(t).margin(config.c_omega_kappa)
 
 
-def _at_zero(name, coeff, *args):
-    """A Z0 coefficient at t = 0 as a float, or InconclusiveTail when it
-    is out of floating-point range (omega_min**3 underflows to 0 below
-    about 1e-108)."""
+def _out_of_range(term, t):
+    return InconclusiveTail(
+        f"the {term} at t = {t:.12g} is out of floating-point range")
+
+
+def _in_range(name, t, coeff, *args):
+    """The Z0 coefficient coeff(*args) at time t as a float, or
+    InconclusiveTail when it is infinite or overflows, or divides by 0
+    (omega_min**3 underflows to 0 below about 1e-108)."""
     try:
-        return coeff(*args)
+        val = coeff(*args)
     except (ZeroDivisionError, OverflowError):
-        raise InconclusiveTail(
-            f"the Z0 coefficient {name} at t = 0 is out of floating-point "
-            "range") from None
+        val = math.inf
+    if not math.isfinite(val):
+        raise _out_of_range(f"Z0 coefficient {name}", t)
+    return val
 
 
 class _TailModel:
@@ -111,10 +117,10 @@ class _TailModel:
         # is at most M (rho s)^{-1/k2}.  With Y0 = 0 only that term is left.
         table = [(M, -1.0 / k2, 0.0)]
         if Y0 > 0:
-            table += [(_at_zero("A", coeff_a, b.v0_l2sq, M), 0.0, 0.25),
-                      (_at_zero("B", coeff_b, M, w), 2.0, 0.5),
-                      (_at_zero("C", coeff_c, M, w), 3.0, 1.0),
-                      (_at_zero("D", coeff_d, w), 3.0, 1.5)]
+            table += [(_in_range("A", 0.0, coeff_a, b.v0_l2sq, M), 0.0, 0.25),
+                      (_in_range("B", 0.0, coeff_b, M, w), 2.0, 0.5),
+                      (_in_range("C", 0.0, coeff_c, M, w), 3.0, 1.0),
+                      (_in_range("D", 0.0, coeff_d, w), 3.0, 1.5)]
         # (log c, p, q) for C*Z0 <= sum of c * s^p * e^{-q beta (s^r - 1)},
         # and the a(t) terms: a Z0 term over Y2^{1/4}, times s^{1/k2 - 1}
         self.terms, self.a_terms = [], []
@@ -181,11 +187,15 @@ def _first_root(ts, vals, f):
     """First t with f <= 0 given grid samples; bisect the bracketing
     interval when the sign change is interior.  The samples come from the
     array path and f from the scalar one, which can differ in the last bit,
-    so f is read at the bracket before brentq needs its signs."""
-    bad = np.nonzero(vals <= 0.0)[0]
+    so f is read at the bracket before brentq needs its signs.  A NaN
+    sample (an out-of-range term times 0) before the first sample <= 0
+    raises InconclusiveTail; -inf is a violation."""
+    bad = np.nonzero(~(vals > 0.0))[0]
     if bad.size == 0:
         return None
     j = int(bad[0])
+    if np.isnan(vals[j]):
+        raise _out_of_range("existence margin", float(ts[j]))
     if j == 0:
         return float(ts[0])
     a, b = float(ts[j - 1]), float(ts[j])
@@ -257,10 +267,14 @@ def _verdict(env, config, ts, vals):
 
 def _a0(env, tail, config, ts, vals):
     """a0 from the a(t) samples vals at times ts: the grid maximum, refined
-    by a bounded Brent search around it, against the analytic tail bound."""
+    by a bounded Brent search around it, against the analytic tail bound.
+    A sample that is not finite comes from an out-of-range term."""
     b = env.bounds
     k2 = b.kappa2
     Cc = config.c_omega_kappa
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise _out_of_range("a0 integrand a(t)", float(ts[bad[0]]))
     j = int(np.argmax(vals))
     best = float(vals[j])
     lo = float(ts[max(j - 1, 0)])
@@ -274,8 +288,9 @@ def _a0(env, tail, config, ts, vals):
     # analytic tail: every constituent is decreasing past the grid end,
     # so the tail supremum is bounded by the majorants evaluated there
     s_end = 1.0 + k2 * b.omega_max * float(ts[-1])
-    bmax_end = tail.M * tail.rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)
-    tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) * coeff_a(b.v0_l2sq, bmax_end)
+    a_end = _in_range("A", float(ts[-1]), lambda: coeff_a(
+        b.v0_l2sq, tail.M * tail.rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)))
+    tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) * a_end
     for K0, p, q in tail.a_terms:
         logc = math.log(2.0 * Cc * K0) + q * math.log(b.lap_sum)
         tail_sup += math.exp(min(tail.log_term(logc, p, q, s_end), 700.0))
@@ -315,24 +330,6 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     return _a0(env, tail, config, ts, env._terms(ts).a(config.c_omega_kappa))
 
 
-def _corollary(bounds, config, a0):
-    """(z1, z2) given a0; a0 is only read when lap_sum > 0."""
-    lhs = bounds.b_min / bounds.omega_max
-    z1 = lhs > 2.0 * config.c_omega_kappa * (bounds.b0_l1 + 0.5 * bounds.v0_l2sq)
-    if bounds.lap_sum == 0.0:
-        z2 = lhs > 0.0
-    else:
-        z2 = lhs > a0 * bounds.lap_sum**0.25
-    return z1, z2
-
-
-def check_corollary(bounds: DataBounds, config: CriterionConfig):
-    """The two closed-form sufficient conditions (z1, z2)."""
-    bounds.require_large_kappa2()
-    a0 = compute_a0(bounds, config) if bounds.lap_sum != 0.0 else None
-    return _corollary(bounds, config, a0)
-
-
 def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     """check_glob_add augmented with a0 and the corollary verdicts, from one
     tail model and one envelope table shared by the margin and a(t)."""
@@ -351,5 +348,8 @@ def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     report = _verdict(env, config, ts[cert], terms.margin(C)[cert])
     report.a0 = (_a0(env, tail, config, ts[sup], terms.a(C)[sup])
                  if a0_finite else math.inf)
-    report.z1_holds, report.z2_holds = _corollary(bounds, config, report.a0)
+    lhs = bounds.b_min / bounds.omega_max
+    report.z1_holds = lhs > 2.0 * C * (bounds.b0_l1 + 0.5 * bounds.v0_l2sq)
+    report.z2_holds = (lhs > 0.0 if bounds.lap_sum == 0.0
+                       else lhs > report.a0 * bounds.lap_sum**0.25)
     return report

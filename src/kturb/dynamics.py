@@ -107,41 +107,37 @@ class State:
     def b(self):
         return self.y[4]
 
-    def validate(self, div_tol=1e-12, eps_pos=0.0):
+    def validate(self):
         if not np.all(np.isfinite(self.y)):
             raise ValueError("field values must be finite")
         g = self.grid
         vhat = g.rfft(self.y[:3])
         vnorm = np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3)))
         div = ops.div_hat(g, vhat)
-        if np.max(np.abs(div)) > div_tol * max(vnorm, 1e-300) * g.npoints:
+        if np.max(np.abs(div)) > 1e-12 * max(vnorm, 1e-300) * g.npoints:
             raise ValueError("velocity is not divergence-free")
         for i in range(3):
-            if abs(vhat[i][0, 0, 0]) > div_tol * g.npoints:
+            if abs(vhat[i][0, 0, 0]) > 1e-12 * g.npoints:
                 raise ValueError("velocity has nonzero mean")
-        if np.min(self.y[3]) <= eps_pos:
+        if np.min(self.y[3]) <= 0.0:
             raise ValueError("omega must be strictly positive")
-        if np.min(self.y[4]) <= eps_pos:
+        if np.min(self.y[4]) <= 0.0:
             raise ValueError("b must be strictly positive")
         return self
 
 
 class Forcing:
-    """Optional prescribed sources (F_v, F_omega, F_b).
-
-    Either fixed arrays or a callback ``func(t) -> (fv, fom, fb)``
-    returning raw arrays (each entry may be None).  F_v need not be
-    divergence-free: it is injected before the Leray projection.
+    """Prescribed sources (F_v, F_omega, F_b) from a callback
+    ``func(t) -> (fv, fom, fb)`` returning raw arrays (each entry may be
+    None).  F_v need not be divergence-free: it is injected before the
+    Leray projection.
     """
 
-    def __init__(self, f_v=None, f_omega=None, f_b=None, func=None):
-        self._static = (f_v, f_omega, f_b)
+    def __init__(self, func):
         self._func = func
 
     def __call__(self, t):
-        if self._func is not None:
-            return self._func(t)
-        return self._static
+        return self._func(t)
 
 
 def _require_positive_omega(omega, eps_pos, t):
@@ -316,26 +312,3 @@ class TendencyKernel:
         ops.leray_hat(self.grid, out[:3])
         return out
 
-
-def eddy_viscosity(state: State, eps_pos=0.0) -> np.ndarray:
-    """Pointwise eddy viscosity mu = b/omega."""
-    _require_positive_omega(state.omega, eps_pos, state.t)
-    return state.b / state.omega
-
-
-def energy_flux(state: State, params: ModelParams):
-    """Instantaneous integral rates (dE_kin, dB_mass, coupling):
-
-    dE_kin  = -c_v (mu D(v), D(v))          [d/dt of kinetic energy]
-    dB_mass = -(b om, 1) + k4 (mu|D(v)|^2, 1)  [d/dt of the b integral]
-    coupling = -(b om, 1)
-
-    With c_v = kappa4 the production term cancels the viscous loss and
-    dE_kin + dB_mass = coupling.
-    """
-    g = state.grid
-    mu = eddy_viscosity(state)
-    D = g.irfft(ops.sym_grad_hat(g, g.rfft(state.v)))
-    visc = ops.integral(g, mu * _strain_sq(D))
-    bw = ops.integral(g, state.b * state.omega)
-    return (-params.c_v * visc, -bw + params.kappa4 * visc, -bw)

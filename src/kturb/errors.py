@@ -38,17 +38,17 @@ class Kappa2TooSmall(KturbError):
 
 
 class InconclusiveTail(KturbError):
-    """The infinite-horizon sign analysis of the existence margin could not
-    be decided on the sampled range (possible for 1/2 < kappa2 < 1)."""
+    """The existence criterion could not be decided: the infinite-horizon
+    sign analysis of the margin failed on the sampled range (possible for
+    1/2 < kappa2 < 1), or an envelope term is out of floating-point
+    range."""
 
 
 class VerificationFailure(KturbError):
     """A measured norm violated its analytic envelope beyond tolerance."""
 
-    def __init__(self, message, t=None, bound=None, report=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
-        self.t = t
-        self.bound = bound
         self.report = report
 
 

@@ -178,13 +178,9 @@ class _Manufactured:
     the roundoff floor at the smallest tested dt.
     """
 
-    def __init__(self, grid, params, a=None, da=None, gamma=None, dgamma=None):
+    def __init__(self, grid, params):
         self.grid = grid
         self.params = params
-        if a is not None:
-            self.a, self.da = a, da
-        if gamma is not None:
-            self.gamma, self.dgamma = gamma, dgamma
         x1, x2, x3 = grid.coordinates()
         k = [2.0 * math.pi / L for L in grid.lengths]
         self.pv = np.stack([
@@ -259,31 +255,27 @@ def _mms_errors(config: RunConfig, dt):
             ops.lp_norm(grid, final.y[4] - exact[4], 2))
 
 
-def _mms_batch(config, runs, first_failure):
-    """Make the runs, (index in dts, dt) pairs, in order in this process
-    and return one (index, errors, exception, warnings) outcome per run
-    made.
+def _mms_run(config, i, dt, first_failure):
+    """Make the run at dts[i] = dt and return its (errors, exception,
+    warnings) outcome, or None when it is cancelled.
 
     first_failure is the lowest index of a failed run so far, shared by
     the processes of the study.  A run starts only below it, because a
     serial loop over dts stops at its first failure, and a failing run
     lowers it.  So a failure cancels every run not yet started that
     could not change the error raised."""
-    outcomes = []
-    for i, dt in runs:
-        if i > first_failure.value:
-            continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                errors, exc = _mms_errors(config, dt), None
-            except Exception as err:  # raised again by _mms_study
-                errors, exc = None, err
-        outcomes.append((i, errors, exc, [w.message for w in caught]))
-        if exc is not None:
-            with first_failure.get_lock():
-                first_failure.value = min(first_failure.value, i)
-    return outcomes
+    if i > first_failure.value:
+        return None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            errors, exc = _mms_errors(config, dt), None
+        except Exception as err:  # raised again by _mms_study
+            errors, exc = None, err
+    if exc is not None:
+        with first_failure.get_lock():
+            first_failure.value = min(first_failure.value, i)
+    return errors, exc, [w.message for w in caught]
 
 
 # A forked worker's shared first-failure index.  The pool's initializer
@@ -296,32 +288,16 @@ def _init_mms_worker(first_failure):
     _worker_first_failure = first_failure
 
 
-def _mms_worker_batch(config, runs):
-    return _mms_batch(config, runs, _worker_first_failure)
-
-
-def _pack_mms_runs(dts, processes):
-    """One batch of (index in dts, dt) runs per process, the caller's
-    first.  With one process the caller makes every run, in dts order.
-    Otherwise it makes the run with the most steps, and the others go
-    longest-first to the worker with the fewest steps so far."""
-    runs = list(enumerate(dts))
-    if processes == 1:
-        return [runs]
-    longest_first = sorted(runs, key=lambda run: run[1])
-    batches = [longest_first[:1]] + [[] for _ in range(processes - 1)]
-    steps = [0.0] * (processes - 1)
-    for run in longest_first[1:]:
-        w = steps.index(min(steps))
-        batches[w + 1].append(run)
-        steps[w] += 1.0 / run[1]
-    return batches
+def _mms_worker_run(config, i, dt):
+    return _mms_run(config, i, dt, _worker_first_failure)
 
 
 def _mms_study(config: RunConfig, dts, processes):
     """Errors of every dt's run, in dts order, made by `processes`
-    processes: the caller and processes - 1 forked workers, which get
-    their runs before the caller starts its own.
+    processes.  With one, the caller makes every run in dts order.
+    Otherwise the caller makes the run with the most steps, after handing
+    the others, longest first, to a pool of processes - 1 forked workers,
+    each of which takes the next run when it is free.
 
     Every run is deterministic, so its errors do not depend on the
     process that made it.  Warnings from the runs are issued again here,
@@ -330,29 +306,30 @@ def _mms_study(config: RunConfig, dts, processes):
     type, message and t.
     """
     import multiprocessing
-    batches = _pack_mms_runs(dts, processes)
     ctx = multiprocessing.get_context("fork" if processes > 1 else None)
     first_failure = ctx.Value("q", len(dts))
     if processes == 1:
-        outcomes = _mms_batch(config, batches[0], first_failure)
+        made = [_mms_run(config, i, dt, first_failure)
+                for i, dt in enumerate(dts)]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        (i0, dt0), *rest = sorted(enumerate(dts), key=lambda run: run[1])
+        made = [None] * len(dts)
         with ProcessPoolExecutor(processes - 1, mp_context=ctx,
                                  initializer=_init_mms_worker,
                                  initargs=(first_failure,)) as pool:
-            futures = [pool.submit(_mms_worker_batch, config, batch)
-                       for batch in batches[1:]]
-            outcomes = _mms_batch(config, batches[0], first_failure)
-            for fut in futures:
-                outcomes += fut.result()
-    made = {i: rest for i, *rest in outcomes}
-    for i in range(len(dts)):
-        _, exc, messages = made[i]
+            futures = [(i, pool.submit(_mms_worker_run, config, i, dt))
+                       for i, dt in rest]
+            made[i0] = _mms_run(config, i0, dt0, first_failure)
+            for i, fut in futures:
+                made[i] = fut.result()
+    # a cancelled run (None) comes after the failure that is raised first
+    for _, exc, messages in made:
         for message in messages:
             warnings.warn(message, stacklevel=3)
         if exc is not None:
             raise exc
-    return [made[i][0] for i in range(len(dts))]
+    return [errors for errors, _, _ in made]
 
 
 def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),

@@ -146,14 +146,14 @@ class _Marcher:
 
 
 def advance(state: State, t_end: float, params: ModelParams,
-            control: StepControl, callbacks=None, forcing=None) -> State:
+            control: StepControl, callbacks=(), forcing=None) -> State:
     """March from state.t to exactly t_end.
 
     The state is checked in physical space, then projected once onto the
-    2/3 mask; the spectrum stays there.  callbacks: iterable of callables
-    or (cadence, callable) pairs; each callable receives the freshly
-    accepted State, with its spectrum as y_hat, and is invoked on steps
-    1, 1+cadence, 1+2*cadence, ...
+    2/3 mask; the spectrum stays there.  callbacks: (cadence, callable)
+    pairs; each callable receives the freshly accepted State, with its
+    spectrum as y_hat, and is invoked on steps 1, 1+cadence,
+    1+2*cadence, ...
 
     A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
     k2_max) of the current state raises a RuntimeWarning on the first
@@ -166,13 +166,7 @@ def advance(state: State, t_end: float, params: ModelParams,
         raise ValueError("t_end must not precede state.t")
     if t_end == state.t:
         return state
-    cbs = []
-    for cb in callbacks or ():
-        if callable(cb):
-            cbs.append((1, cb))
-        else:
-            every, fn = cb
-            cbs.append((int(every), fn))
+    cbs = [(int(every), fn) for every, fn in callbacks]
 
     g = state.grid
     m = _Marcher(g, params, control, forcing)

@@ -13,11 +13,11 @@ from scipy.optimize import brentq
 
 from kturb import (CriterionConfig, DataBounds, InconclusiveTail,
                    ModelParams, State, StepControl, TorusGrid, advance,
-                   check_corollary, check_glob_add, compute_a0, margin, ops)
+                   check_glob_add, compute_a0, margin, ops)
 from kturb.cli import main
 from kturb.harness import (InitialDataSpec, RunConfig, run_mms, run_verify)
 from kturb.errors import KturbError
-from tests.test_criterion import a_oracle, uniform_box_bounds
+from tests.test_criterion import a_oracle, corollary, uniform_box_bounds
 from tests.test_envelopes import random_bounds
 from tests.test_spectral import random_scalar, random_vector
 
@@ -232,7 +232,7 @@ def test_08_corollary_implies_criterion():
             break
         bd = random_bounds(rng, kappa2=rng.uniform(0.9, 2.5))
         try:
-            z1, z2 = check_corollary(bd, cfg)
+            z1, z2 = corollary(bd, cfg)
             if not (z1 and z2):
                 continue
             accepted += 1

@@ -8,8 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
-                   Kappa2TooSmall, check_corollary, check_glob_add,
-                   compute_a0, full_report, geometric_times, margin)
+                   Kappa2TooSmall, check_glob_add, compute_a0, full_report,
+                   geometric_times, margin)
 from kturb.cli import main
 from kturb.criterion import _first_root, _joint_times
 from tests.test_envelopes import random_bounds, simple_bounds
@@ -206,21 +206,31 @@ class TestComputeA0:
             assert got == pytest.approx(brute, rel=1e-3)
 
 
+def corollary(bd, cfg):
+    """The corollary's (z1, z2), z1: b_min/omega_max > 2C(b0_l1 + v0_l2sq/2)
+    and z2: b_min/omega_max > a0 lap_sum^{1/4}, or > 0 if lap_sum = 0."""
+    lhs = bd.b_min / bd.omega_max
+    z1 = lhs > 2.0 * cfg.c_omega_kappa * (bd.b0_l1 + bd.v0_l2sq / 2.0)
+    if bd.lap_sum == 0.0:
+        return z1, lhs > 0.0
+    return z1, lhs > compute_a0(bd, cfg) * bd.lap_sum**0.25
+
+
 class TestCorollary:
     def test_z1_threshold_arithmetic(self):
         cfg = CriterionConfig(c_omega_kappa=1.0)
         base = dict(b_min=1.0, omega_min=1.0, omega_max=1.0, v0_l2sq=0.0,
                     lap_sum=0.0, kappa2=1.0, c_p=1.0)
-        z1, z2 = check_corollary(DataBounds(b0_l1=0.4, **base), cfg)
+        z1, z2 = corollary(DataBounds(b0_l1=0.4, **base), cfg)
         assert z1 and z2  # 1 > 2 * 0.4 and lap_sum = 0 is trivial
-        z1, z2 = check_corollary(DataBounds(b0_l1=0.6, **base), cfg)
+        z1, z2 = corollary(DataBounds(b0_l1=0.6, **base), cfg)
         assert not z1 and z2  # 1 > 1.2 fails
 
     def test_z2_uses_a0(self):
         bd = DataBounds(b_min=5.0, omega_min=1.0, omega_max=1.0, b0_l1=0.1,
                         v0_l2sq=0.0, lap_sum=1e-6, kappa2=1.0, c_p=1.0)
         cfg = CriterionConfig(c_omega_kappa=0.01)
-        z1, z2 = check_corollary(bd, cfg)
+        z1, z2 = corollary(bd, cfg)
         assert z1 and z2
         a0 = compute_a0(bd, cfg)
         assert 5.0 > a0 * 1e-6**0.25
@@ -234,7 +244,7 @@ class TestCorollary:
         for _ in range(400):
             bd = random_bounds(rng, kappa2=rng.uniform(0.9, 2.5))
             try:
-                z1, z2 = check_corollary(bd, cfg)
+                z1, z2 = corollary(bd, cfg)
             except InconclusiveTail:
                 continue
             if not (z1 and z2):
@@ -256,7 +266,6 @@ class TestGates:
         for call in (lambda: margin(1.0, bd, cfg),
                      lambda: check_glob_add(bd, cfg),
                      lambda: compute_a0(bd, cfg),
-                     lambda: check_corollary(bd, cfg),
                      lambda: full_report(bd, cfg),
                      lambda: env.v_l2_envelope(1.0),
                      lambda: env.y2(1.0),
@@ -302,6 +311,30 @@ class TestTailOutOfRange:
         assert main(["check", "--omega-min", "1e-200", "--lap-sum", "1"]) == 3
         err = capsys.readouterr().err
         assert "Z0 coefficient B" in err and "floating-point range" in err
+
+    @pytest.mark.parametrize("args, term", [
+        # 1/omega_min**3 is inf and lap_sum = 0 multiplies it by 0: every
+        # margin sample was NaN, and the report said HOLDS
+        ("--omega-min 1e-120 --b0-l1 1", "existence margin at t = 0 "),
+        ("--omega-min 1e-120 --b0-l1 1e300", "existence margin at t = 0 "),
+        # the a0 tail bound raised OverflowError; in the second case every
+        # sample is finite
+        ("--omega-min 1e-250 --b0-l1 1", "existence margin at t = 0 "),
+        ("--omega-min 1e-100 --omega-max 1e100 --b0-l1 1 --kappa2 0.6",
+         "Z0 coefficient A at t = 10000 "),
+    ])
+    def test_out_of_range_term_is_inconclusive(self, capsys, args, term):
+        with np.errstate(all="ignore"):
+            assert main(["check", *args.split(), "--horizon", "5"]) == 3
+        assert f"the {term}is out of floating-point range" in \
+            capsys.readouterr().err
+
+    def test_infinite_a_samples_are_inconclusive(self):
+        # bmax**2 overflows, so every a(t) sample is +inf
+        bd = simple_bounds(b0_l1=1e300, v0_l2sq=0.0, lap_sum=0.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                InconclusiveTail, match=r"a0 integrand a\(t\) at t = 0 "):
+            compute_a0(bd, CriterionConfig(horizon=5.0))
 
 
 class TestSharedEnvelopeTerms:
@@ -382,7 +415,7 @@ class TestFullReport:
     def separately(bd, cfg):
         rep = check_glob_add(bd, cfg)
         rep.a0 = compute_a0(bd, cfg)
-        rep.z1_holds, rep.z2_holds = check_corollary(bd, cfg)
+        rep.z1_holds, rep.z2_holds = corollary(bd, cfg)
         return rep
 
     def test_equals_separate_functions(self):

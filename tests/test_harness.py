@@ -26,6 +26,7 @@ from kturb.harness import runs
 from kturb.harness.runs import _Manufactured, report_to_kv
 
 PI2 = 2.0 * math.pi
+RK4_ALARM = "exceeds the RK4 stability limit"
 
 
 def small_run_config(**over):
@@ -465,7 +466,7 @@ class TestMonitor:
 
         final = advance(s, 0.03, ModelParams(),
                         StepControl(dt_max=1.0, dt_fixed=0.01),
-                        callbacks=[keep])
+                        callbacks=[(1, keep)])
         # the projection on entry; the kernel transforms 14-row stacks
         assert [c for c in calls if c[0] == 5] == [s.y.shape]
         assert len(mon.records) == 4
@@ -520,7 +521,8 @@ class TestRunSimulate:
                         initial=InitialDataSpec(kind="uniform"),
                         control=StepControl(dt_max=1.0, dt_fixed=3.0),
                         t_end=30.0, out_dir=str(tmp_path))
-        with pytest.raises((PositivityViolation, BlowUp)):
+        with pytest.raises((PositivityViolation, BlowUp)), \
+                pytest.warns(RuntimeWarning, match=RK4_ALARM):
             run_simulate(cfg)
         assert (tmp_path / "monitor.csv").exists()
 
@@ -552,7 +554,8 @@ class TestRunVerify:
         cfg = small_run_config(
             control=StepControl(dt_max=5.0, dt_fixed=2.0), t_end=10.0)
         with pytest.raises((PositivityViolation, BlowUp,
-                            VerificationFailure)):
+                            VerificationFailure)), \
+                pytest.warns(RuntimeWarning, match=RK4_ALARM):
             run_verify(cfg)
 
 
@@ -562,9 +565,9 @@ class TestManufactured:
         # time stepping must hold the exact fields to roundoff
         g = TorusGrid(resolution=(16, 16, 16))
         p = ModelParams()
-        mms = _Manufactured(g, p,
-                            a=lambda t: 0.05, da=lambda t: 0.0,
-                            gamma=lambda t: 0.5, dgamma=lambda t: 0.0)
+        mms = _Manufactured(g, p)
+        mms.a, mms.da = lambda t: 0.05, lambda t: 0.0
+        mms.gamma, mms.dgamma = lambda t: 0.5, lambda t: 0.0
         final = advance(mms.initial_state(), 0.2, p,
                         StepControl(dt_max=1.0, dt_fixed=0.02),
                         forcing=Forcing(func=mms.forcing))
@@ -632,8 +635,9 @@ class TestCli:
         assert main(args) == 0
         assert os.path.exists(os.path.join(out, "monitor.csv"))
         assert os.path.exists(os.path.join(out, "final.snap"))
-        assert main(["simulate", "--resolution", "16", "--t-end", "30",
-                     "--dt", "3.0"]) == 4
+        with pytest.warns(RuntimeWarning, match=RK4_ALARM):
+            assert main(["simulate", "--resolution", "16", "--t-end", "30",
+                         "--dt", "3.0"]) == 4
 
     def test_verify_smoke(self, tmp_path, capsys):
         assert main(["verify", "--resolution", "16", "--t-end", "0.02",
@@ -786,12 +790,23 @@ class TestRunMms:
         assert main(["mms", "--resolution", "8", "--t-end", "0"]) == 3
         assert "t_end must be finite and positive" in capsys.readouterr().err
 
-    def test_packing(self):
+    def test_caller_makes_the_longest_run(self, monkeypatch):
+        # each run reports the process that made it, and the caller keeps
+        # the order of the runs it makes
+        order = []
+
+        def fake(config, dt):
+            order.append(dt)
+            return (os.getpid(), dt, 0.0)
+
+        monkeypatch.setattr(runs, "_mms_errors", fake)
+        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
         dts = (4e-3, 2e-3, 1e-3)
-        assert runs._pack_mms_runs(dts, 1) == [[(0, 4e-3), (1, 2e-3),
-                                                (2, 1e-3)]]
-        assert runs._pack_mms_runs(dts, 2) == [[(2, 1e-3)],
-                                               [(1, 2e-3), (0, 4e-3)]]
+        me = os.getpid()
+        assert runs._mms_study(cfg, dts, 1) == [(me, dt, 0.0) for dt in dts]
+        assert order == list(dts)
+        (w1, *_), (w2, *_), caller = runs._mms_study(cfg, dts, 2)
+        assert caller == (me, 1e-3, 0.0) and w1 == w2 != me
 
     def test_workers_match_in_process_runs_bitwise(self):
         # dts out of order: the report keeps their order, and the caller
@@ -847,9 +862,10 @@ class TestRunMms:
     def test_failure_cancels_runs_not_yet_started(self, monkeypatch,
                                                   tmp_path):
         # Three processes: the caller makes 1e-3, one worker 2e-3 and the
-        # other 4e-3 then 8e-3.  The 2e-3 run fails once 4e-3 has
-        # started, and 4e-3 ends once it sees that failure.  So 8e-3,
-        # later in dts order than the failure, must never start.
+        # other 4e-3, while 8e-3 waits in the pool's queue.  The 2e-3 run
+        # fails once 4e-3 has started, and 4e-3 ends once it sees that
+        # failure.  So 8e-3, later in dts order than the failure, must
+        # never start, whichever worker takes it.
         def wait_for(done):
             deadline = time.monotonic() + 30.0
             while not done():
@@ -868,8 +884,6 @@ class TestRunMms:
         monkeypatch.setattr(runs, "_mms_errors", fake)
         cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
         dts = (1e-3, 2e-3, 4e-3, 8e-3)
-        assert runs._pack_mms_runs(dts, 3) == [
-            [(0, 1e-3)], [(1, 2e-3)], [(2, 4e-3), (3, 8e-3)]]
         with pytest.raises(PositivityViolation, match="lost positivity"):
             runs._mms_study(cfg, dts, 3)
         ran = sorted(p.name for p in tmp_path.iterdir())

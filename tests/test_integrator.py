@@ -108,7 +108,7 @@ class TestRk4Step:
     def test_blowup_on_nonfinite_forcing(self):
         g = TorusGrid(resolution=(8, 8, 8))
         bad = np.full(g.resolution, np.inf)
-        forcing = Forcing(f_omega=bad)
+        forcing = Forcing(lambda t: (None, bad, None))
         with np.errstate(invalid="ignore"):
             with pytest.raises((BlowUp, PositivityViolation)):
                 one_step(uniform_state(g), 0.01, ModelParams(),
@@ -215,7 +215,7 @@ class TestAdvance:
         seen, every = [], []
         advance(uniform_state(g), 0.25, ModelParams(), ctl,
                 callbacks=[(10, lambda s: seen.append(s.t)),
-                           lambda s: every.append(s.t)])
+                           (1, lambda s: every.append(s.t))])
         # 25 steps; cadence 10 fires on steps 1, 11, 21
         assert len(every) == 25
         assert len(seen) == 3
@@ -241,7 +241,8 @@ class TestAdvance:
         g = TorusGrid(resolution=(8, 8, 8))
         ctl = StepControl(dt_max=1.0, dt_fixed=0.05)
         # strong negative forcing drags b through zero
-        forcing = Forcing(f_b=np.full(g.resolution, -30.0))
+        f_b = np.full(g.resolution, -30.0)
+        forcing = Forcing(lambda t: (None, None, f_b))
         with pytest.raises(PositivityViolation) as exc:
             advance(uniform_state(g), 2.0, ModelParams(), ctl,
                     forcing=forcing)
