@@ -106,7 +106,11 @@ class _TailModel:
         b = bounds
         k2 = b.kappa2
         self.r = 2.0 - 1.0 / k2
-        self.beta = k2 * b.b_min / (b.c_p**2 * b.omega_max**2 * (2.0 * k2 - 1.0))
+        try:
+            self.beta = (k2 * b.b_min
+                         / (b.c_p**2 * b.omega_max**2 * (2.0 * k2 - 1.0)))
+        except (ZeroDivisionError, OverflowError):
+            raise _out_of_range("tail decay rate beta", 0.0) from None
         self.m0 = b.b_min / b.omega_max
         self.rho = rho = b.omega_min / b.omega_max
         self.M = M = b.b0_l1 + 0.5 * b.v0_l2sq
@@ -297,6 +301,9 @@ def _a0(env, tail, config, ts, vals):
     return max(best, tail_sup)
 
 
+# Out-of-range terms are reported as InconclusiveTail, so numpy's own
+# floating-point warnings are not printed ahead of that verdict.
+@np.errstate(all="ignore")
 def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     """Sample the margin over [0, horizon) and report the verdict.
 
@@ -312,6 +319,7 @@ def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionRepo
                     env._terms(ts).margin(config.c_omega_kappa))
 
 
+@np.errstate(all="ignore")
 def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     """sup over t >= 0 of
 
@@ -330,6 +338,7 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     return _a0(env, tail, config, ts, env._terms(ts).a(config.c_omega_kappa))
 
 
+@np.errstate(all="ignore")
 def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     """check_glob_add augmented with a0 and the corollary verdicts, from one
     tail model and one envelope table shared by the margin and a(t)."""

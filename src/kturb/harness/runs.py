@@ -255,49 +255,25 @@ def _mms_errors(config: RunConfig, dt):
             ops.lp_norm(grid, final.y[4] - exact[4], 2))
 
 
-def _mms_run(config, i, dt, first_failure):
-    """Make the run at dts[i] = dt and return its (errors, exception,
-    warnings) outcome, or None when it is cancelled.
-
-    first_failure is the lowest index of a failed run so far, shared by
-    the processes of the study.  A run starts only below it, because a
-    serial loop over dts stops at its first failure, and a failing run
-    lowers it.  So a failure cancels every run not yet started that
-    could not change the error raised."""
-    if i > first_failure.value:
-        return None
+def _mms_outcome(config, dt):
+    """The (errors, exception, warnings) outcome of the run at dt, which
+    _mms_study reads back in dts order from every process."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             errors, exc = _mms_errors(config, dt), None
         except Exception as err:  # raised again by _mms_study
             errors, exc = None, err
-    if exc is not None:
-        with first_failure.get_lock():
-            first_failure.value = min(first_failure.value, i)
     return errors, exc, [w.message for w in caught]
-
-
-# A forked worker's shared first-failure index.  The pool's initializer
-# hands it over, because shared memory cannot be pickled into a call.
-_worker_first_failure = None
-
-
-def _init_mms_worker(first_failure):
-    global _worker_first_failure
-    _worker_first_failure = first_failure
-
-
-def _mms_worker_run(config, i, dt):
-    return _mms_run(config, i, dt, _worker_first_failure)
 
 
 def _mms_study(config: RunConfig, dts, processes):
     """Errors of every dt's run, in dts order, made by `processes`
-    processes.  With one, the caller makes every run in dts order.
-    Otherwise the caller makes the run with the most steps, after handing
-    the others, longest first, to a pool of processes - 1 forked workers,
-    each of which takes the next run when it is free.
+    processes.  With one, the caller makes every run in dts order, and
+    the first failure is raised where it happens.  Otherwise the caller
+    makes the run with the most steps, after handing the others, longest
+    first, to a pool of processes - 1 forked workers, each of which takes
+    the next run when it is free.
 
     Every run is deterministic, so its errors do not depend on the
     process that made it.  Warnings from the runs are issued again here,
@@ -305,25 +281,18 @@ def _mms_study(config: RunConfig, dts, processes):
     order, up to the first failing dt, whose error is raised with its
     type, message and t.
     """
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork" if processes > 1 else None)
-    first_failure = ctx.Value("q", len(dts))
     if processes == 1:
-        made = [_mms_run(config, i, dt, first_failure)
-                for i, dt in enumerate(dts)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        (i0, dt0), *rest = sorted(enumerate(dts), key=lambda run: run[1])
-        made = [None] * len(dts)
-        with ProcessPoolExecutor(processes - 1, mp_context=ctx,
-                                 initializer=_init_mms_worker,
-                                 initargs=(first_failure,)) as pool:
-            futures = [(i, pool.submit(_mms_worker_run, config, i, dt))
-                       for i, dt in rest]
-            made[i0] = _mms_run(config, i0, dt0, first_failure)
-            for i, fut in futures:
-                made[i] = fut.result()
-    # a cancelled run (None) comes after the failure that is raised first
+        return [_mms_errors(config, dt) for dt in dts]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    (i0, dt0), *rest = sorted(enumerate(dts), key=lambda run: run[1])
+    made = [None] * len(dts)
+    with ProcessPoolExecutor(processes - 1, mp_context=fork) as pool:
+        futures = {i: pool.submit(_mms_outcome, config, dt) for i, dt in rest}
+        made[i0] = _mms_outcome(config, dt0)
+        for i, fut in futures.items():
+            made[i] = fut.result()
     for _, exc, messages in made:
         for message in messages:
             warnings.warn(message, stacklevel=3)
@@ -362,16 +331,11 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
     runs = _mms_study(config, dts, processes)
     errors = {name: [r[j] for r in runs]
               for j, name in enumerate(("v", "omega", "b"))}
-    orders = {}
-    passed = True
-    for name, errs in errors.items():
-        ords = []
-        for i in range(len(dts) - 1):
-            ratio = math.log2(dts[i] / dts[i + 1])
-            ords.append(math.log2(errs[i] / errs[i + 1]) / ratio)
-        orders[name] = ords
-        if min(ords) < threshold:
-            passed = False
+    orders = {name: [math.log2(errs[i] / errs[i + 1])
+                     / math.log2(dts[i] / dts[i + 1])
+                     for i in range(len(dts) - 1)]
+              for name, errs in errors.items()}
+    passed = not any(min(ords) < threshold for ords in orders.values())
     return ConvergenceReport(dts=list(dts), errors=errors, orders=orders,
                              passed=passed, threshold=threshold)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,12 +323,20 @@ class TestTailOutOfRange:
         ("--omega-min 1e-250 --b0-l1 1", "existence margin at t = 0 "),
         ("--omega-min 1e-100 --omega-max 1e100 --b0-l1 1 --kappa2 0.6",
          "Z0 coefficient A at t = 10000 "),
+        # omega_max**2 in the tail decay rate raised OverflowError, and
+        # underflowed to a division by zero
+        ("--omega-max 1e200", "tail decay rate beta at t = 0 "),
+        ("--omega-min 1e-200 --omega-max 1e-200",
+         "tail decay rate beta at t = 0 "),
     ])
     def test_out_of_range_term_is_inconclusive(self, capsys, args, term):
-        with np.errstate(all="ignore"):
+        # numpy's RuntimeWarnings were printed ahead of the verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["check", *args.split(), "--horizon", "5"]) == 3
-        assert f"the {term}is out of floating-point range" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"invalid parameters: the {term}is out of " \
+            "floating-point range\n"
 
     def test_infinite_a_samples_are_inconclusive(self):
         # bmax**2 overflows, so every a(t) sample is +inf

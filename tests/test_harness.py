@@ -848,8 +848,11 @@ class TestRunMms:
                                                      processes):
         # with two processes the caller's 2.5e-3 run fails first, and the
         # worker's 5e-3 run must still be made: its error is the one a
-        # serial loop raises
+        # serial loop raises.  One process stops at the first failure.
+        ran = []
+
         def fail(config, dt):
+            ran.append(dt)
             raise BlowUp(f"blow-up at dt = {dt}", t=dt)
 
         monkeypatch.setattr(runs, "_mms_errors", fail)
@@ -858,36 +861,8 @@ class TestRunMms:
             runs._mms_study(cfg, (5e-3, 2.5e-3), processes)
         assert str(exc.value) == "blow-up at dt = 0.005"
         assert exc.value.t == 5e-3
-
-    def test_failure_cancels_runs_not_yet_started(self, monkeypatch,
-                                                  tmp_path):
-        # Three processes: the caller makes 1e-3, one worker 2e-3 and the
-        # other 4e-3, while 8e-3 waits in the pool's queue.  The 2e-3 run
-        # fails once 4e-3 has started, and 4e-3 ends once it sees that
-        # failure.  So 8e-3, later in dts order than the failure, must
-        # never start, whichever worker takes it.
-        def wait_for(done):
-            deadline = time.monotonic() + 30.0
-            while not done():
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-
-        def fake(config, dt):
-            (tmp_path / f"ran-{dt}").touch()
-            if dt == 2e-3:
-                wait_for((tmp_path / "ran-0.004").exists)
-                raise PositivityViolation("lost positivity", t=0.25)
-            if dt == 4e-3:
-                wait_for(lambda: runs._worker_first_failure.value == 1)
-            return (dt, dt, dt)
-
-        monkeypatch.setattr(runs, "_mms_errors", fake)
-        cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
-        dts = (1e-3, 2e-3, 4e-3, 8e-3)
-        with pytest.raises(PositivityViolation, match="lost positivity"):
-            runs._mms_study(cfg, dts, 3)
-        ran = sorted(p.name for p in tmp_path.iterdir())
-        assert ran == ["ran-0.001", "ran-0.002", "ran-0.004"]
+        # a forked worker's runs are not recorded here
+        assert ran == ([5e-3] if processes == 1 else [2.5e-3])
 
 
 def test_public_exports_resolve():

@@ -20,14 +20,11 @@ also runs the tier-1 suite once in a subprocess and records its wall
 time and pass count.
 
 --src times another checkout's package (for example the parent commit's
-`src`); a checkout whose TorusGrid transforms have no dealiased flag is
-timed on its full transforms, with the mask multiply its kernel made.
---parent copies the layer figures of an earlier output file into this
-one, under "parent".
+`src`).  --parent copies the layer figures of an earlier output file
+into this one, under "parent".
 """
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -79,12 +76,11 @@ def time_layers(kturb, n):
     g = kturb.TorusGrid(resolution=(n, n, n))
     params = kturb.ModelParams()
     state = generate_initial(InitialDataSpec(seed=1, band=5), g)
-    pruned = "dealiased" in inspect.signature(g.irfft).parameters
     reps = REPEATS[n]
     rng = np.random.default_rng(n)
     mask = g.dealias_mask
 
-    y_hat = g.rfft(state.y, dealiased=True) if pruned else g.rfft(state.y)
+    y_hat = g.rfft(state.y, dealiased=True)
     kern = TendencyKernel(g, params)
     out = np.empty_like(y_hat)
     kern(y_hat, 0.0, None, out=out)
@@ -94,24 +90,13 @@ def time_layers(kturb, n):
     spec = g.rfft(rng.standard_normal((17,) + g.resolution)) * mask
     work = np.empty_like(spec)
     phys = np.empty((17,) + g.resolution)
-    if pruned:
-        inverse = _timed(lambda: g.irfft(work, out=phys, dealiased=True),
-                         lambda: np.copyto(work, spec), reps)
-    else:
-        inverse = _timed(lambda: g.irfft(work), lambda: None, reps)
+    inverse = _timed(lambda: g.irfft(work, out=phys, dealiased=True),
+                     lambda: np.copyto(work, spec), reps)
 
     prod = rng.standard_normal((14,) + g.resolution)
     fwd = np.empty((14,) + g.spectral_shape, dtype=complex)
-    if pruned:
-        forward = _timed(lambda: g.rfft(prod, out=fwd, dealiased=True),
-                         lambda: None, reps)
-    else:
-        cmask = mask.astype(complex)
-
-        def full():
-            s = g.rfft(prod)
-            s *= cmask
-        forward = _timed(full, lambda: None, reps)
+    forward = _timed(lambda: g.rfft(prod, out=fwd, dealiased=True),
+                     lambda: None, reps)
 
     dt = kturb.compute_dt(state, params, kturb.StepControl(dt_max=1.0))
     ctl = kturb.StepControl(dt_max=1.0, dt_fixed=dt)
@@ -124,7 +109,6 @@ def time_layers(kturb, n):
         "forward14_ms": _stats(forward),
         "rk4_step_ms": _stats(np.asarray(steps) / STEPS_PER_CALL),
         "dt": dt,
-        "pruned_transforms": pruned,
     }
 
 
