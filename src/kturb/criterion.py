@@ -24,8 +24,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .envelopes import (DataBounds, EnvelopeSet, coeff_a, coeff_b, coeff_c,
-                        coeff_d, geometric_times)
+from .envelopes import (DataBounds, EnvelopeSet, coeff_a, decay_exponent,
+                        geometric_times)
 from .errors import InconclusiveTail, require_finite
 
 
@@ -76,21 +76,22 @@ def margin(t, bounds: DataBounds, config: CriterionConfig):
 
 
 def _out_of_range(term, t):
-    return InconclusiveTail(
-        f"the {term} at t = {t:.12g} is out of floating-point range")
+    at = "" if t is None else f" at t = {t:.12g}"
+    return InconclusiveTail(f"the {term}{at} is out of floating-point range")
 
 
-def _in_range(name, t, coeff, *args):
-    """The Z0 coefficient coeff(*args) at time t as a float, or
-    InconclusiveTail when it is infinite or overflows, or divides by 0
-    (omega_min**3 underflows to 0 below about 1e-108)."""
-    try:
-        val = coeff(*args)
-    except (ZeroDivisionError, OverflowError):
-        val = math.inf
-    if not math.isfinite(val):
-        raise _out_of_range(f"Z0 coefficient {name}", t)
-    return val
+def _finite(term, t, value):
+    """value, or InconclusiveTail naming term when it is inf or NaN.  The
+    closed forms run in float64 under np.errstate(all="ignore"), so an
+    overflow or a division by zero reaches this check as inf or NaN."""
+    if not math.isfinite(value):
+        raise _out_of_range(term, t)
+    return value
+
+
+def _log(x):
+    """math.log, or -inf for an x that underflowed to 0, for _finite."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 class _TailModel:
@@ -102,65 +103,67 @@ class _TailModel:
     that compute_a0 bounds its tail with.
     """
 
-    def __init__(self, bounds, c_omega_kappa):
-        b = bounds
+    def __init__(self, env, c_omega_kappa):
+        b = env.bounds
         k2 = b.kappa2
         self.r = 2.0 - 1.0 / k2
-        try:
-            self.beta = (k2 * b.b_min
-                         / (b.c_p**2 * b.omega_max**2 * (2.0 * k2 - 1.0)))
-        except (ZeroDivisionError, OverflowError):
-            raise _out_of_range("tail decay rate beta", 0.0) from None
-        self.m0 = b.b_min / b.omega_max
-        self.rho = rho = b.omega_min / b.omega_max
-        self.M = M = b.b0_l1 + 0.5 * b.v0_l2sq
-        w = b.omega_min
-        Y0 = b.lap_sum
+        cp2, om2 = np.float64(b.c_p)**2, np.float64(b.omega_max)**2
+        self.beta = beta = k2 * b.b_min / (cp2 * om2 * (2.0 * k2 - 1.0))
+        # inf or NaN may hide a moderate beta (squares out of range are refused
+        # too); an underflowed 0 only overstates Z0, and peak_s rejects it
+        if not (0.0 < cp2 < math.inf and 0.0 < om2 < math.inf
+                and beta < math.inf):
+            raise _out_of_range("tail decay rate beta", 0.0)
+        self.log_m0 = _log(b.b_min / b.omega_max)
+        self.rho = rho = np.float64(b.omega_min) / b.omega_max
+        t0 = env._terms(0.0)  # clock 1: bmax = M, omega lower = omega_min
+        self.M = t0.bmax
         # (K0, p, q): for s >= 1 each Z0 term K(t) Y2^q is at most
         # K0 Y0^q s^p e^{-q beta (s^r - 1)} with K0 = K(0); the b-mass term
         # is at most M (rho s)^{-1/k2}.  With Y0 = 0 only that term is left.
-        table = [(M, -1.0 / k2, 0.0)]
-        if Y0 > 0:
-            table += [(_in_range("A", 0.0, coeff_a, b.v0_l2sq, M), 0.0, 0.25),
-                      (_in_range("B", 0.0, coeff_b, M, w), 2.0, 0.5),
-                      (_in_range("C", 0.0, coeff_c, M, w), 3.0, 1.0),
-                      (_in_range("D", 0.0, coeff_d, w), 3.0, 1.5)]
+        table = [("b-mass envelope", t0.bmax, -1.0 / k2, 0.0)]
+        if b.lap_sum > 0:
+            table += [("Z0 coefficient A", t0.A, 0.0, 0.25),
+                      ("Z0 coefficient B", t0.B, 2.0, 0.5),
+                      ("Z0 coefficient C", t0.C, 3.0, 1.0),
+                      ("Z0 coefficient D", t0.D, 3.0, 1.5)]
         # (log c, p, q) for C*Z0 <= sum of c * s^p * e^{-q beta (s^r - 1)},
         # and the a(t) terms: a Z0 term over Y2^{1/4}, times s^{1/k2 - 1}
         self.terms, self.a_terms = [], []
-        for K0, p, q in table:
-            if K0 == 0.0:  # a zero term has no majorant to add
+        for name, K0, p, q in table:
+            if _finite(name, 0.0, K0) == 0.0:  # no majorant to add
                 continue
-            extra = q * math.log(Y0) if q > 0.0 else -math.log(rho) / k2
-            self.terms.append((math.log(c_omega_kappa * K0) + extra, p, q))
+            extra = q * math.log(b.lap_sum) if q > 0.0 else -_log(rho) / k2
+            logc = _log(c_omega_kappa * K0) + extra
+            self.terms.append((_finite(f"{name} majorant", 0.0, logc), p, q))
             if q > 0.25:
                 self.a_terms.append((K0, 1.0 / k2 + (p - 1.0), q - 0.25))
 
     def log_term(self, logc, p, q, s):
         val = logc + p * math.log(s)
         if q > 0.0:
-            val -= q * self.beta * (s**self.r - 1.0)
+            val -= decay_exponent(q * self.beta, np.float64(s), self.r)
         return val
 
     def log_mu_min(self, s):
-        return math.log(self.m0) + (self.r - 1.0) * math.log(s)
+        return self.log_m0 + (self.r - 1.0) * math.log(s)
 
     def peak_s(self, p, q):
         """Peak of s^p * exp(-q*beta*s^r) for p, q > 0."""
-        try:
-            return (p / (q * self.beta * self.r)) ** (1.0 / self.r)
-        except OverflowError:
-            raise InconclusiveTail(
-                "the peak of a Z0 term lies beyond the floating-point range "
-                f"(r = 2 - 1/kappa2 = {self.r:.3g})") from None
+        peak = (p / (q * self.beta * self.r)) ** (1.0 / self.r)
+        return _finite(f"peak of a Z0 term (r = 2 - 1/kappa2 = {self.r:.3g})",
+                       None, peak)
 
     def ratio_peak_s(self, p, q):
         """Peak of (term / mu_min)(s); the ratio decreases beyond it.  A
-        power-only ratio (q = 0) that grows has no peak: math.inf."""
+        power-only ratio (q = 0) that grows has none: InconclusiveTail."""
         pr = p - (self.r - 1.0)
         if pr <= 0.0:
             return 1.0
-        return self.peak_s(pr, q) if q > 0.0 else math.inf
+        if q == 0.0:
+            raise InconclusiveTail(
+                "a Z0 term does not decay relative to mu_min")
+        return self.peak_s(pr, q)
 
     def ratio_sum(self, s):
         lm = self.log_mu_min(s)
@@ -172,13 +175,8 @@ class _TailModel:
     def certified_from(self, s_start):
         """Smallest sampled s >= s_start beyond which margin > 0 is
         guaranteed, or raise InconclusiveTail."""
-        s = max(s_start, 1.0)
-        for _, p, q in self.terms:
-            peak = self.ratio_peak_s(p, q)
-            if not math.isfinite(peak):
-                raise InconclusiveTail(
-                    "a Z0 term does not decay relative to mu_min")
-            s = max(s, peak)
+        s = max(s_start, 1.0, *(self.ratio_peak_s(p, q)
+                                for _, p, q in self.terms))
         while not self.ratio_sum(s) < 1.0:
             if s > 1e200:
                 raise InconclusiveTail(
@@ -217,9 +215,10 @@ def _check_horizon(bounds, config, tail):
     infinite one the range beyond which the tail model certifies it."""
     if not math.isinf(config.horizon):
         return config.horizon
-    k2om = bounds.kappa2 * bounds.omega_max
+    k2om = np.float64(bounds.kappa2) * bounds.omega_max
     s_cert = tail.certified_from(1.0 + k2om * config.sup_horizon)
-    return (s_cert - 1.0) / k2om
+    end = (s_cert - 1.0) / k2om
+    return _finite("end of the sampled margin range", end, end)
 
 
 def _a0_horizon(bounds, config, tail):
@@ -228,8 +227,8 @@ def _a0_horizon(bounds, config, tail):
     horizon = config.sup_horizon
     for _, p, q in tail.a_terms:
         horizon = max(horizon, (tail.peak_s(p, q) - 1.0)
-                      / (bounds.kappa2 * bounds.omega_max))
-    return horizon
+                      / (np.float64(bounds.kappa2) * bounds.omega_max))
+    return _finite("end of the sampled a(t) range", horizon, horizon)
 
 
 def _a0_finite(bounds):
@@ -272,15 +271,12 @@ def _verdict(env, config, ts, vals):
 def _a0(env, tail, config, ts, vals):
     """a0 from the a(t) samples vals at times ts: the grid maximum, refined
     by a bounded Brent search around it, against the analytic tail bound.
-    A sample that is not finite comes from an out-of-range term."""
+    argmax lands on a NaN or infinite sample, if there is one."""
     b = env.bounds
     k2 = b.kappa2
     Cc = config.c_omega_kappa
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise _out_of_range("a0 integrand a(t)", float(ts[bad[0]]))
     j = int(np.argmax(vals))
-    best = float(vals[j])
+    best = float(_finite("a0 integrand a(t)", float(ts[j]), vals[j]))
     lo = float(ts[max(j - 1, 0)])
     hi = float(ts[min(j + 1, ts.size - 1)])
     if hi > lo:
@@ -292,17 +288,17 @@ def _a0(env, tail, config, ts, vals):
     # analytic tail: every constituent is decreasing past the grid end,
     # so the tail supremum is bounded by the majorants evaluated there
     s_end = 1.0 + k2 * b.omega_max * float(ts[-1])
-    a_end = _in_range("A", float(ts[-1]), lambda: coeff_a(
+    a_end = _finite("Z0 coefficient A", float(ts[-1]), coeff_a(
         b.v0_l2sq, tail.M * tail.rho ** (-1.0 / k2) * s_end ** (-1.0 / k2)))
     tail_sup = 2.0 * Cc * s_end ** (1.0 / k2 - 1.0) * a_end
     for K0, p, q in tail.a_terms:
-        logc = math.log(2.0 * Cc * K0) + q * math.log(b.lap_sum)
+        logc = _log(2.0 * Cc * K0) + q * math.log(b.lap_sum)
         tail_sup += math.exp(min(tail.log_term(logc, p, q, s_end), 700.0))
-    return max(best, tail_sup)
+    return float(max(best, tail_sup))
 
 
-# Out-of-range terms are reported as InconclusiveTail, so numpy's own
-# floating-point warnings are not printed ahead of that verdict.
+# Overflow and division by zero give inf or NaN, which _finite reports as
+# InconclusiveTail where the value is used, without numpy's warnings.
 @np.errstate(all="ignore")
 def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     """Sample the margin over [0, horizon) and report the verdict.
@@ -311,10 +307,10 @@ def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionRepo
     analytic tail model certifies positivity beyond it.
     """
     bounds.require_large_kappa2()
-    tail = (_TailModel(bounds, config.c_omega_kappa)
+    env = EnvelopeSet(bounds)
+    tail = (_TailModel(env, config.c_omega_kappa)
             if math.isinf(config.horizon) else None)
     ts = geometric_times(_check_horizon(bounds, config, tail), config.delta)
-    env = EnvelopeSet(bounds)
     return _verdict(env, config, ts,
                     env._terms(ts).margin(config.c_omega_kappa))
 
@@ -332,9 +328,9 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
     bounds.require_large_kappa2()
     if not _a0_finite(bounds):
         return math.inf
-    tail = _TailModel(bounds, config.c_omega_kappa)
-    ts = geometric_times(_a0_horizon(bounds, config, tail), config.delta)
     env = EnvelopeSet(bounds)
+    tail = _TailModel(env, config.c_omega_kappa)
+    ts = geometric_times(_a0_horizon(bounds, config, tail), config.delta)
     return _a0(env, tail, config, ts, env._terms(ts).a(config.c_omega_kappa))
 
 
@@ -345,13 +341,13 @@ def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
     bounds.require_large_kappa2()
     C = config.c_omega_kappa
     a0_finite = _a0_finite(bounds)
-    tail = (_TailModel(bounds, C)
+    env = EnvelopeSet(bounds)
+    tail = (_TailModel(env, C)
             if math.isinf(config.horizon) or a0_finite else None)
     horizons = [_check_horizon(bounds, config, tail)]
     if a0_finite:
         horizons.append(_a0_horizon(bounds, config, tail))
     ts, picks = _joint_times(horizons, config.delta)
-    env = EnvelopeSet(bounds)
     terms = env._terms(ts)
     cert, sup = picks[0], picks[-1]
     report = _verdict(env, config, ts[cert], terms.margin(C)[cert])

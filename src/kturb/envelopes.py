@@ -74,8 +74,8 @@ def require_large_kappa2(kappa2):
 
 
 # The coefficients A-D of Z0 as plain arithmetic on the b-mass envelope
-# bmax and the omega lower envelope w: EnvelopeSet.coeff_* applies them to
-# arrays, the criterion's tail model to floats at t = 0.
+# bmax and the omega lower envelope w: EnvelopeSet.coeff_* and _Terms apply
+# them to float64 arrays and scalars, the criterion's a0 tail bound to A.
 def coeff_a(v0_l2sq, bmax):
     return (v0_l2sq + bmax**2) ** 0.25
 
@@ -90,6 +90,19 @@ def coeff_c(bmax, w):
 
 def coeff_d(w):
     return 1.0 / w**2 + 1.0 / w**3
+
+
+def decay_exponent(rate, s, r):
+    """rate * (s^r - 1) in float64 for s >= 1 and rate >= 0.  Where s^r
+    overflows it is taken from logs, so it is inf only where its true value
+    is; for a rate of 0 (underflowed) it is NaN there, for _finite."""
+    sr = s ** r
+    big = sr == np.inf  # any() on a scalar costs microseconds: test it as is
+    if rate > 0.0 and (big.any() if big.ndim else big):
+        with np.errstate(all="ignore"):
+            return np.where(big, np.exp(np.log(rate) + r * np.log(s)),
+                            rate * (sr - 1.0))[()]
+    return rate * (sr - 1.0)
 
 
 def geometric_times(horizon, delta=0.01):
@@ -138,10 +151,12 @@ class EnvelopeSet:
 
     def _decay_exponent(self, s):
         """The bracket (1/c_p^2)(b_min/(omega_max^2 (2 kappa2 - 1)))
-        (s^{2 - 1/kappa2} - 1) driving the v and Y2 decay."""
+        (s^{2 - 1/kappa2} - 1) driving the v and Y2 decay; the float64
+        squares are inf or 0 out of range, not an exception."""
         b = self.bounds
-        rate = b.b_min / (b.omega_max**2 * (2.0 * b.kappa2 - 1.0)) / b.c_p**2
-        return rate * (s ** (2.0 - 1.0 / b.kappa2) - 1.0)
+        rate = (b.b_min / (np.float64(b.omega_max)**2 * (2.0 * b.kappa2 - 1.0))
+                / np.float64(b.c_p)**2)
+        return decay_exponent(rate, s, 2.0 - 1.0 / b.kappa2)
 
     def _b_mass(self, clock):
         b = self.bounds

@@ -12,7 +12,8 @@ from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_glob_add, compute_a0, full_report,
                    geometric_times, margin)
 from kturb.cli import main
-from kturb.criterion import _first_root, _joint_times
+from kturb.criterion import _first_root, _joint_times, _TailModel
+from kturb.envelopes import decay_exponent
 from tests.test_envelopes import random_bounds, simple_bounds
 
 PI2 = 2.0 * math.pi
@@ -338,6 +339,125 @@ class TestTailOutOfRange:
         assert err == f"invalid parameters: the {term}is out of " \
             "floating-point range\n"
 
+    @pytest.mark.parametrize("args, term", [
+        # s**r in the tail model raised OverflowError
+        ("--kappa2 1e300", "a0 integrand a(t) at t = 0.01 "),
+        # the certified range end (s - 1)/(kappa2 omega_max) was inf, and
+        # geometric_times failed on int(inf)
+        ("--b-min 0.021 --omega-min 9.2e-196 --omega-max 4.8e-123 "
+         "--b0-l1 3.3e237 --v0-l2sq 4.4 --kappa2 1.04 --c-p 0.26",
+         "end of the sampled margin range at t = inf "),
+        # omega_min/omega_max underflowed to 0: "math domain error"
+        ("--omega-min 1e-200 --omega-max 1e150 --b0-l1 1",
+         "b-mass envelope majorant at t = 0 "),
+    ])
+    def test_former_crash_is_inconclusive(self, capsys, args, term):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", *args.split()]) == 3
+        err = capsys.readouterr().err
+        assert err == f"invalid parameters: the {term}is out of " \
+            "floating-point range\n"
+
+    def test_overflowing_decay_rate_gives_closed_form_verdict(self, capsys):
+        # omega_max**2 overflows in the v and Y2 decay rate, which raised
+        # OverflowError; in float64 the rate is 0, and the margin at t = 0
+        # is mu_min - C M = 1e-160 - 0.5
+        args = "--omega-max 1e160 --kappa2 0.9 --v0-l2sq 1 --horizon 5"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", *args.split()]) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out and "first violation at t = 0\n" in out
+        bd = simple_bounds(omega_max=1e160, kappa2=0.9, v0_l2sq=1.0,
+                           b0_l1=0.0, lap_sum=0.0)
+        rep = full_report(bd, CriterionConfig(horizon=5.0))
+        assert rep.margin_samples[0] == (0.0, -0.5)
+
+    def test_decay_exponent_past_overflowing_clock_power(self):
+        # s**r overflows, but rate * s**r need not: from logs it is finite
+        # where its true value is.  With a rate that underflowed to 0 the
+        # product is unknown there: NaN, which the criterion reports.
+        s = np.array([2.0, 1e160, 1e300])
+        with np.errstate(all="ignore"):
+            got = decay_exponent(1e-300, s, 2.0)
+            scalar = decay_exponent(1e-300, np.float64(1e160), 2.0)
+            zero = decay_exponent(0.0, s, 2.0)
+            huge = decay_exponent(1.0, s, 2.0)
+        assert got[0] == 1e-300 * 3.0
+        assert math.isclose(got[1], 1e20, rel_tol=1e-12)
+        assert math.isclose(got[2], 1e300, rel_tol=1e-12)
+        assert huge.tolist() == [3.0, math.inf, math.inf]
+        assert type(scalar) is np.float64 and scalar == got[1]
+        assert zero[0] == 0.0 and np.isnan(zero[1:]).all()
+
+    def test_tiny_beta_keeps_tail_terms_past_overflow(self):
+        # beta ~ 1e-308 and r ~ 2: at s = 1e160, s**r overflows while
+        # q beta s^r ~ 1e12.  An infinite decay would drop the term from
+        # the tail sum and could certify a bound that does not hold.
+        bd = simple_bounds(b_min=2e-308, kappa2=1e10)
+        with np.errstate(all="ignore"):
+            tail = _TailModel(EnvelopeSet(bd), 1.0)
+            s = 1e160
+            assert 0.0 < tail.beta < 2e-308
+            for logc, p, q in tail.terms[1:]:
+                want = logc + p * math.log(s) - math.exp(
+                    math.log(q * tail.beta) + tail.r * math.log(s))
+                got = tail.log_term(logc, p, q, s)
+                assert -1e13 < got and math.isclose(got, want, rel_tol=1e-12)
+
+    @staticmethod
+    def extreme_bounds(rng):
+        """Bounds with magnitudes up to the ends of the float range."""
+        def mag():
+            u = rng.uniform()
+            if u < 0.4:
+                return 10 ** rng.uniform(-300, 300)
+            if u < 0.45:
+                return float(rng.choice([5e-324, 1e-310, 1e-154, 1e154,
+                                         1.7e308]))
+            return 10 ** rng.uniform(-3, 3)
+
+        om = sorted([mag(), mag()])
+        norms = [0.0 if rng.uniform() < 0.2 else mag() for _ in range(3)]
+        u = rng.uniform()
+        k2 = (0.5 + 10 ** rng.uniform(-5, 0) if u < 0.3
+              else rng.uniform(0.5001, 3.0) if u < 0.8
+              else 10 ** rng.uniform(0, 300))
+        return DataBounds(b_min=mag(), omega_min=om[0], omega_max=om[1],
+                          b0_l1=norms[0], v0_l2sq=norms[1],
+                          lap_sum=norms[2], kappa2=k2, c_p=mag()), mag()
+
+    def test_extreme_bounds_return_or_are_inconclusive(self):
+        # every closed form runs in float64, so no overflow or division by
+        # zero may escape as an exception or a numpy warning
+        rng = np.random.default_rng(65)
+        kinds = {"report": 0, "inconclusive": 0}
+        for _ in range(200):
+            bd, C = self.extreme_bounds(rng)
+            for horizon in (math.inf, 5.0):
+                cfg = CriterionConfig(c_omega_kappa=C, horizon=horizon)
+                for fn in (check_glob_add, compute_a0, full_report):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            out = fn(bd, cfg)
+                        except InconclusiveTail:
+                            kinds["inconclusive"] += 1
+                            continue
+                    kinds["report"] += 1
+                    if fn is compute_a0:
+                        assert type(out) is float
+                    else:
+                        assert type(out.holds) is bool
+                        assert out.first_violation_t is None or \
+                            type(out.first_violation_t) is float
+                    if fn is full_report:
+                        assert type(out.a0) is float
+                        assert type(out.z1_holds) is type(out.z2_holds) \
+                            is bool
+        assert min(kinds.values()) > 0, kinds
+
     def test_infinite_a_samples_are_inconclusive(self):
         # bmax**2 overflows, so every a(t) sample is +inf
         bd = simple_bounds(b0_l1=1e300, v0_l2sq=0.0, lap_sum=0.0)
@@ -412,13 +532,10 @@ class TestFullReport:
 
     @staticmethod
     def outcome(fn):
-        # the extreme bounds take some envelope terms to inf or nan, which
-        # numpy warns about; what is compared is the result
-        with np.errstate(all="ignore"):
-            try:
-                return repr(fn())
-            except (InconclusiveTail, ArithmeticError) as exc:
-                return f"{type(exc).__name__}: {exc}"
+        try:
+            return repr(fn())
+        except InconclusiveTail as exc:
+            return f"{type(exc).__name__}: {exc}"
 
     @staticmethod
     def separately(bd, cfg):

@@ -171,12 +171,13 @@ class TestNorms:
         rng = np.random.default_rng(9)
         g = TorusGrid(lengths=(2.0, 3.0, 4.0), resolution=(8, 8, 8))
         f = random_scalar(g, rng)
-        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
+        for p in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0):
             direct = (np.sum(np.abs(f) ** p) * g.cell_volume) ** (1 / p)
             assert ops.lp_norm(g, f, p) == pytest.approx(direct, rel=1e-13)
         assert ops.lp_norm(g, f, np.inf) == np.max(np.abs(f))
-        with pytest.raises(ValueError):
-            ops.lp_norm(g, f, 2.5)
+        for p in (0.5, np.nan):
+            with pytest.raises(ValueError):
+                ops.lp_norm(g, f, p)
 
     def test_seminorm_against_explicit_derivatives(self):
         # the Plancherel sums of l2sq_hat against quadrature norms of the
