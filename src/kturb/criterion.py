@@ -28,6 +28,11 @@ from .envelopes import (DataBounds, EnvelopeSet, coeff_a, decay_exponent,
                         geometric_times)
 from .errors import InconclusiveTail, require_finite
 
+# the finite range sampled when locating suprema, before the analytic
+# tail takes over; every range is sampled on geometric_times' default
+# grid t_j = 1.01^j - 1
+SUP_HORIZON = 1.0e4
+
 
 @dataclass
 class CriterionConfig:
@@ -35,15 +40,11 @@ class CriterionConfig:
 
     c_omega_kappa is the undetermined positive constant multiplying Z0;
     every report echoes the value used, since any verdict is conditional
-    on it.  horizon may be math.inf.  delta sets the geometric sampling
-    grid t_j = (1+delta)^j - 1; sup_horizon caps the finite range used
-    when locating suprema before switching to the analytic tail.
+    on it.  horizon may be math.inf.
     """
 
     c_omega_kappa: float = 1.0
     horizon: float = math.inf
-    delta: float = 0.01
-    sup_horizon: float = 1.0e4
 
     def __post_init__(self):
         require_finite(self, skip=("horizon",))
@@ -52,8 +53,6 @@ class CriterionConfig:
         if not self.horizon >= 0:
             raise ValueError(f"horizon must be nonnegative or inf, got "
                              f"{self.horizon}")
-        if self.delta <= 0 or self.sup_horizon <= 0:
-            raise ValueError("delta and sup_horizon must be positive")
 
 
 @dataclass
@@ -216,15 +215,15 @@ def _check_horizon(bounds, config, tail):
     if not math.isinf(config.horizon):
         return config.horizon
     k2om = np.float64(bounds.kappa2) * bounds.omega_max
-    s_cert = tail.certified_from(1.0 + k2om * config.sup_horizon)
+    s_cert = tail.certified_from(1.0 + k2om * SUP_HORIZON)
     end = (s_cert - 1.0) / k2om
     return _finite("end of the sampled margin range", end, end)
 
 
-def _a0_horizon(bounds, config, tail):
+def _a0_horizon(bounds, tail):
     """The finite range a(t) is sampled on, stretched to cover every
     bound-term peak."""
-    horizon = config.sup_horizon
+    horizon = SUP_HORIZON
     for _, p, q in tail.a_terms:
         horizon = max(horizon, (tail.peak_s(p, q) - 1.0)
                       / (np.float64(bounds.kappa2) * bounds.omega_max))
@@ -237,11 +236,11 @@ def _a0_finite(bounds):
     return not (bounds.kappa2 < 1.0 and bounds.v0_l2sq > 0.0)
 
 
-def _joint_times(horizons, delta):
+def _joint_times(horizons):
     """The geometric grid of the longest horizon with each shorter horizon
     appended, and per horizon the positions in it of its own grid
-    geometric_times(h, delta): the longer grid's samples below h, then h."""
-    grid = geometric_times(max(horizons), delta)
+    geometric_times(h): the longer grid's samples below h, then h."""
+    grid = geometric_times(max(horizons))
     ts, picks = grid, []
     for h in horizons:
         if h == grid[-1]:
@@ -310,7 +309,7 @@ def check_glob_add(bounds: DataBounds, config: CriterionConfig) -> CriterionRepo
     env = EnvelopeSet(bounds)
     tail = (_TailModel(env, config.c_omega_kappa)
             if math.isinf(config.horizon) else None)
-    ts = geometric_times(_check_horizon(bounds, config, tail), config.delta)
+    ts = geometric_times(_check_horizon(bounds, config, tail))
     return _verdict(env, config, ts,
                     env._terms(ts).margin(config.c_omega_kappa))
 
@@ -330,7 +329,7 @@ def compute_a0(bounds: DataBounds, config: CriterionConfig) -> float:
         return math.inf
     env = EnvelopeSet(bounds)
     tail = _TailModel(env, config.c_omega_kappa)
-    ts = geometric_times(_a0_horizon(bounds, config, tail), config.delta)
+    ts = geometric_times(_a0_horizon(bounds, tail))
     return _a0(env, tail, config, ts, env._terms(ts).a(config.c_omega_kappa))
 
 
@@ -346,8 +345,8 @@ def full_report(bounds: DataBounds, config: CriterionConfig) -> CriterionReport:
             if math.isinf(config.horizon) or a0_finite else None)
     horizons = [_check_horizon(bounds, config, tail)]
     if a0_finite:
-        horizons.append(_a0_horizon(bounds, config, tail))
-    ts, picks = _joint_times(horizons, config.delta)
+        horizons.append(_a0_horizon(bounds, tail))
+    ts, picks = _joint_times(horizons)
     terms = env._terms(ts)
     cert, sup = picks[0], picks[-1]
     report = _verdict(env, config, ts[cert], terms.margin(C)[cert])

@@ -22,6 +22,10 @@ from . import ops
 from .errors import NonPositiveOmega, require_finite
 from .grid import TorusGrid
 
+# omega and b at or below this value abort a march: mu = b/omega is
+# never formed from a smaller omega
+POSITIVITY_FLOOR = 1e-10
+
 
 @dataclass
 class ModelParams:
@@ -140,11 +144,11 @@ class Forcing:
         return self._func(t)
 
 
-def _require_positive_omega(omega, eps_pos, t):
+def _require_positive_omega(omega, t):
     """Raise NonPositiveOmega unless min(omega) is finite and above
-    eps_pos."""
+    POSITIVITY_FLOOR."""
     om_min = float(np.min(omega))
-    if not np.isfinite(om_min) or om_min <= eps_pos:
+    if not np.isfinite(om_min) or om_min <= POSITIVITY_FLOOR:
         raise NonPositiveOmega(
             f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega")
 
@@ -183,10 +187,9 @@ class TendencyKernel:
     replace, since numpy's complex multiply is not bitwise commutative.
     """
 
-    def __init__(self, grid: TorusGrid, params: ModelParams, eps_pos=1e-10):
+    def __init__(self, grid: TorusGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.eps_pos = eps_pos
         self._ik = tuple(1j * k for k in grid.k)
         # spectra of omega, b, grad omega, grad b, v, D; then those of
         # the products
@@ -209,7 +212,7 @@ class TendencyKernel:
             # spatially uniform state: the reaction ODEs are the whole
             # dynamics
             om = float(y_hat[3, 0, 0, 0].real) / g.npoints
-            _require_positive_omega(om, self.eps_pos, t)
+            _require_positive_omega(om, t)
             bm = float(y_hat[4, 0, 0, 0].real) / g.npoints
             out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
@@ -240,7 +243,7 @@ class TendencyKernel:
         omega, b = phys[0], phys[1]
         grad_w, grad_b, v, D = phys[2:5], phys[5:8], phys[8:11], phys[11:17]
 
-        _require_positive_omega(omega, self.eps_pos, t)
+        _require_positive_omega(omega, t)
 
         f_v = f_om = f_b = None
         if forcing is not None:

@@ -66,7 +66,6 @@ class Monitor:
         self._times = []
         self._energies = []
         self._couplings = []
-        self._finalized = False
 
     def sample(self, state):
         """Record one state.  X1..X3 and the L2 norms are Plancherel sums
@@ -89,7 +88,6 @@ class Monitor:
         self._times.append(t)
         self._energies.append(energy)
         self._couplings.append(coupling)
-        self._finalized = False
         lhs = rhs = 0.0  # filled in by finalize()
 
         e_ol = float(env.omega_lower(t))
@@ -129,8 +127,6 @@ class Monitor:
     def finalize(self):
         """Fill in the energy-identity pair for every consecutive sample
         pair; safe to call repeatedly and after partial runs."""
-        if self._finalized:
-            return self.records
         ts = np.asarray(self._times)
         es = np.asarray(self._energies)
         cs = np.asarray(self._couplings)
@@ -147,7 +143,6 @@ class Monitor:
             integ = poly.integ()
             self.records[i].energy_lhs = (es[i] - es[i - 1]) / dt
             self.records[i].energy_rhs = float(integ(dt) - integ(0.0)) / dt
-        self._finalized = True
         return self.records
 
 

@@ -244,9 +244,8 @@ def _mms_errors(config: RunConfig, dt):
     against the manufactured solution."""
     grid = config.make_grid()
     mms = _Manufactured(grid, config.params)
-    control = StepControl(dt_max=dt, dt_fixed=dt,
-                          eps_pos=config.control.eps_pos)
-    final = advance(mms.initial_state(), config.t_end, config.params, control,
+    final = advance(mms.initial_state(), config.t_end, config.params,
+                    StepControl(dt_max=dt, dt_fixed=dt),
                     forcing=Forcing(func=mms.forcing))
     exact = mms.exact(config.t_end)
     return (float(np.sqrt(sum(ops.lp_norm(grid, final.y[i] - exact[i], 2) ** 2

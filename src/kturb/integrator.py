@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .dynamics import ModelParams, State, TendencyKernel
+from .dynamics import POSITIVITY_FLOOR, ModelParams, State, TendencyKernel
 from .errors import (BlowUp, NonPositiveOmega, PositivityViolation,
                      require_finite)
 
@@ -23,6 +23,8 @@ from .errors import (BlowUp, NonPositiveOmega, PositivityViolation,
 # the diffusive step keeps a safety factor below that limit.
 RK4_REAL_AXIS_LIMIT = 2.785
 DIFFUSIVE_SAFETY = 0.9
+# Courant number of the advective step limit
+CFL_ADV = 0.4
 # advance refuses a step size that would need more steps than this to
 # reach t_end, or that no longer moves t
 MAX_STEPS = 10**8
@@ -30,18 +32,15 @@ MAX_STEPS = 10**8
 
 @dataclass
 class StepControl:
-    """Step-size policy and guard thresholds."""
+    """Step-size policy."""
 
     dt_max: float
-    cfl_adv: float = 0.4
     dt_fixed: Optional[float] = None
-    eps_pos: float = 1e-10
 
     def __post_init__(self):
         require_finite(self)
-        for name in ("dt_max", "cfl_adv", "eps_pos"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.dt_max <= 0:
+            raise ValueError("dt_max must be positive")
         if self.dt_fixed is not None and self.dt_fixed <= 0:
             raise ValueError("dt_fixed must be positive")
 
@@ -54,14 +53,14 @@ def _speed_and_mu_max(phys):
 def _dt_from_arrays(grid, params, control, vmax, mumax):
     if control.dt_fixed is not None:
         return control.dt_fixed
-    dt_adv = control.cfl_adv * grid.min_spacing / max(vmax, 1e-12)
+    dt_adv = CFL_ADV * grid.min_spacing / max(vmax, 1e-12)
     dt_diff = DIFFUSIVE_SAFETY * RK4_REAL_AXIS_LIMIT / (
         params.c_diff * mumax * grid.k_sq_max)
     return min(control.dt_max, dt_adv, dt_diff)
 
 
 def compute_dt(state: State, params: ModelParams, control: StepControl) -> float:
-    """dt = min(dt_max, cfl_adv h/|v|_inf,
+    """dt = min(dt_max, CFL_ADV h/|v|_inf,
     0.9 * 2.785 / (c_diff max mu k^2_max)), with k^2_max the largest
     dealiased |k|^2 of the grid."""
     return _dt_from_arrays(state.grid, params, control,
@@ -74,12 +73,11 @@ class _Marcher:
     tendencies and the stage input, reused on every step, so it is not
     re-entrant."""
 
-    def __init__(self, grid, params, control, forcing=None):
+    def __init__(self, grid, params, forcing=None):
         self.grid = grid
         self.params = params
-        self.control = control
         self.forcing = forcing
-        self.kernel = TendencyKernel(grid, params, eps_pos=control.eps_pos)
+        self.kernel = TendencyKernel(grid, params)
         shape = (5,) + grid.spectral_shape
         self._k = np.empty((4,) + shape, dtype=complex)
         self._stage = np.empty(shape, dtype=complex)
@@ -137,10 +135,10 @@ class _Marcher:
             raise BlowUp(f"non-finite field values at t = {t:.6g}", t=t)
         om_min = float(np.min(phys[3]))
         b_min = float(np.min(phys[4]))
-        if om_min <= self.control.eps_pos or b_min <= self.control.eps_pos:
+        if om_min <= POSITIVITY_FLOOR or b_min <= POSITIVITY_FLOOR:
             raise PositivityViolation(
                 f"min(omega) = {om_min:.3e}, min(b) = {b_min:.3e} "
-                f"at or below floor {self.control.eps_pos:.1e} at t = {t:.6g}",
+                f"at or below floor {POSITIVITY_FLOOR:.1e} at t = {t:.6g}",
                 t=t)
         return _speed_and_mu_max(phys)
 
@@ -169,7 +167,7 @@ def advance(state: State, t_end: float, params: ModelParams,
     cbs = [(int(every), fn) for every, fn in callbacks]
 
     g = state.grid
-    m = _Marcher(g, params, control, forcing)
+    m = _Marcher(g, params, forcing)
     t = state.t
     vmax, mumax = m.check(state.y, t)
     y = g.rfft(state.y, dealiased=True)

@@ -64,28 +64,21 @@ def is_uniform_state_hat(y_hat):
                                       == np.count_nonzero(y_hat[3:, 0, 0, 0]))
 
 
-def _l2sq_power(grid, power, k_pow):
-    if k_pow is not None:
-        power = power * k_pow
-    total = float(np.sum(power * grid.hermitian_weight))
-    return total * grid.volume / grid.npoints**2
-
-
 def l2sq_hat(grid, fhat, order=0):
     """Squared L2 norm of nabla^order f from its spectrum (Plancherel)."""
-    k_pow = grid.k_sq**order if order else None
-    return _l2sq_power(grid, np.abs(fhat) ** 2, k_pow)
+    return l2sq_hat_rows(grid, fhat[None], (order,))[order][0]
 
 
 def l2sq_hat_rows(grid, fhat, orders):
     """{order: [l2sq_hat(grid, row, order) for row in fhat]} for a stacked
-    spectrum, with |fhat|^2 formed once; every entry is bitwise equal to
-    the single-row value."""
+    spectrum, with |fhat|^2 formed once."""
     power = np.abs(fhat) ** 2
     rows = {}
     for o in orders:
         k_pow = grid.k_sq**o if o else None
-        rows[o] = [_l2sq_power(grid, row, k_pow) for row in power]
+        rows[o] = [float(np.sum((row if k_pow is None else row * k_pow)
+                                * grid.hermitian_weight))
+                   * grid.volume / grid.npoints**2 for row in power]
     return rows
 
 

@@ -12,7 +12,8 @@ from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_glob_add, compute_a0, full_report,
                    geometric_times, margin)
 from kturb.cli import main
-from kturb.criterion import _first_root, _joint_times, _TailModel
+from kturb.criterion import (SUP_HORIZON, _first_root, _joint_times,
+                             _TailModel)
 from kturb.envelopes import decay_exponent
 from tests.test_envelopes import random_bounds, simple_bounds
 
@@ -33,8 +34,6 @@ class TestConfig:
             CriterionConfig(c_omega_kappa=0.0)
         with pytest.raises(ValueError):
             CriterionConfig(horizon=-1.0)
-        with pytest.raises(ValueError):
-            CriterionConfig(delta=0.0)
 
 
 class TestMarginClosedForm:
@@ -525,10 +524,10 @@ class TestFullReport:
             h2 = float(rng.choice([10 ** rng.uniform(-3, 6), h1, 0.0,
                                    rng.choice(points)]))
             for hs in ([h1, h2], [h2, h1], [h1]):
-                ts, picks = _joint_times(hs, 0.01)
+                ts, picks = _joint_times(hs)
                 for h, pick in zip(hs, picks):
                     assert ts[pick].tobytes() == \
-                        geometric_times(h, 0.01).tobytes(), (h, hs)
+                        geometric_times(h).tobytes(), (h, hs)
 
     @staticmethod
     def outcome(fn):
@@ -547,7 +546,8 @@ class TestFullReport:
     def test_equals_separate_functions(self):
         # full_report samples the margin and a(t) from one table on one
         # grid; it must match the three public functions byte for byte,
-        # with check horizons below, equal to and above the a0 horizon
+        # with check horizons below, equal to and above the a0 horizon,
+        # which is SUP_HORIZON unless a bound-term peak lies beyond it
         rng = np.random.default_rng(63)
         cases = [
             (DataBounds(b_min=1.0, omega_min=1e-250, omega_max=1.0,
@@ -565,17 +565,15 @@ class TestFullReport:
             cases.append((bd, 10 ** rng.uniform(-3, 0)))
         kinds = {"inconclusive": 0, "infinite a0": 0, "report": 0}
         for bd, C in cases:
-            for horizon in (math.inf, 0.0, 0.03, 20.0, 1e5):
-                for sup in (10.0, 1e4):
-                    cfg = CriterionConfig(c_omega_kappa=C, horizon=horizon,
-                                          sup_horizon=sup)
-                    got = self.outcome(lambda: full_report(bd, cfg))
-                    assert got == self.outcome(
-                        lambda: self.separately(bd, cfg)), (bd, cfg)
-                    if got.startswith("InconclusiveTail"):
-                        kinds["inconclusive"] += 1
-                    elif "a0=inf" in got:
-                        kinds["infinite a0"] += 1
-                    else:
-                        kinds["report"] += 1
+            for horizon in (math.inf, 0.0, 0.03, 20.0, SUP_HORIZON, 1e5):
+                cfg = CriterionConfig(c_omega_kappa=C, horizon=horizon)
+                got = self.outcome(lambda: full_report(bd, cfg))
+                assert got == self.outcome(
+                    lambda: self.separately(bd, cfg)), (bd, cfg)
+                if got.startswith("InconclusiveTail"):
+                    kinds["inconclusive"] += 1
+                elif "a0=inf" in got:
+                    kinds["infinite a0"] += 1
+                else:
+                    kinds["report"] += 1
         assert min(kinds.values()) > 0, kinds

@@ -61,8 +61,6 @@ momentum_diffusion_coeff = 1.0
 
 [step]
 dt_max = 0.1
-cfl_adv = 0.4
-eps_pos = 1e-10
 
 [initial]
 kind = random_band
@@ -77,8 +75,6 @@ band = 5
 [criterion]
 c_omega_kappa = 1.0
 horizon = inf
-delta = 0.01
-sup_horizon = 10000.0
 
 [run]
 t_end = 1.0
@@ -108,9 +104,7 @@ momentum_diffusion_coeff = 1.0
 
 [step]
 dt_max = 0.2
-cfl_adv = 0.3
 dt_fixed = 0.004
-eps_pos = 1e-10
 
 [initial]
 kind = random_band
@@ -125,8 +119,6 @@ band = 2
 [criterion]
 c_omega_kappa = 1.0
 horizon = inf
-delta = 0.01
-sup_horizon = 10000.0
 
 [run]
 t_end = 0.75
@@ -146,7 +138,7 @@ class TestConfigRoundTrip:
             lengths=(PI2, 3.0, 5.0),
             resolution=(16, 12, 8),
             params=ModelParams(kappa2=1.5, nu0=0.7),
-            control=StepControl(dt_max=0.2, dt_fixed=0.004, cfl_adv=0.3),
+            control=StepControl(dt_max=0.2, dt_fixed=0.004),
             initial=InitialDataSpec(seed=7, b_mean=2.5, band=2),
             t_end=0.75,
             monitor_every=4,
@@ -222,9 +214,13 @@ class TestConfigFailClosed:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("[grid]\nn4 = 8\n")
-        # the diffusive step follows from the RK4 limit; there is no knob
-        with pytest.raises(ConfigError):
-            parse_config("[step]\ncfl_diff = 0.25\n")
+        # the step limits, the positivity floor and the criterion's
+        # sampling grid are constants; there is no knob
+        for sec, key in (("step", "cfl_diff"), ("step", "cfl_adv"),
+                         ("step", "eps_pos"), ("criterion", "delta"),
+                         ("criterion", "sup_horizon")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"[{sec}]\n{key} = 0.25\n")
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):
@@ -624,6 +620,17 @@ class TestCli:
         bad.write_text("[grid]\nn1 = 7\n")
         assert main(["check", "--config", str(bad), "--b-min", "1"]) == 3
         assert "even" in capsys.readouterr().err
+
+    def test_check_refuses_a_removed_key_in_the_config(self, tmp_path,
+                                                       capsys):
+        # a sampling step of 1e-320 once asked for an infinite grid and
+        # ended in OverflowError; the step is no longer a config key
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[criterion]\ndelta = 1e-320\n")
+        assert main(["check", "--config", str(bad), "--b-min", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("invalid parameters:") == 1
+        assert "unknown key 'delta' in section [criterion]" in err
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/no/such/file.cfg"]) == 3

@@ -26,8 +26,6 @@ class TestStepControl:
         with pytest.raises(ValueError):
             StepControl(dt_max=0.0)
         with pytest.raises(ValueError):
-            StepControl(dt_max=0.1, cfl_adv=-1.0)
-        with pytest.raises(ValueError):
             StepControl(dt_max=0.1, dt_fixed=0.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
