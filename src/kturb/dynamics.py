@@ -4,9 +4,9 @@ The evolved unknowns are the mean velocity v (divergence-free, zero
 mean), the dissipation rate omega and the turbulent energy measure b,
 coupled through the eddy viscosity mu = b/omega:
 
-    v_t   = P[ -div(v x v) + c_v div(mu D(v)) + F_v ]
-    om_t  = -div(om v) + k1 div(mu grad om) - k2 om^2 + F_om
-    b_t   = -div(b v)  + k3 div(mu grad b)  - b om + k4 mu |D(v)|^2 + F_b
+    v_t   = P[ -div(v x v) + c_v div(mu D(v)) ]
+    om_t  = -div(om v) + k1 div(mu grad om) - k2 om^2
+    b_t   = -div(b v)  + k3 div(mu grad b)  - b om + k4 mu |D(v)|^2
 
 with P the Leray projector and D(v) the rate-of-strain tensor.  All
 quadratic products are dealiased; mu is formed pointwise and never
@@ -131,11 +131,10 @@ class State:
 
 
 class Forcing:
-    """Prescribed sources (F_v, F_omega, F_b) from a callback
-    ``func(t) -> (fv, fom, fb)`` returning raw arrays (each entry may be
-    None).  F_v need not be divergence-free: it is injected before the
-    Leray projection.
-    """
+    """Prescribed source from ``func(t)``: a (5,) + grid.spectral_shape
+    spectrum, zero off the 2/3 mask, with divergence-free, zero-mean
+    velocity rows, as every tendency has.  advance adds it to the
+    tendency at each RK4 stage time and only reads it."""
 
     def __init__(self, func):
         self._func = func
@@ -173,16 +172,15 @@ class TendencyKernel:
     of TorusGrid.rfft(..., dealiased=True) and every tendency are: the
     transforms skip those modes, so anything there would corrupt the
     result rather than be dropped.  Every call transforms the same 17
-    fields to physical space and the same 14 products (17 with a
-    velocity forcing) back, both dealiased.  A spatially uniform state
-    without forcing skips the transforms: the FFT of a constant field is
-    exact, so the result is bitwise identical to the full path.
+    fields to physical space and the same 14 products back, both
+    dealiased.  A spatially uniform state skips the transforms: the FFT
+    of a constant field is exact, so the result is bitwise identical to
+    the full path.
 
     An instance owns the spectral stack, which the inverse transform
     consumes and the forward transform refills, the physical fields, the
     physical products and the i*k multipliers.  It refills them on every
-    call, so it is not re-entrant: a forcing callback must not call the
-    kernel that is evaluating it.  Complex
+    call, so one instance must not be shared between threads.  Complex
     products keep the operand order of the plain expressions they
     replace, since numpy's complex multiply is not bitwise commutative.
     """
@@ -196,19 +194,19 @@ class TendencyKernel:
         self._spec = np.empty((17,) + grid.spectral_shape, dtype=complex)
         # their physical fields
         self._phys = np.empty((17,) + grid.resolution)
-        # s_om, s_b, Gw, Gb, T and the velocity forcing
-        self._fwd = np.empty((17,) + grid.resolution)
+        # s_om, s_b, Gw, Gb and T
+        self._fwd = np.empty((14,) + grid.resolution)
 
-    def __call__(self, y_hat, t=0.0, forcing=None, out=None):
+    def __call__(self, y_hat, t=0.0, out=None):
         """Tendency spectrum of y_hat, written into out when given and
-        into a fresh array otherwise.  y_hat and the forcing arrays are
-        only read."""
+        into a fresh array otherwise.  y_hat is only read; t only names
+        the time in a NonPositiveOmega message."""
         g = self.grid
         p = self.params
         if out is None:
             out = np.empty((5,) + g.spectral_shape, dtype=complex)
 
-        if forcing is None and ops.is_uniform_state_hat(y_hat):
+        if ops.is_uniform_state_hat(y_hat):
             # spatially uniform state: the reaction ODEs are the whole
             # dynamics
             om = float(y_hat[3, 0, 0, 0].real) / g.npoints
@@ -221,8 +219,8 @@ class TendencyKernel:
 
         self._fill_inverse(y_hat)
         phys = g.irfft(self._spec, out=self._phys, dealiased=True)
-        nf = self._products(phys, t, forcing)
-        spec = g.rfft(self._fwd[:nf], out=self._spec[:nf], dealiased=True)
+        self._products(phys, t)
+        spec = g.rfft(self._fwd, out=self._spec[:14], dealiased=True)
         return self._assemble(spec, out)
 
     def _fill_inverse(self, y_hat):
@@ -235,9 +233,9 @@ class TendencyKernel:
         S[8:11] = y_hat[:3]
         ops.sym_grad_hat(g, y_hat[:3], out=S[11:17])
 
-    def _products(self, phys, t, forcing):
-        """Fill the forward stack from the physical fields (which are
-        overwritten) and return the number of rows to transform."""
+    def _products(self, phys, t):
+        """Fill the forward stack from the physical fields, which are
+        overwritten."""
         p = self.params
         F = self._fwd
         omega, b = phys[0], phys[1]
@@ -245,20 +243,12 @@ class TendencyKernel:
 
         _require_positive_omega(omega, t)
 
-        f_v = f_om = f_b = None
-        if forcing is not None:
-            f_v, f_om, f_b = forcing(t)
-
-        # s_om = -kappa2 omega^2 + F_om
+        # s_om = -kappa2 omega^2
         np.multiply(-p.kappa2, omega, out=F[0])
         np.multiply(F[0], omega, out=F[0])
-        if f_om is not None:
-            np.add(F[0], f_om, out=F[0])
-        # s_b = -b omega + F_b + kappa4 mu |D|^2 (last term below)
+        # s_b = -b omega + kappa4 mu |D|^2 (last term below)
         np.negative(b, out=F[1])
         np.multiply(F[1], omega, out=F[1])
-        if f_b is not None:
-            np.add(F[1], f_b, out=F[1])
         # Gw = -omega v + kappa1 mu grad omega, Gb = -b v + kappa3 mu grad b
         np.multiply(omega, v, out=F[2:5])
         np.subtract(0.0, F[2:5], out=F[2:5])
@@ -285,13 +275,9 @@ class TendencyKernel:
         np.multiply(p.kappa4, mu, out=kmu)
         np.multiply(kmu, _strain_sq(D), out=kmu)
         np.add(F[1], kmu, out=F[1])
-        if f_v is None:
-            return 14
-        F[14:17] = f_v
-        return 17
 
     def _assemble(self, spec, out):
-        """out = (P div T [+ F_v], s_om + div Gw, s_b + div Gb) from the
+        """out = (P div T, s_om + div Gw, s_b + div Gb) from the
         dealiased forward spectra, which are overwritten."""
         ik = self._ik
         T = spec[8:14]
@@ -310,8 +296,6 @@ class TendencyKernel:
             for j in (1, 2):
                 np.multiply(ik[j], T[row[j]], out=tmp)
                 np.add(out[i], tmp, out=out[i])
-        if spec.shape[0] == 17:
-            out[:3] += spec[14:]
         ops.leray_hat(self.grid, out[:3])
         return out
 

@@ -7,6 +7,7 @@ fields would silently invalidate every envelope comparison downstream.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -87,18 +88,28 @@ class _Marcher:
         np.multiply(c, k, out=self._stage)
         return np.add(y_hat, self._stage, out=self._stage)
 
+    def _tendency(self, y_hat, t, out):
+        """kernel(y_hat) + forcing(t) in out; the forcing is only read."""
+        self.kernel(y_hat, t, out=out)
+        if self.forcing is not None:
+            f = np.asarray(self.forcing(t))
+            # another shape could broadcast silently, and a mode off the
+            # mask would corrupt the next stage's pruned inverse transform
+            if f.shape != out.shape or np.any(f[:, ~self.grid.dealias_mask]):
+                raise ValueError(f"forcing at t = {t:.6g} is not a spectrum "
+                                 f"of shape {out.shape} on the 2/3 mask")
+            np.add(out, f, out=out)
+        return out
+
     def step_hat(self, y_hat, t, dt):
         """Advance y_hat by one RK4 step in place and return it."""
-        kern = self.kernel
-        f = self.forcing
+        tend = self._tendency
         k1, k2, k3, k4 = self._k
         try:
-            kern(y_hat, t, f, out=k1)
-            kern(self._stage_input(y_hat, 0.5 * dt, k1), t + 0.5 * dt, f,
-                 out=k2)
-            kern(self._stage_input(y_hat, 0.5 * dt, k2), t + 0.5 * dt, f,
-                 out=k3)
-            kern(self._stage_input(y_hat, dt, k3), t + dt, f, out=k4)
+            tend(y_hat, t, k1)
+            tend(self._stage_input(y_hat, 0.5 * dt, k1), t + 0.5 * dt, k2)
+            tend(self._stage_input(y_hat, 0.5 * dt, k2), t + 0.5 * dt, k3)
+            tend(self._stage_input(y_hat, dt, k3), t + dt, k4)
         except NonPositiveOmega as exc:
             raise PositivityViolation(
                 f"stage evaluation failed during step from t = {t:.6g}: {exc}",
@@ -149,22 +160,25 @@ def advance(state: State, t_end: float, params: ModelParams,
 
     The state is checked in physical space, then projected once onto the
     2/3 mask; the spectrum stays there.  callbacks: (cadence, callable)
-    pairs; each callable receives the freshly accepted State, with its
-    spectrum as y_hat, and is invoked on steps 1, 1+cadence,
-    1+2*cadence, ...
+    pairs, cadence an integer >= 1; each callable receives the freshly
+    accepted State, with its spectrum as y_hat, on steps 1, 1+cadence,
+    1+2*cadence, ...  A Forcing's spectrum is added at each stage time.
 
     A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
     k2_max) of the current state raises a RuntimeWarning on the first
     such step, and a later PositivityViolation or BlowUp names that
     step.
     """
+    cbs = list(callbacks)
+    for every, _ in cbs:
+        if not isinstance(every, numbers.Integral) or every < 1:
+            raise ValueError(f"callback cadence {every!r} is not an int >= 1")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < state.t:
         raise ValueError("t_end must not precede state.t")
     if t_end == state.t:
         return state
-    cbs = [(int(every), fn) for every, fn in callbacks]
 
     g = state.grid
     m = _Marcher(g, params, forcing)

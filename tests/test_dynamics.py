@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kturb import Forcing, ModelParams, NonPositiveOmega, State, TorusGrid
+from kturb import (Forcing, ModelParams, NonPositiveOmega, State,
+                   StepControl, TorusGrid, advance)
 from kturb import ops
 from kturb.dynamics import TendencyKernel, _strain_sq
 
@@ -31,16 +32,26 @@ def make_state(grid, rng, v_amp=0.1, band=3):
         [v, (1.0 + pert(0.2))[None], (2.0 + pert(0.3))[None]]))
 
 
-def tendency(state, params, forcing=None):
+def tendency(state, params):
     """The physical (5, N1, N2, N3) tendency of state: one TendencyKernel
     call between dealiased transforms."""
     g = state.grid
     y_hat = g.rfft(state.y, dealiased=True)
-    out = TendencyKernel(g, params)(y_hat, state.t, forcing)
+    out = TendencyKernel(g, params)(y_hat, state.t)
     return g.irfft(out, dealiased=True)
 
 
-def naive_tendency(state, params, forcing=None):
+def spectral_forcing(grid, rng):
+    """A random forcing spectrum of the form every tendency has: on the
+    2/3 mask, with divergence-free, zero-mean velocity rows."""
+    f = grid.rfft(rng.standard_normal((5,) + grid.resolution),
+                  dealiased=True)
+    ops.leray_hat(grid, f[:3])
+    f[:3, 0, 0, 0] = 0.0
+    return f
+
+
+def naive_tendency(state, params):
     """Independent straight-line evaluation: every term transformed and
     dealiased separately, with D(v) built from per-component gradients."""
     g = state.grid
@@ -57,21 +68,13 @@ def naive_tendency(state, params, forcing=None):
     def div_of(vec_phys):
         return g.irfft(ops.div_hat(g, g.rfft(vec_phys)))
 
-    f_v = f_om = f_b = None
-    if forcing is not None:
-        f_v, f_om, f_b = forcing(state.t)
-
     grad_om = g.irfft(ops.grad_hat(g, g.rfft(om)))
     grad_b = g.irfft(ops.grad_hat(g, g.rfft(b)))
     dom = (div_of(deal(-om * v + p.kappa1 * mu * grad_om))
            + deal(-p.kappa2 * om * om))
-    if f_om is not None:
-        dom = dom + deal(f_om)
     dd = np.einsum("ij...,ij...->...", D, D)
     db = (div_of(deal(-b * v + p.kappa3 * mu * grad_b))
           + deal(-b * om + p.kappa4 * mu * dd))
-    if f_b is not None:
-        db = db + deal(f_b)
 
     T = np.empty((3, 3) + g.resolution)
     for i in range(3):
@@ -79,8 +82,6 @@ def naive_tendency(state, params, forcing=None):
             T[i, j] = p.c_v * mu * D[i, j] - v[i] * v[j]
     dv_hat = np.stack([
         ops.div_hat(g, g.rfft(deal(T[i]))) for i in range(3)])
-    if f_v is not None:
-        dv_hat = dv_hat + g.rfft(deal(np.asarray(f_v)))
     ops.leray_hat(g, dv_hat)
     return g.irfft(dv_hat), dom, db
 
@@ -130,14 +131,15 @@ class TestUniformReductions:
         assert np.max(np.abs(ten[3] + 1.7 * 1.3**2)) < 1e-13
         assert np.max(np.abs(ten[4] + 2.4 * 1.3)) < 1e-13
 
-    def test_fast_path_matches_generic_bitwise(self):
+    def test_fast_path_matches_generic_bitwise(self, monkeypatch):
         g = TorusGrid(resolution=(16, 16, 16))
         p = ModelParams()
         s = State.uniform(g, 0.9, 1.8)
         k = TendencyKernel(g, p)
         y = g.rfft(s.y)
         fast = k(y)
-        generic = k(y, 0.0, Forcing(func=lambda t: (None, None, None)))
+        monkeypatch.setattr(ops, "is_uniform_state_hat", lambda y_hat: False)
+        generic = k(y)
         assert np.array_equal(fast, generic)
 
 
@@ -171,19 +173,38 @@ class TestAgainstNaiveOracle:
             assert np.max(np.abs(ten[4] - db)) < 1e-12 * scale
 
     def test_with_forcing(self):
+        # one forced step of advance is RK4 of kernel + F, with F taken
+        # at the stage times
         rng = np.random.default_rng(77)
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, rng)
+        # t and t + dt are exact, so the landing step keeps dt
+        s.t, dt = 0.25, 2.0**-7
         p = ModelParams()
-        fv = rng.standard_normal((3,) + g.resolution)
-        fw = rng.standard_normal(g.resolution)
-        fb = rng.standard_normal(g.resolution)
-        forcing = Forcing(lambda t: (fv, fw, fb))
-        ten = tendency(s, p, forcing)
-        dv, dom, db = naive_tendency(s, p, forcing)
-        assert np.max(np.abs(ten[:3] - dv)) < 1e-11
-        assert np.max(np.abs(ten[3] - dom)) < 1e-11
-        assert np.max(np.abs(ten[4] - db)) < 1e-11
+        f0 = spectral_forcing(g, rng)
+        forcing = Forcing(lambda t: (1.0 + t) * f0)
+        got = advance(s, s.t + dt, p, StepControl(dt_max=dt, dt_fixed=dt),
+                      forcing=forcing)
+
+        kern = TendencyKernel(g, p)
+
+        def rhs(y, t):
+            return kern(y, t) + forcing(t)
+
+        y = g.rfft(s.y, dealiased=True)
+        t = s.t
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        want = y + (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        ops.leray_hat(g, want[:3])
+        assert got.y_hat.tobytes() == want.tobytes()
+        unforced = advance(s, s.t + dt, p,
+                           StepControl(dt_max=dt, dt_fixed=dt))
+        # the forcing moves the step by about dt (1 + t) f0
+        assert (np.max(np.abs(got.y_hat - unforced.y_hat))
+                > 0.5 * dt * np.max(np.abs(f0)))
 
 
 class TestVelocityEquation:
@@ -242,27 +263,16 @@ class TestKernelBuffers:
     """The kernel reuses its transform stacks across calls; its results
     must still behave like fresh arrays."""
 
-    def forcing(self, g, rng):
-        arrs = [rng.standard_normal((3,) + g.resolution),
-                rng.standard_normal(g.resolution),
-                rng.standard_normal(g.resolution)]
-        for a in arrs:
-            a.flags.writeable = False
-        return tuple(arrs)
-
     def test_out_matches_fresh_result_bitwise(self):
         rng = np.random.default_rng(40)
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, rng)
         y_hat = g.rfft(s.y)
-        arrs = self.forcing(g, rng)
-        forcing = Forcing(lambda t: arrs)
-        for f in (None, forcing):
-            fresh = TendencyKernel(g, ModelParams())(y_hat, 0.3, f)
-            kern = TendencyKernel(g, ModelParams())
-            out = np.full_like(fresh, np.nan)
-            assert kern(y_hat, 0.3, f, out=out) is out
-            assert out.tobytes() == fresh.tobytes()
+        fresh = TendencyKernel(g, ModelParams())(y_hat, 0.3)
+        kern = TendencyKernel(g, ModelParams())
+        out = np.full_like(fresh, np.nan)
+        assert kern(y_hat, 0.3, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
         uniform = g.rfft(State.uniform(g, 1.5, 2.0).y)
         fresh = TendencyKernel(g, ModelParams())(uniform)
         out = np.full_like(fresh, np.nan)
@@ -286,14 +296,22 @@ class TestKernelBuffers:
     def test_inputs_are_not_written(self):
         rng = np.random.default_rng(42)
         g = TorusGrid(resolution=(12, 12, 12))
-        y_hat = g.rfft(make_state(g, rng).y)
+        s = make_state(g, rng)
+        y_hat = g.rfft(s.y)
+        kept = y_hat.copy()
         y_hat.flags.writeable = False
-        arrs = self.forcing(g, rng)
-        kept = [a.copy() for a in arrs]
         # read-only arrays make any write raise; compare the values too
-        TendencyKernel(g, ModelParams())(y_hat, 0.0, Forcing(lambda t: arrs))
-        for a, b in zip(arrs, kept):
-            assert a.tobytes() == b.tobytes()
+        TendencyKernel(g, ModelParams())(y_hat, 0.0)
+        assert y_hat.tobytes() == kept.tobytes()
+        # nor does advance write the forcing's value, which may be kept
+        # by the forcing and returned again
+        f = spectral_forcing(g, rng)
+        kept = f.copy()
+        f.flags.writeable = False
+        advance(s, 0.02, ModelParams(),
+                StepControl(dt_max=0.01, dt_fixed=0.01),
+                forcing=Forcing(lambda t: f))
+        assert f.tobytes() == kept.tobytes()
 
     def test_allocation_per_call_is_bounded(self):
         # the per-call temporaries used to peak at 11x the output

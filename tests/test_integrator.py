@@ -6,12 +6,20 @@ import pytest
 from kturb import (BlowUp, Forcing, ModelParams, PositivityViolation, State,
                    StepControl, TorusGrid, advance, compute_dt)
 from kturb import ops
+from kturb.dynamics import TendencyKernel
 from kturb.integrator import MAX_STEPS
-from tests.test_dynamics import make_state, tendency
+from tests.test_dynamics import make_state, spectral_forcing, tendency
 
 
 def uniform_state(grid, om=1.0, b=1.0, t=0.0):
     return State.uniform(grid, om, b, t)
+
+
+def uniform_forcing(grid, f_om=0.0, f_b=0.0):
+    """The spectrum of the spatially uniform forcing (0, 0, 0, f_om, f_b)."""
+    f = np.zeros((5,) + grid.spectral_shape, dtype=complex)
+    f[3:, 0, 0, 0] = f_om * grid.npoints, f_b * grid.npoints
+    return f
 
 
 def one_step(state, dt, params, forcing=None):
@@ -105,8 +113,8 @@ class TestRk4Step:
 
     def test_blowup_on_nonfinite_forcing(self):
         g = TorusGrid(resolution=(8, 8, 8))
-        bad = np.full(g.resolution, np.inf)
-        forcing = Forcing(lambda t: (None, bad, None))
+        bad = uniform_forcing(g, f_om=np.inf)
+        forcing = Forcing(lambda t: bad)
         with np.errstate(invalid="ignore"):
             with pytest.raises((BlowUp, PositivityViolation)):
                 one_step(uniform_state(g), 0.01, ModelParams(),
@@ -221,6 +229,24 @@ class TestAdvance:
         assert all(a < b for a, b in zip(every, every[1:]))
         assert every[-1] == 0.25
 
+    @pytest.mark.parametrize("every", [0, -2, 2.0, 1.5, "3", None])
+    def test_callback_cadence_refused_before_stepping(self, every,
+                                                      monkeypatch):
+        g = TorusGrid(resolution=(8, 8, 8))
+        ctl = StepControl(dt_max=1.0, dt_fixed=0.01)
+        stages = []
+        orig = TendencyKernel.__call__
+
+        def counted(self, *args, **kwargs):
+            stages.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TendencyKernel, "__call__", counted)
+        with pytest.raises(ValueError, match="cadence"):
+            advance(uniform_state(g), 0.05, ModelParams(), ctl,
+                    callbacks=[(1, lambda s: None), (every, lambda s: None)])
+        assert stages == []
+
     def test_matches_repeated_rk4(self):
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, np.random.default_rng(33))
@@ -239,8 +265,8 @@ class TestAdvance:
         g = TorusGrid(resolution=(8, 8, 8))
         ctl = StepControl(dt_max=1.0, dt_fixed=0.05)
         # strong negative forcing drags b through zero
-        f_b = np.full(g.resolution, -30.0)
-        forcing = Forcing(lambda t: (None, None, f_b))
+        f_b = uniform_forcing(g, f_b=-30.0)
+        forcing = Forcing(lambda t: f_b)
         with pytest.raises(PositivityViolation) as exc:
             advance(uniform_state(g), 2.0, ModelParams(), ctl,
                     forcing=forcing)
@@ -255,3 +281,53 @@ class TestAdvance:
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.b, b.b)
+
+
+class TestForcing:
+    """advance adds the forcing's spectrum to every stage tendency."""
+
+    def test_wrong_shape_refused(self):
+        g = TorusGrid(resolution=(8, 8, 8))
+        for shape in ((5,) + g.resolution, (3,) + g.spectral_shape,
+                      g.spectral_shape):
+            f = np.zeros(shape, dtype=complex)
+            with pytest.raises(ValueError, match="shape"):
+                one_step(uniform_state(g), 0.01, ModelParams(),
+                         forcing=Forcing(lambda t: f))
+
+    def test_off_mask_refused(self):
+        g = TorusGrid(resolution=(12, 12, 12))
+        f = spectral_forcing(g, np.random.default_rng(35))
+        # the mask keeps |m_i| <= 12 // 3, so m1 = 5 lies outside it
+        assert not g.dealias_mask[5, 0, 0]
+        f[4, 5, 0, 0] = 1e-12
+        with pytest.raises(ValueError, match="mask"):
+            one_step(make_state(g, np.random.default_rng(36)), 0.01,
+                     ModelParams(), forcing=Forcing(lambda t: f))
+
+    def test_uniform_state_keeps_fast_path(self, monkeypatch):
+        # a uniform forcing keeps a uniform state uniform, so the kernel
+        # takes its fast path at every stage; the step is bitwise the one
+        # the generic path plus F gives
+        g = TorusGrid(resolution=(16, 16, 16))
+        f = uniform_forcing(g, f_om=0.3, f_b=-0.2)
+        products = []
+        orig = TendencyKernel._products
+
+        def counted(self, phys, t):
+            products.append(t)
+            return orig(self, phys, t)
+
+        monkeypatch.setattr(TendencyKernel, "_products", counted)
+        s = uniform_state(g, 0.9, 1.8)
+        fast = one_step(s, 0.01, ModelParams(), forcing=Forcing(lambda t: f))
+        assert products == []
+        monkeypatch.setattr(ops, "is_uniform_state_hat", lambda y_hat: False)
+        generic = one_step(s, 0.01, ModelParams(),
+                           forcing=Forcing(lambda t: f))
+        assert len(products) == 4
+        assert fast.y_hat.tobytes() == generic.y_hat.tobytes()
+        assert fast.y.tobytes() == generic.y.tobytes()
+        # and the forcing did act: omega' = -om^2 + 0.3 at om = 0.9
+        unforced = one_step(s, 0.01, ModelParams())
+        assert np.all(fast.omega > unforced.omega)
