@@ -53,8 +53,6 @@ def _build_parser():
         sp.add_argument("--seed", type=int, help="initial data seed override")
         sp.add_argument("--t-end", type=float, dest="t_end",
                         help="final time override")
-        sp.add_argument("--dt", type=float,
-                        help="fixed time step override")
         sp.add_argument("--resolution", type=int, metavar="N",
                         help="cubic resolution override (N^3)")
         sp.add_argument("--constant-C", type=float, dest="constant_c",
@@ -74,6 +72,9 @@ def _build_parser():
                         ("mms", "manufactured-solution temporal order check")):
         sp = sub.add_parser(name, help=help_)
         common(sp)
+        if name != "mms":
+            sp.add_argument("--dt", type=float,
+                            help="fixed time step override")
     return p
 
 
@@ -82,8 +83,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.kappa2 is not None:
         params = dataclasses.replace(params, kappa2=args.kappa2)
     control = cfg.control
-    if args.dt is not None:
-        control = dataclasses.replace(control, dt_fixed=args.dt)
+    dt = getattr(args, "dt", None)   # only simulate and verify step
+    if dt is not None:
+        control = dataclasses.replace(control, dt_fixed=dt)
     initial = cfg.initial
     if args.seed is not None:
         initial = dataclasses.replace(initial, seed=args.seed)
@@ -161,6 +163,7 @@ def _cmd_verify(args):
 def _cmd_mms(args):
     cfg = _load(args)
     report = run_mms(cfg)
+    print("dts: " + ", ".join(f"{dt:g}" for dt in report.dts))
     for name in ("v", "omega", "b"):
         orders = ", ".join(f"{p:.3f}" for p in report.orders[name])
         errs = ", ".join(f"{e:.3e}" for e in report.errors[name])

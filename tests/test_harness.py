@@ -557,13 +557,12 @@ class TestRunVerify:
 
 class TestManufactured:
     def test_stationary_solution_reproduced_exactly(self):
-        # constant modulations make the forced problem stationary, so
+        # a constant modulation makes the forced problem stationary, so
         # time stepping must hold the exact fields to roundoff
         g = TorusGrid(resolution=(16, 16, 16))
         p = ModelParams()
         mms = _Manufactured(g, p)
-        mms.a, mms.da = lambda t: 0.05, lambda t: 0.0
-        mms.gamma, mms.dgamma = lambda t: 0.5, lambda t: 0.0
+        mms.sigma, mms.dsigma = lambda t: 0.5, lambda t: 0.0
         final = advance(mms.initial_state(), 0.2, p,
                         StepControl(dt_max=1.0, dt_fixed=0.02),
                         forcing=Forcing(func=mms.forcing))
@@ -571,6 +570,30 @@ class TestManufactured:
         assert np.max(np.abs(final.v - exact[:3])) < 1e-12
         assert np.max(np.abs(final.omega - exact[3])) < 1e-12
         assert np.max(np.abs(final.b - exact[4])) < 1e-12
+
+    @pytest.mark.parametrize("grid", [
+        TorusGrid(resolution=(8, 8, 8)),
+        TorusGrid(resolution=(16, 16, 16)),
+        TorusGrid(lengths=(2.0 * math.pi, 2.6 * math.pi, 1.4 * math.pi),
+                  resolution=(16, 12, 8)),
+    ], ids=["8^3", "16^3", "box"])
+    def test_forcing_is_time_derivative_minus_kernel(self, grid):
+        # sigma(0) = 1, so exact(0) is the profile; sigma is largest at
+        # t = pi/10 and smallest at 3 pi/10
+        p = ModelParams()
+        mms = _Manufactured(grid, p)
+        kern = TendencyKernel(grid, p)
+        profile_hat = grid.rfft(mms.exact(0.0), dealiased=True)
+        for t in (0.0, math.pi / 10, 0.37, 3 * math.pi / 10, 2.0):
+            h = 1e-5
+            assert mms.dsigma(t) == pytest.approx(
+                (mms.sigma(t + h) - mms.sigma(t - h)) / (2 * h), abs=1e-8)
+            want = (mms.dsigma(t) * profile_hat
+                    - kern(grid.rfft(mms.exact(t), dealiased=True)))
+            got = mms.forcing(t)
+            assert got.shape == want.shape
+            assert (np.max(np.abs(got - want))
+                    <= 1e-13 * np.max(np.abs(want)))
 
     def test_default_fields_admissible(self):
         g = TorusGrid(resolution=(8, 8, 8))
@@ -739,42 +762,29 @@ class TestRunMms:
         assert all(len(v) == 1 for v in rep.orders.values())
         assert rep.passed
 
-    def test_forcing_memo_evaluations(self, monkeypatch):
-        # stages 2 and 3 share a time, and so do stage 4 and the next
-        # step's stage 1: 2 forcing evaluations per step plus 1 per dt.
-        # Each dt run is counted here, since a forked study worker's
-        # counts never reach this process.  A forcing evaluation is a
-        # call of the manufactured solution's own kernel.
-        calls = {"stage": 0, "forcing": 0}
-        mms_kernels = []
+    def test_kernel_calls(self, monkeypatch):
+        # the manufactured solution calls the kernel twice, when it is
+        # made; a forcing evaluation never does.  Each dt run is counted
+        # here, since a forked study worker's counts never reach this
+        # process.
+        calls = [0]
         orig = TendencyKernel.__call__
-        orig_init = _Manufactured.__init__
-
-        def init(self, grid, params):
-            orig_init(self, grid, params)
-            mms_kernels.append(self.kernel)
 
         def counted(self, y_hat, t=0.0, out=None):
-            forced = any(self is k for k in mms_kernels)
-            calls["forcing" if forced else "stage"] += 1
+            calls[0] += 1
             return orig(self, y_hat, t, out=out)
 
-        monkeypatch.setattr(_Manufactured, "__init__", init)
         monkeypatch.setattr(TendencyKernel, "__call__", counted)
         cfg = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        mms = _Manufactured(cfg.make_grid(), cfg.params)
+        assert calls[0] == 2
+        for t in (0.0, 0.0125, 0.125):
+            mms.forcing(t)
+        assert calls[0] == 2
         for dt, steps in ((5e-3, 10), (2.5e-3, 20)):
-            calls.update(stage=0, forcing=0)
+            calls[0] = 0
             runs._mms_errors(cfg, dt)
-            assert calls["stage"] == 4 * steps
-            assert calls["forcing"] == 2 * steps + 1
-        # a kept value is the one a fresh evaluation gives
-        g = cfg.make_grid()
-        mms = _Manufactured(g, cfg.params)
-        first = mms.forcing(0.125)
-        again = mms.forcing(0.125)
-        fresh = _Manufactured(g, cfg.params).forcing(0.125)
-        assert first is again
-        assert first.tobytes() == fresh.tobytes()
+            assert calls[0] == 4 * steps + 2
 
     @pytest.mark.parametrize("dts, t_end, name", [
         ((5e-3,), 0.05, "dts"),
@@ -800,6 +810,19 @@ class TestRunMms:
         cfg.t_end = t_end   # RunConfig itself refuses non-finite t_end
         with pytest.raises(ValueError, match=name):
             run_mms(cfg, dts=dts)
+
+    def test_cli_dt_only_on_commands_that_step(self, capsys):
+        # --dt was accepted and ignored: mms ran its own dts and check
+        # never steps
+        for args in (["mms", "--resolution", "8", "--t-end", "0.04",
+                      "--dt", "0.5"],
+                     ["check", "--dt", "0.5", "--b-min", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 3
+            assert "unrecognized arguments: --dt 0.5" in capsys.readouterr().err
+        assert main(["mms", "--resolution", "8", "--t-end", "0.04"]) == 0
+        assert "dts: 0.004, 0.002, 0.001\n" in capsys.readouterr().out
 
     def test_cli_zero_t_end_is_invalid(self, capsys):
         assert main(["mms", "--resolution", "8", "--t-end", "0"]) == 3
