@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .envelopes import (DataBounds, EnvelopeSet, coeff_a, decay_exponent,
                         geometric_times)
@@ -184,11 +183,71 @@ class _TailModel:
         return s
 
 
+def _brentq(f, xpre, xcur, maxiter=100):
+    """Root of f between xpre and xcur by Brent's method, step for step as
+    scipy.optimize.brentq(f, xpre, xcur, rtol=1e-10) runs it in C, so the
+    root and the evaluations are scipy's bit for bit.  Ends of one sign
+    raise ValueError and the iteration cap RuntimeError, as in scipy; a
+    NaN value raises InconclusiveTail."""
+    xtol, rtol = 2e-12, 1e-10
+    def fn(x):
+        fx = f(x)
+        if fx != fx:
+            raise _out_of_range("existence margin", x)
+        return fx
+
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # < 0 is C's signbit for values that are neither 0 nor NaN
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # C's inf or NaN from a zero divisor fails the step test: bisect
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fn(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur:f}")
+
+
 def _first_root(ts, vals, f):
     """First t with f <= 0 given grid samples; bisect the bracketing
     interval when the sign change is interior.  The samples come from the
     array path and f from the scalar one, which can differ in the last bit,
-    so f is read at the bracket before brentq needs its signs.  A NaN
+    so f is read at the bracket before _brentq needs its signs.  A NaN
     sample (an out-of-range term times 0) before the first sample <= 0
     raises InconclusiveTail; -inf is a violation."""
     bad = np.nonzero(~(vals > 0.0))[0]
@@ -206,7 +265,7 @@ def _first_root(ts, vals, f):
         return a
     if f(b) > 0.0:
         return b
-    return float(brentq(f, a, b, rtol=1e-10))
+    return _brentq(f, a, b)
 
 
 def _check_horizon(bounds, config, tail):
@@ -267,10 +326,79 @@ def _verdict(env, config, ts, vals):
     )
 
 
+def _fminbound(func, a, b, xatol, maxfun=500):
+    """(x, func(x)) at the minimum of func on [a, b] by bounded Brent
+    search, step for step as scipy.optimize.minimize_scalar(method=
+    "bounded") runs it (golden-section and parabolic steps), so x, the
+    value and the evaluations are scipy's bit for bit.  A NaN value is
+    never taken as a better point; a NaN first value is returned."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        # rat is never NaN: a NaN p or q fails the parabola test
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def _a0(env, tail, config, ts, vals):
     """a0 from the a(t) samples vals at times ts: the grid maximum, refined
     by a bounded Brent search around it, against the analytic tail bound.
-    argmax lands on a NaN or infinite sample, if there is one."""
+    argmax lands on a NaN or infinite sample, if there is one; a NaN in
+    the search leaves the grid maximum in place."""
     b = env.bounds
     k2 = b.kappa2
     Cc = config.c_omega_kappa
@@ -279,10 +407,9 @@ def _a0(env, tail, config, ts, vals):
     lo = float(ts[max(j - 1, 0)])
     hi = float(ts[min(j + 1, ts.size - 1)])
     if hi > lo:
-        res = minimize_scalar(lambda t: -env.a(t, Cc), bounds=(lo, hi),
-                              method="bounded",
-                              options={"xatol": 1e-12 * max(hi, 1.0)})
-        best = max(best, float(-res.fun))
+        _, fmin = _fminbound(lambda t: -float(env.a(t, Cc)), lo, hi,
+                             xatol=1e-12 * max(hi, 1.0))
+        best = max(best, -fmin)
 
     # analytic tail: every constituent is decreasing past the grid end,
     # so the tail supremum is bounded by the majorants evaluated there

@@ -292,7 +292,8 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
     sigma(t) Y of `_Manufactured`: one fixed-dt run per dt, whose error
     at t_end is purely temporal, since the forcing is formed against the
     discrete operator.  Each run makes 4 kernel calls per step and 2
-    more for the forcing.
+    more for the forcing.  A config that sets dt_fixed is refused, since
+    the study would ignore it.
 
     The runs at the different dts are independent, so they are spread
     over one process per usable CPU, up to one per run (see
@@ -301,6 +302,9 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
     bit for bit."""
     dts = tuple(dts)
     t_end = config.t_end
+    if config.control.dt_fixed is not None:
+        raise ValueError(f"[step] dt_fixed = {config.control.dt_fixed!r} is "
+                         f"not used: the study runs its own dts")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     if len(dts) < 2:

@@ -2,18 +2,22 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from kturb import (CriterionConfig, DataBounds, EnvelopeSet, InconclusiveTail,
                    Kappa2TooSmall, check_glob_add, compute_a0, full_report,
                    geometric_times, margin)
 from kturb.cli import main
-from kturb.criterion import (SUP_HORIZON, _first_root, _joint_times,
-                             _TailModel)
+from kturb import criterion
+from kturb.criterion import (SUP_HORIZON, _brentq, _first_root, _fminbound,
+                             _joint_times, _TailModel)
 from kturb.envelopes import decay_exponent
 from tests.test_envelopes import random_bounds, simple_bounds
 
@@ -577,3 +581,231 @@ class TestFullReport:
                 else:
                     kinds["report"] += 1
         assert min(kinds.values()) > 0, kinds
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _logged(f):
+    """f and the list of the points it is evaluated at."""
+    xs = []
+
+    def g(x):
+        xs.append(_bits(x))
+        return f(x)
+    return g, xs
+
+
+def _root_problems(n, seed):
+    """(f, a, b) with one sign change in [a, b]: smooth, steep, flat and
+    kinked functions, with the bracket ends in either order."""
+    rng = np.random.default_rng(seed)
+    shapes = (
+        lambda r, c: lambda x: math.tanh(c * (x - r)),
+        lambda r, c: lambda x: (x - r) ** 3 + 1e-3 * c * (x - r),
+        lambda r, c: lambda x: math.expm1(c * (x - r)),
+        lambda r, c: lambda x: (x - r) * (1.0 + c * math.sin(5.0 * x) ** 2),
+        lambda r, c: lambda x: math.copysign(abs(x - r) ** 0.2, x - r) - c * 1e-9,
+        lambda r, c: lambda x: c * (x - r) - 0.5 if x > r else -1.0,
+    )
+    for i in range(n):
+        r = rng.uniform(-5.0, 5.0)
+        a = r - 10 ** rng.uniform(-6.0, 1.0)
+        b = r + 10 ** rng.uniform(-6.0, 1.0)
+        f = shapes[i % len(shapes)](r, rng.uniform(0.1, 3.0))
+        if f(a) * f(b) >= 0.0:
+            continue
+        yield (f, a, b) if rng.uniform() < 0.5 else (f, b, a)
+
+
+def _min_problems(n, seed):
+    """(f, a, b, xatol): one or several interior minima, a minimum at
+    either bound, nearly flat objectives, and a well in a plateau, whose
+    ties take the search's tie-breaking branches."""
+    rng = np.random.default_rng(seed)
+    shapes = (
+        lambda m, c: lambda x: c * (x - m) ** 2,
+        lambda m, c: lambda x: -math.exp(-c * (x - m) ** 2) + 1e-3 * x,
+        lambda m, c: lambda x: math.cos(c * 7.0 * x) + 0.1 * (x - m) ** 2,
+        lambda m, c: lambda x: abs(x - m) ** 0.5 * c,
+        lambda m, c: lambda x: c * x,
+        lambda m, c: lambda x: -c * x,
+        lambda m, c: lambda x: 1.0 + 1e-17 * c * (x - m) ** 2,
+        lambda m, c: lambda x: 0.0 if abs(x - m) < 0.05 * c else 1.0,
+    )
+    for i in range(n):
+        m = rng.uniform(-5.0, 5.0)
+        a = m - 10 ** rng.uniform(-4.0, 1.0)
+        b = m + 10 ** rng.uniform(-4.0, 1.0)
+        xatol = 10 ** rng.uniform(-12.0, -4.0) * max(abs(b), 1.0)
+        yield shapes[i % len(shapes)](m, rng.uniform(0.1, 3.0)), a, b, xatol
+
+
+def _scipy_min(f, a, b, xatol, maxfun=500):
+    res = minimize_scalar(f, bounds=(a, b), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxfun})
+    return res.x, res.fun
+
+
+class TestBrentRoot:
+    """_brentq against scipy.optimize.brentq: the same root, value and
+    evaluation points, bit for bit."""
+
+    def same_as_scipy(self, f, a, b, **kw):
+        mine, xs_mine = _logged(f)
+        theirs, xs_theirs = _logged(f)
+        x = _brentq(mine, a, b, **kw)
+        assert _bits(x) == _bits(brentq(theirs, a, b, rtol=1e-10, **kw))
+        assert xs_mine == xs_theirs
+        return x, len(xs_mine)
+
+    def test_random_brackets(self):
+        calls = []
+        for f, a, b in _root_problems(400, seed=20):
+            x, n = self.same_as_scipy(f, a, b)
+            calls.append(n)
+        assert len(calls) > 300 and max(calls) > 10
+
+    def test_zero_at_an_end(self):
+        f = lambda x: x - 1.0  # noqa: E731
+        assert self.same_as_scipy(f, 1.0, 3.0) == (1.0, 2)
+        assert self.same_as_scipy(f, -2.0, 1.0) == (1.0, 2)
+
+    def test_root_next_to_an_end(self):
+        for eps in (1e-14, 1e-10, 1e-6):
+            self.same_as_scipy(lambda x: x - (2.0 + eps), 2.0, 3.0)
+            self.same_as_scipy(lambda x: x - (3.0 - eps), 2.0, 3.0)
+
+    def test_step_with_underflowed_divisor(self):
+        # values near the underflow threshold make the extrapolation's
+        # divisor 0: C's inf or NaN step fails the step test and bisects
+        for scale in (1e-300, 1e-310):
+            self.same_as_scipy(lambda x: scale * math.expm1(3 * (x - 0.3)),
+                               -1.0, 2.0)
+            self.same_as_scipy(lambda x: scale * ((x - 0.3) ** 3
+                                                  + 1e-3 * (x - 0.3)),
+                               -1.0, 2.0)
+
+    def test_ends_of_one_sign(self):
+        for a, b in ((2.0, 3.0), (-3.0, -2.0)):
+            with pytest.raises(ValueError, match="different signs"):
+                brentq(lambda x: x * x - 1.0, a, b)
+            with pytest.raises(ValueError, match="different signs"):
+                _brentq(lambda x: x * x - 1.0, a, b)
+
+    def test_iteration_cap(self):
+        f = lambda x: math.tanh(3.0 * (x - 0.3))  # noqa: E731
+        _, full = self.same_as_scipy(f, -4.0, 5.0)
+        for cap in range(1, full - 2):
+            mine, xs_mine = _logged(f)
+            theirs, xs_theirs = _logged(f)
+            with pytest.raises(RuntimeError, match=f"after {cap} iter"):
+                _brentq(mine, -4.0, 5.0, maxiter=cap)
+            with pytest.raises(RuntimeError, match=f"after {cap} iter"):
+                brentq(theirs, -4.0, 5.0, rtol=1e-10, maxiter=cap)
+            assert xs_mine == xs_theirs and len(xs_mine) == cap + 2
+
+    def test_nan_is_inconclusive(self):
+        # scipy raised ValueError on a NaN value; both exit 3
+        for x_nan in (0.0, 1.0, None):
+            def f(x):
+                return math.nan if x == x_nan or (x_nan is None and
+                                                 0.2 < x < 0.8) else x - 0.5
+            with pytest.raises(ValueError, match="NaN"):
+                brentq(f, 0.0, 1.0)
+            with pytest.raises(InconclusiveTail, match="existence margin"):
+                _brentq(f, 0.0, 1.0)
+
+
+class TestBoundedMinimum:
+    """_fminbound against minimize_scalar(method="bounded"): the same
+    minimiser, value and evaluation points, bit for bit."""
+
+    def same_as_scipy(self, f, a, b, xatol, maxfun=500):
+        mine, xs_mine = _logged(f)
+        theirs, xs_theirs = _logged(f)
+        x, fx = _fminbound(mine, a, b, xatol, maxfun)
+        want = _scipy_min(theirs, a, b, xatol, maxfun)
+        assert (_bits(x), _bits(fx)) == (_bits(want[0]), _bits(want[1]))
+        assert xs_mine == xs_theirs
+        return x, len(xs_mine)
+
+    def test_random_intervals(self):
+        calls = []
+        for f, a, b, xatol in _min_problems(350, seed=20):
+            calls.append(self.same_as_scipy(f, a, b, xatol)[1])
+        assert len(calls) == 350 and max(calls) > 30
+
+    def test_minimum_at_either_bound(self):
+        # within the search's tolerance sqrt(2.2e-16)·|x| + xatol/3
+        x, _ = self.same_as_scipy(lambda x: x, 1.0, 2.0, 1e-12)
+        assert x - 1.0 < 3e-8
+        x, _ = self.same_as_scipy(lambda x: -x, 1.0, 2.0, 1e-12)
+        assert 2.0 - x < 6e-8
+
+    def test_flat_objective(self):
+        self.same_as_scipy(lambda x: 3.0, 0.0, 1.0, 1e-12)
+        self.same_as_scipy(lambda x: 0.0 * x, -7.0, 1e3, 1e-9)
+
+    def test_empty_interval(self):
+        assert self.same_as_scipy(lambda x: x * x, 2.0, 2.0, 1e-12)[1] == 1
+
+    def test_evaluation_cap(self):
+        f = lambda x: math.cos(3.0 * x) + 0.01 * x  # noqa: E731
+        _, full = self.same_as_scipy(f, 0.0, 4.0, 1e-12)
+        for cap in range(1, full + 2):
+            _, n = self.same_as_scipy(f, 0.0, 4.0, 1e-12, maxfun=cap)
+            assert n == min(max(cap, 2), full)
+
+    def test_nan_values_follow_scipy(self):
+        # a NaN value is never a better point; a NaN first value stays
+        def holes(x):
+            return math.nan if 0.3 < x < 0.5 else (x - 0.6) ** 2
+
+        self.same_as_scipy(holes, 0.0, 1.0, 1e-12)
+        x, fx = _fminbound(lambda x: math.nan, 0.0, 1.0, 1e-12)
+        assert math.isnan(fx) and 0.0 < x < 1.0
+
+    def test_nan_search_keeps_the_grid_maximum(self, monkeypatch):
+        bd = simple_bounds(kappa2=1.5, lap_sum=2.0)
+        cfg = CriterionConfig(c_omega_kappa=0.05)
+        searched = full_report(bd, cfg).a0
+        monkeypatch.setattr(criterion, "_fminbound",
+                            lambda *args, **kw: (0.0, math.inf))
+        unsearched = full_report(bd, cfg).a0
+        monkeypatch.undo()
+        monkeypatch.setattr(EnvelopeSet, "a",
+                            lambda self, t, C: np.float64(math.nan))
+        assert full_report(bd, cfg).a0 == unsearched <= searched
+
+
+_CHECK_REPORT = """\
+existence criterion: VIOLATED (C = 0.05, horizon = inf)
+first violation at t = 0.678563982338
+a0 = 2.27460529383
+z1 holds: True
+z2 holds: False
+margin sampled at 927 points: start 0.2, end 0.5
+"""
+
+_NO_OPTIMIZE = """
+import sys
+import kturb, kturb.harness, kturb.cli
+kturb.cli.main(["check", "--lap-sum", "1", "--b-min", "0.5",
+                "--constant-C", "0.05"])
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+"""
+
+
+def test_kturb_loads_no_scipy_optimize():
+    # a fresh process: a report that uses both searches, and never
+    # imports scipy.optimize
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _CHECK_REPORT

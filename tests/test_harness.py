@@ -824,6 +824,15 @@ class TestRunMms:
         assert main(["mms", "--resolution", "8", "--t-end", "0.04"]) == 0
         assert "dts: 0.004, 0.002, 0.001\n" in capsys.readouterr().out
 
+    def test_cli_refuses_dt_fixed_in_the_config(self, tmp_path, capsys):
+        # the study runs its own dts; it used to ignore the setting and
+        # exit 0
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text("[grid]\nn1 = 8\nn2 = 8\nn3 = 8\n[step]\n"
+                       "dt_fixed = 0.5\n[run]\nt_end = 0.04\n")
+        assert main(["mms", "--config", str(cfg)]) == 3
+        assert "[step] dt_fixed = 0.5 is not used" in capsys.readouterr().err
+
     def test_cli_zero_t_end_is_invalid(self, capsys):
         assert main(["mms", "--resolution", "8", "--t-end", "0"]) == 3
         assert "t_end must be finite and positive" in capsys.readouterr().err

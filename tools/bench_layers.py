@@ -11,12 +11,15 @@ manufactured-solution study (`run_mms` at t_end 0.04, default dts) as
 `mms_study_ms`, and `full_report` with an infinite horizon on fixed-seed
 random bounds, drawn as the `criterion` benchmark workload draws them,
 as `criterion_report_ms`.  Each figure is the min and median of several
-calls, in ms.  The two whole-study rows also keep every sample and their
-interquartile range over the median, `iqr_over_median`: a difference
-between two runs smaller than that ratio does not resolve.  (The
+calls, in ms.  The two whole-study rows and `import_ms` also keep every
+sample and their interquartile range over the median,
+`iqr_over_median`: a difference between two runs smaller than that
+ratio does not resolve.  (The
 `criterion_report_ms` samples are of 300 different bounds, in the same
-order on every run, so they can also be compared input by input.)  It
-also runs the tier-1 suite once in a subprocess and records its wall
+order on every run, so they can also be compared input by input.)
+`import_ms` is the time of `import kturb, kturb.harness` in fresh
+interpreters, with the number of `scipy.*` modules that import loads.
+It also runs the tier-1 suite once in a subprocess and records its wall
 time and pass count.
 
 --src times another checkout's package (for example the parent commit's
@@ -41,6 +44,14 @@ REPEATS = {16: 60, 32: 30, 64: 8}
 STEPS_PER_CALL = 4
 MMS_REPEATS = 9
 CRITERION_REPORTS = 300
+IMPORT_REPEATS = 9
+_IMPORT_SCRIPT = """\
+import sys, time
+t0 = time.perf_counter()
+import kturb, kturb.harness
+t1 = time.perf_counter()
+print(t1 - t0, sum(m.startswith("scipy.") for m in sys.modules))
+"""
 
 
 def _stats(times):
@@ -142,6 +153,19 @@ def time_criterion_report(kturb):
     return _spread(times)
 
 
+def time_import(src):
+    """_spread of the package import over fresh interpreters, and the
+    scipy.* modules it loads."""
+    env = dict(os.environ, PYTHONPATH=src)
+    times = []
+    for _ in range(IMPORT_REPEATS):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        seconds, modules = out.stdout.split()
+        times.append(float(seconds))
+    return dict(_spread(times), scipy_modules=int(modules))
+
+
 def run_tier1(root, src):
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
@@ -192,6 +216,7 @@ def main(argv=None):
         "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
         "mms_study_ms": time_mms_study(),
         "criterion_report_ms": time_criterion_report(kturb),
+        "import_ms": time_import(src),
     }
     if not args.skip_tier1:
         result["tier1"] = run_tier1(os.path.dirname(src), src)
@@ -199,14 +224,14 @@ def main(argv=None):
         with open(args.parent) as fh:
             parent = json.load(fh)
         result["parent"] = {k: parent[k] for k in (
-            "label", "layers", "mms_study_ms", "criterion_report_ms", "tier1")
-            if k in parent}
+            "label", "layers", "mms_study_ms", "criterion_report_ms",
+            "import_ms", "tier1") if k in parent}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    shown = {k: result[k] for k in ("layers", "mms_study_ms",
-                                     "criterion_report_ms")}
-    for k in ("mms_study_ms", "criterion_report_ms"):
+    spreads = ("mms_study_ms", "criterion_report_ms", "import_ms")
+    shown = {k: result[k] for k in ("layers",) + spreads}
+    for k in spreads:
         shown[k] = {s: v for s, v in shown[k].items() if s != "samples"}
     print(json.dumps(shown, indent=1))
 
