@@ -183,20 +183,23 @@ class _TailModel:
         return s
 
 
-def _brentq(f, xpre, xcur, maxiter=100):
+def _brentq(f, xpre, xcur, maxiter=100, fpre=None, fcur=None):
     """Root of f between xpre and xcur by Brent's method, step for step as
     scipy.optimize.brentq(f, xpre, xcur, rtol=1e-10) runs it in C, so the
-    root and the evaluations are scipy's bit for bit.  Ends of one sign
-    raise ValueError and the iteration cap RuntimeError, as in scipy; a
-    NaN value raises InconclusiveTail."""
+    root and the evaluations are scipy's bit for bit.  fpre and fcur,
+    when given, are f's values at the two ends, which are then not read
+    again: the evaluations are scipy's without its first two.  Ends of
+    one sign raise ValueError and the iteration cap RuntimeError, as in
+    scipy; a NaN value raises InconclusiveTail."""
     xtol, rtol = 2e-12, 1e-10
-    def fn(x):
-        fx = f(x)
+    def fn(x, fx=None):
+        if fx is None:
+            fx = f(x)
         if fx != fx:
             raise _out_of_range("existence margin", x)
         return fx
 
-    fpre, fcur = fn(xpre), fn(xcur)
+    fpre, fcur = fn(xpre, fpre), fn(xcur, fcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -247,8 +250,8 @@ def _first_root(ts, vals, f):
     """First t with f <= 0 given grid samples; bisect the bracketing
     interval when the sign change is interior.  The samples come from the
     array path and f from the scalar one, which can differ in the last bit,
-    so f is read at the bracket before _brentq needs its signs.  A NaN
-    sample (an out-of-range term times 0) before the first sample <= 0
+    so f is read at the bracket, and _brentq is handed those values.  A
+    NaN sample (an out-of-range term times 0) before the first sample <= 0
     raises InconclusiveTail; -inf is a violation."""
     bad = np.nonzero(~(vals > 0.0))[0]
     if bad.size == 0:
@@ -261,11 +264,13 @@ def _first_root(ts, vals, f):
     a, b = float(ts[j - 1]), float(ts[j])
     if vals[j] == 0.0:
         return b
-    if f(a) <= 0.0:
+    fa = f(a)
+    if fa <= 0.0:
         return a
-    if f(b) > 0.0:
+    fb = f(b)
+    if fb > 0.0:
         return b
-    return _brentq(f, a, b)
+    return _brentq(f, a, b, fpre=fa, fcur=fb)
 
 
 def _check_horizon(bounds, config, tail):

@@ -2,31 +2,61 @@
 
 All fields live on a uniform collocation grid over the box
 prod_i (0, L_i) with N_i points per axis.  Spectra use the real-FFT
-half-spectrum layout (last axis holds N_3//2 + 1 modes).  The
-dealiased transforms skip the modes the 2/3 rule drops; they call
-scipy's private pocketfft binding and fall back to the public
-rfftn/irfftn when it is missing or has changed.
+half-spectrum layout (last axis holds N_3//2 + 1 modes).  Every
+transform runs through scipy's compiled pocketfft module, loaded from
+its file so that no scipy package is imported: the full transforms as
+one multi-axis call each, the dealiased ones skipping the modes the 2/3
+rule drops.  When that module is missing or has changed, they fall back
+to scipy.fft's public rfftn/irfftn.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-import scipy.fft as _fft
 
 
 def _pruning_backend():
-    """scipy's private pocketfft binding, if its in-place strided out=
-    form works; None makes the dealiased transforms use the public
-    rfftn/irfftn instead."""
+    """scipy's compiled pocketfft module, loaded from its file under
+    scipy's install directory, if its in-place strided out= form works;
+    None makes every transform use scipy.fft's public rfftn/irfftn
+    instead.  Finding the directory runs no scipy code, and the module
+    is put under no name in sys.modules."""
     try:
-        from scipy.fft._pocketfft import pypocketfft as pp
+        scipy_spec = importlib.util.find_spec("scipy")
+        where = os.path.join(os.path.dirname(scipy_spec.origin), "fft",
+                             "_pocketfft")
+        finder = importlib.machinery.FileFinder(where, (
+            importlib.machinery.ExtensionFileLoader,
+            importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+        pp = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(pp)
         a = np.zeros((2, 3), dtype=complex)
         cols = a[:, :2]
         pp.c2c(cols, (0,), False, 0, cols, 1)
-    except (ImportError, AttributeError, TypeError, ValueError):
+    except (ImportError, AttributeError, TypeError, ValueError, OSError):
         return None
     return pp
 
 
 _pocketfft = _pruning_backend()
+
+
+def _output(x, shape_in, shape_out, dtype, out):
+    """out, checked, or a new array, for a transform of x over its
+    trailing three axes; pocketfft writes through out unchecked."""
+    if x.shape[-3:] != shape_in:
+        raise ValueError(f"expected trailing axes {shape_in}, "
+                         f"got shape {x.shape}")
+    shape = x.shape[:-3] + shape_out
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of "
+                         f"shape {shape}, got {out.dtype} {out.shape}")
+    return out
 
 
 def check_box(lengths, resolution, error=ValueError):
@@ -134,49 +164,58 @@ class TorusGrid:
         """Forward real transform over the trailing three axes, written
         into out when given.
 
+        The full transform is one multi-axis r2c, so it is rfftn's.
         dealiased=True gives rfftn(values) * dealias_mask in value (only
         the signs of zeros may differ) and transforms only what the mask
         keeps: r2c over axis -1, c2c over axis -3 on the m3 <= N3/3 slab,
         c2c over axis -2 on the kept m1 rows of it, then the rest is
         zeroed.
         """
-        if dealiased and _pocketfft is not None:
-            return self._pruned_rfft(np.asarray(values, dtype=float), out)
-        spec = _fft.rfftn(values, axes=(-3, -2, -1))
+        values = np.asarray(values, dtype=float)
+        out = _output(values, self.resolution, self.spectral_shape, complex,
+                      out)
+        if _pocketfft is None:
+            from scipy import fft
+            out[...] = fft.rfftn(values, axes=(-3, -2, -1))
+            if dealiased:
+                out *= self.dealias_mask
+            return out
         if dealiased:
-            spec *= self.dealias_mask
-        if out is None:
-            return spec
-        out[...] = spec
-        return out
+            return self._pruned_rfft(values, out)
+        ax = values.ndim - 3
+        return _pocketfft.r2c(values, (ax, ax + 1, ax + 2), True, 0, out, 1)
 
     def irfft(self, spectrum, out=None, dealiased=False):
         """Inverse real transform over the trailing three axes, written
         into out when given.
 
-        dealiased=True requires spectrum to be zero outside the 2/3 mask
-        and may overwrite it.  It transforms only the kept modes: c2c over
-        axis -3 on the kept (m2, m3) columns, c2c over axis -2 on the
-        m3 <= N3/3 slab, c2r over axis -1, then the 1/N scaling.  This
-        is pocketfft's own pass order, so the result is bitwise that of
-        irfftn.
+        The full transform is one multi-axis c2r, so it is irfftn's, and
+        leaves spectrum unwritten.  dealiased=True requires spectrum to be
+        zero outside the 2/3 mask and may overwrite it.  It transforms
+        only the kept modes: c2c over axis -3 on the kept (m2, m3)
+        columns, c2c over axis -2 on the m3 <= N3/3 slab, c2r over axis
+        -1, then the 1/N scaling.  This is pocketfft's own pass order, so
+        the result is bitwise that of irfftn.
         """
-        if dealiased and _pocketfft is not None:
+        spectrum = np.asarray(spectrum, dtype=complex)
+        out = _output(spectrum, self.spectral_shape, self.resolution, float,
+                      out)
+        if _pocketfft is None:
+            from scipy import fft
+            out[...] = fft.irfftn(spectrum, s=self.resolution,
+                                  axes=(-3, -2, -1))
+            return out
+        if dealiased:
             return self._pruned_irfft(spectrum, out)
-        phys = _fft.irfftn(spectrum, s=self.resolution, axes=(-3, -2, -1))
-        if out is None:
-            return phys
-        out[...] = phys
-        return out
+        ax = spectrum.ndim - 3
+        return _pocketfft.c2r(spectrum, (ax, ax + 1, ax + 2),
+                              self.resolution[2], False, 2, out, 1)
 
     def _pruned_rfft(self, values, out):
         pp = _pocketfft
         N1, N2, _ = self.resolution
         c1, c2, c3 = self._kept
         ax = values.ndim - 3
-        if out is None:
-            out = np.empty(values.shape[:-3] + self.spectral_shape,
-                           dtype=complex)
         pp.r2c(values, (ax + 2,), True, 0, out, 1)
         slab = out[..., :c3 + 1]
         pp.c2c(slab, (ax,), True, 0, slab, 1)
@@ -196,8 +235,6 @@ class TorusGrid:
         for cols in (slab[..., :c2 + 1, :], slab[..., N2 - c2:, :]):
             pp.c2c(cols, (ax,), False, 0, cols, 1)
         pp.c2c(slab, (ax + 1,), False, 0, slab, 1)
-        if out is None:
-            out = np.empty(spectrum.shape[:-3] + self.resolution)
         pp.c2r(spectrum, (ax + 2,), N3, False, 0, out, 1)
         out *= self._inv_npoints
         return out

@@ -650,7 +650,8 @@ def _scipy_min(f, a, b, xatol, maxfun=500):
 
 class TestBrentRoot:
     """_brentq against scipy.optimize.brentq: the same root, value and
-    evaluation points, bit for bit."""
+    evaluation points, bit for bit.  Handed the end values, _brentq
+    gives the same root and skips scipy's first two evaluations."""
 
     def same_as_scipy(self, f, a, b, **kw):
         mine, xs_mine = _logged(f)
@@ -658,6 +659,10 @@ class TestBrentRoot:
         x = _brentq(mine, a, b, **kw)
         assert _bits(x) == _bits(brentq(theirs, a, b, rtol=1e-10, **kw))
         assert xs_mine == xs_theirs
+        given, xs_given = _logged(f)
+        assert _bits(_brentq(given, a, b, fpre=f(a), fcur=f(b), **kw)) \
+            == _bits(x)
+        assert xs_given == xs_theirs[2:]
         return x, len(xs_mine)
 
     def test_random_brackets(self):
@@ -693,6 +698,9 @@ class TestBrentRoot:
                 brentq(lambda x: x * x - 1.0, a, b)
             with pytest.raises(ValueError, match="different signs"):
                 _brentq(lambda x: x * x - 1.0, a, b)
+            with pytest.raises(ValueError, match="different signs"):
+                _brentq(lambda x: x * x - 1.0, a, b, fpre=a * a - 1.0,
+                        fcur=b * b - 1.0)
 
     def test_iteration_cap(self):
         f = lambda x: math.tanh(3.0 * (x - 0.3))  # noqa: E731
@@ -705,6 +713,11 @@ class TestBrentRoot:
             with pytest.raises(RuntimeError, match=f"after {cap} iter"):
                 brentq(theirs, -4.0, 5.0, rtol=1e-10, maxiter=cap)
             assert xs_mine == xs_theirs and len(xs_mine) == cap + 2
+            given, xs_given = _logged(f)
+            with pytest.raises(RuntimeError, match=f"after {cap} iter"):
+                _brentq(given, -4.0, 5.0, maxiter=cap, fpre=f(-4.0),
+                        fcur=f(5.0))
+            assert xs_given == xs_theirs[2:]
 
     def test_nan_is_inconclusive(self):
         # scipy raised ValueError on a NaN value; both exit 3
@@ -716,6 +729,8 @@ class TestBrentRoot:
                 brentq(f, 0.0, 1.0)
             with pytest.raises(InconclusiveTail, match="existence margin"):
                 _brentq(f, 0.0, 1.0)
+            with pytest.raises(InconclusiveTail, match="existence margin"):
+                _brentq(f, 0.0, 1.0, fpre=f(0.0), fcur=f(1.0))
 
 
 class TestBoundedMinimum:
@@ -809,3 +824,32 @@ def test_kturb_loads_no_scipy_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _CHECK_REPORT
+
+
+_NO_SCIPY = """
+import sys
+import kturb, kturb.harness, kturb.cli
+from kturb.harness import InitialDataSpec, RunConfig, run_simulate
+assert kturb.cli.main(["check", "--resolution", "16"]) == 0
+result = run_simulate(RunConfig(resolution=(8, 8, 8), t_end=0.05,
+                                initial=InitialDataSpec(band=2)))
+assert result.final_state.t == 0.05
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, f"scipy modules imported: {scipy}"
+"""
+
+
+def test_kturb_loads_no_scipy_package():
+    # a fresh process: the criterion from seeded data and a short run,
+    # both transforming, with the pocketfft module loaded from its file
+    from kturb import grid
+    if grid._pocketfft is None:
+        pytest.skip("scipy has no usable private pocketfft binding")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("existence criterion: ")

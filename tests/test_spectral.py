@@ -1,7 +1,12 @@
 """Spectral infrastructure: transforms, calculus, projections, norms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from kturb import TorusGrid
 from kturb import grid as grid_module
@@ -258,3 +263,93 @@ class TestDealiasedTransforms:
         spec = g.rfft(phys, dealiased=True)
         assert np.all(spec[:, ~g.dealias_mask] == 0.0)
         assert np.array_equal(spec, g.rfft(phys) * g.dealias_mask)
+
+
+class TestFullTransforms:
+    """The full transforms, one multi-axis call each to the pocketfft
+    module that kturb.grid loads from its file, against scipy.fft's
+    public rfftn/irfftn, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def binding(self):
+        if grid_module._pocketfft is None:
+            pytest.skip("scipy has no usable private pocketfft binding")
+
+    @pytest.mark.parametrize("resolution", [(16, 16, 16), (32, 32, 32),
+                                            (16, 12, 8), (48, 32, 20)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_match_scipy(self, resolution, lead):
+        g = TorusGrid(resolution=resolution)
+        rng = np.random.default_rng(sum(resolution) + len(lead))
+        phys = rng.standard_normal(lead + g.resolution)
+        want = scipy.fft.rfftn(phys, axes=(-3, -2, -1))
+        assert g.rfft(phys).tobytes() == want.tobytes()
+        spec = np.full(want.shape, np.nan, dtype=complex)
+        assert g.rfft(phys, spec) is spec
+        assert spec.tobytes() == want.tobytes()
+
+        back = scipy.fft.irfftn(want, s=g.resolution, axes=(-3, -2, -1))
+        unwritten = want.tobytes()
+        assert g.irfft(want).tobytes() == back.tobytes()
+        out = np.full(back.shape, np.nan)
+        assert g.irfft(want, out) is out
+        assert out.tobytes() == back.tobytes()
+        assert want.tobytes() == unwritten
+
+    def test_after_scipy_fft_import(self):
+        # a fresh process: the module kturb loads from its file gives the
+        # same bits before and after scipy.fft is imported, which finds
+        # that module loaded or loads a second copy of it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", _THEN_SCIPY], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_refuses_mismatched_arrays(self, fallback, monkeypatch):
+        # pocketfft would write through an out of the wrong shape
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        g = TorusGrid(resolution=(8, 8, 8))
+        phys = np.zeros((2, 8, 8, 8))
+        spec = np.zeros((2, 8, 8, 5), dtype=complex)
+        for dealiased in (False, True):
+            with pytest.raises(ValueError, match="trailing axes"):
+                g.rfft(phys[..., :4], dealiased=dealiased)
+            with pytest.raises(ValueError, match="trailing axes"):
+                g.irfft(spec[..., :4], dealiased=dealiased)
+            for wrong in (spec[0], spec[..., :4], spec.astype(np.complex64)):
+                with pytest.raises(ValueError, match="out must be"):
+                    g.rfft(phys, wrong, dealiased=dealiased)
+            for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
+                with pytest.raises(ValueError, match="out must be"):
+                    g.irfft(spec, wrong, dealiased=dealiased)
+
+
+_THEN_SCIPY = """
+import sys
+import numpy as np
+from kturb import TorusGrid
+
+def transforms(g, x):
+    spec = g.rfft(x)
+    masked = g.rfft(x, dealiased=True)
+    return (spec, g.irfft(spec), masked,
+            g.irfft(masked.copy(), dealiased=True))
+
+g = TorusGrid(resolution=(16, 12, 8))
+x = np.random.default_rng(5).standard_normal((2,) + g.resolution)
+before = transforms(g, x)
+assert "scipy" not in sys.modules
+import scipy.fft
+after = transforms(g, x)
+assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+want = scipy.fft.rfftn(x, axes=(-3, -2, -1))
+assert after[0].tobytes() == want.tobytes()
+back = scipy.fft.irfftn(want, s=g.resolution, axes=(-3, -2, -1))
+assert after[1].tobytes() == back.tobytes()
+"""

@@ -18,7 +18,8 @@ ratio does not resolve.  (The
 `criterion_report_ms` samples are of 300 different bounds, in the same
 order on every run, so they can also be compared input by input.)
 `import_ms` is the time of `import kturb, kturb.harness` in fresh
-interpreters, with the number of `scipy.*` modules that import loads.
+interpreters, with the number of `scipy` and `scipy.*` modules that
+import loads.
 It also runs the tier-1 suite once in a subprocess and records its wall
 time and pass count.
 
@@ -50,7 +51,7 @@ import sys, time
 t0 = time.perf_counter()
 import kturb, kturb.harness
 t1 = time.perf_counter()
-print(t1 - t0, sum(m.startswith("scipy.") for m in sys.modules))
+print(t1 - t0, sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
 """
 
 
@@ -155,7 +156,7 @@ def time_criterion_report(kturb):
 
 def time_import(src):
     """_spread of the package import over fresh interpreters, and the
-    scipy.* modules it loads."""
+    scipy and scipy.* modules it loads."""
     env = dict(os.environ, PYTHONPATH=src)
     times = []
     for _ in range(IMPORT_REPEATS):
