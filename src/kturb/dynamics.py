@@ -67,9 +67,9 @@ class State:
     array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
     v, omega and b are the views y[:3], y[3] and y[4], not copies.
-    y_hat, when set, is the dealiased spectrum that y was made from:
-    advance sets it on the states it returns and on read-only copies for
-    the states it hands its callbacks.
+    y_hat, when set, is the dealiased spectrum that y was made from, in
+    the half-spectrum layout: advance sets it on the states it returns
+    and on read-only copies for the states it hands its callbacks.
     """
 
     grid: TorusGrid
@@ -131,10 +131,10 @@ class State:
 
 
 class Forcing:
-    """Prescribed source from ``func(t)``: a (5,) + grid.spectral_shape
-    spectrum, zero off the 2/3 mask, with divergence-free, zero-mean
-    velocity rows, as every tendency has.  advance adds it to the
-    tendency at each RK4 stage time and only reads it."""
+    """Prescribed source from ``func(t)``: a (5,) + grid.kept_shape
+    spectrum on the kept block (see TorusGrid), with divergence-free,
+    zero-mean velocity rows, as every tendency has.  advance adds it to
+    the tendency at each RK4 stage time and only reads it."""
 
     def __init__(self, func):
         self._func = func
@@ -168,43 +168,47 @@ def _strain_sq(D):
 class TendencyKernel:
     """Fused evaluator of all three right-hand sides in spectral form.
 
-    Its input y_hat must be zero outside the 2/3 mask, as the spectra
-    of TorusGrid.rfft(..., dealiased=True) and every tendency are: the
-    transforms skip those modes, so anything there would corrupt the
-    result rather than be dropped.  Every call transforms the same 17
-    fields to physical space and the same 14 products back, both
-    dealiased.  A spatially uniform state skips the transforms: the FFT
-    of a constant field is exact, so the result is bitwise identical to
-    the full path.
+    Its input and output are (5,) + grid.kept_shape spectra on the kept
+    block, so every mode the 2/3 rule drops is absent rather than zero.
+    Every call transforms the same 17 fields to physical space and the
+    same 14 products back, with TorusGrid's kept-block transforms.  A
+    spatially uniform state skips the transforms: the FFT of a constant
+    field is exact, so the result is bitwise identical to the full path.
 
     An instance owns the spectral stack, which the inverse transform
-    consumes and the forward transform refills, the physical fields, the
-    physical products and the i*k multipliers.  It refills them on every
-    call, so one instance must not be shared between threads.  Complex
-    products keep the operand order of the plain expressions they
-    replace, since numpy's complex multiply is not bitwise commutative.
+    reads and the forward transform refills, the physical fields, the
+    physical products and the half-spectrum work array the transforms
+    run in.  It refills them on every call, so one instance
+    must not be shared between threads.  Complex products keep the
+    operand order of the plain expressions they replace, since numpy's
+    complex multiply is not bitwise commutative.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self._ik = tuple(1j * k for k in grid.k)
         # spectra of omega, b, grad omega, grad b, v, D; then those of
         # the products
-        self._spec = np.empty((17,) + grid.spectral_shape, dtype=complex)
+        self._spec = np.empty((17,) + grid.kept_shape, dtype=complex)
         # their physical fields
         self._phys = np.empty((17,) + grid.resolution)
         # s_om, s_b, Gw, Gb and T
         self._fwd = np.empty((14,) + grid.resolution)
+        # the half-spectrum array both transforms run their passes in
+        self._work = np.empty((17,) + grid.spectral_shape, dtype=complex)
 
-    def __call__(self, y_hat, t=0.0, out=None):
+    def __call__(self, y_hat, t=0.0, out=None, inspect=None):
         """Tendency spectrum of y_hat, written into out when given and
         into a fresh array otherwise.  y_hat is only read; t only names
-        the time in a NonPositiveOmega message."""
+        the time in a NonPositiveOmega message.  inspect, when given, is
+        called as inspect(v, omega, b) with the physical fields of y_hat
+        as soon as the inverse transform has made them, and before
+        anything else reads them; those arrays are overwritten after it
+        returns.  A uniform state makes no transform and no such call."""
         g = self.grid
         p = self.params
         if out is None:
-            out = np.empty((5,) + g.spectral_shape, dtype=complex)
+            out = np.empty((5,) + g.kept_shape, dtype=complex)
 
         if ops.is_uniform_state_hat(y_hat):
             # spatially uniform state: the reaction ODEs are the whole
@@ -218,9 +222,13 @@ class TendencyKernel:
             return out
 
         self._fill_inverse(y_hat)
-        phys = g.irfft(self._spec, out=self._phys, dealiased=True)
+        phys = g.irfft(self._spec, out=self._phys, kept=True,
+                       work=self._work)
+        if inspect is not None:
+            inspect(phys[8:11], phys[0], phys[1])
         self._products(phys, t)
-        spec = g.rfft(self._fwd, out=self._spec[:14], dealiased=True)
+        spec = g.rfft(self._fwd, out=self._spec[:14], kept=True,
+                      work=self._work[:14])
         return self._assemble(spec, out)
 
     def _fill_inverse(self, y_hat):
@@ -279,7 +287,7 @@ class TendencyKernel:
     def _assemble(self, spec, out):
         """out = (P div T, s_om + div Gw, s_b + div Gb) from the
         dealiased forward spectra, which are overwritten."""
-        ik = self._ik
+        ik = self.grid.ik_kept
         T = spec[8:14]
         # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
         for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):

@@ -2,12 +2,15 @@
 
 All fields live on a uniform collocation grid over the box
 prod_i (0, L_i) with N_i points per axis.  Spectra use the real-FFT
-half-spectrum layout (last axis holds N_3//2 + 1 modes).  Every
-transform runs through scipy's compiled pocketfft module, loaded from
-its file so that no scipy package is imported: the full transforms as
-one multi-axis call each, the dealiased ones skipping the modes the 2/3
-rule drops.  When that module is missing or has changed, they fall back
-to scipy.fft's public rfftn/irfftn.
+half-spectrum layout (last axis holds N_3//2 + 1 modes), or the kept
+block: only the modes the 2/3 rule keeps, |m_i| <= c_i = N_i // 3, in
+an array of shape (2 c1 + 1, 2 c2 + 1, c3 + 1) with m1 and m2 ordered
+0..c, -c..-1 as in the half spectrum.  Every transform runs through
+scipy's compiled pocketfft module, loaded from its file so that no scipy
+package is imported: the full transforms as one multi-axis call each,
+the dealiased ones skipping the modes the 2/3 rule drops.  When that
+module is missing or has changed, they fall back to scipy.fft's public
+rfftn/irfftn.
 """
 
 import importlib.machinery
@@ -44,7 +47,7 @@ def _pruning_backend():
 _pocketfft = _pruning_backend()
 
 
-def _output(x, shape_in, shape_out, dtype, out):
+def _output(x, shape_in, shape_out, dtype, out, name="out"):
     """out, checked, or a new array, for a transform of x over its
     trailing three axes; pocketfft writes through out unchecked."""
     if x.shape[-3:] != shape_in:
@@ -54,7 +57,7 @@ def _output(x, shape_in, shape_out, dtype, out):
     if out is None:
         return np.empty(shape, dtype=dtype)
     if out.shape != shape or out.dtype != dtype:
-        raise ValueError(f"out must be a {np.dtype(dtype)} array of "
+        raise ValueError(f"{name} must be a {np.dtype(dtype)} array of "
                          f"shape {shape}, got {out.dtype} {out.shape}")
     return out
 
@@ -115,6 +118,7 @@ class TorusGrid:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
         self.k_sq_inv = inv  # zero at k = 0
+        self._k_sq_powers = {}
 
         # 2/3-rule mask: True where the mode is kept (|m_i| <= N_i/3).
         keep = (
@@ -123,8 +127,6 @@ class TorusGrid:
             & (np.abs(self.modes[2]) * 3 <= N3)
         )
         self.dealias_mask = keep
-        # kept |m_i| <= N_i // 3; the pruned transforms skip the rest
-        self._kept = tuple(N // 3 for N in resolution)
         # largest |k|^2 the dealiased tendency acts on; it sets the
         # diffusive step limit
         self.k_sq_max = float(np.max(self.k_sq[keep]))
@@ -145,6 +147,24 @@ class TorusGrid:
         # as pocketfft rounds it
         self._inv_npoints = float(np.longdouble(1) / self.npoints)
 
+        # The kept block, |m_i| <= c_i = N_i // 3: the four corners of the
+        # m3 <= c3 slab that m1 >= 0 or < 0 and m2 >= 0 or < 0 select, as
+        # (kept-block index, half-spectrum index) pairs.
+        c1, c2, c3 = self._kept = tuple(N // 3 for N in resolution)
+        self.kept_shape = (2 * c1 + 1, 2 * c2 + 1, c3 + 1)
+        self._corners = tuple(
+            ((..., kr, kc, slice(None)), (..., fr, fc, slice(c3 + 1)))
+            for kr, fr in ((slice(c1 + 1), slice(c1 + 1)),
+                           (slice(c1 + 1, None), slice(N1 - c1, None)))
+            for kc, fc in ((slice(c2 + 1), slice(c2 + 1)),
+                           (slice(c2 + 1, None), slice(N2 - c2, None))))
+        # contiguous multiplier tables on the block: k, i k and 1/|k|^2
+        # (zero at k = 0), gathered from the broadcast ones above
+        self.k_kept = self.to_kept(np.stack(
+            [np.broadcast_to(k, self.spectral_shape) for k in self.k]))
+        self.ik_kept = 1j * self.k_kept
+        self.k_sq_inv_kept = self.to_kept(self.k_sq_inv)
+
     def __eq__(self, other):
         return (
             isinstance(other, TorusGrid)
@@ -158,84 +178,147 @@ class TorusGrid:
     def __repr__(self):
         return f"TorusGrid(lengths={self.lengths}, resolution={self.resolution})"
 
+    # -- kept block ------------------------------------------------------
+
+    def to_kept(self, spectrum, out=None):
+        """The kept block of a half-spectrum array (any leading axes and
+        dtype), written into out when given."""
+        spectrum = np.asarray(spectrum)
+        out = _output(spectrum, self.spectral_shape, self.kept_shape,
+                      spectrum.dtype, out)
+        for kept, full in self._corners:
+            out[kept] = spectrum[full]
+        return out
+
+    def from_kept(self, kept, out=None):
+        """The half-spectrum array that holds the kept block kept and
+        zero at every other mode, written into out when given."""
+        kept = np.asarray(kept)
+        out = _output(kept, self.kept_shape, self.spectral_shape, kept.dtype,
+                      out)
+        # one contiguous fill costs less than zeroing the dropped modes
+        # slice by slice
+        out[...] = 0
+        for k, full in self._corners:
+            out[full] = kept[k]
+        return out
+
+    def multipliers(self, shape):
+        """(k, i k, 1/|k|^2 with 0 at k = 0) for spectra whose trailing
+        axes are shape: the kept block's contiguous tables, or the
+        broadcastable half-spectrum ones."""
+        if tuple(shape[-3:]) == self.kept_shape:
+            return self.k_kept, self.ik_kept, self.k_sq_inv_kept
+        return self.k, tuple(1j * k for k in self.k), self.k_sq_inv
+
+    def k_sq_power(self, order):
+        """k_sq**order, computed once per order and then reused."""
+        if order not in self._k_sq_powers:
+            self._k_sq_powers[order] = self.k_sq**order
+        return self._k_sq_powers[order]
+
     # -- transforms -------------------------------------------------------
 
-    def rfft(self, values, out=None, dealiased=False):
+    def rfft(self, values, out=None, dealiased=False, kept=False,
+             work=None):
         """Forward real transform over the trailing three axes, written
         into out when given.
 
         The full transform is one multi-axis r2c, so it is rfftn's.
-        dealiased=True gives rfftn(values) * dealias_mask in value (only
-        the signs of zeros may differ) and transforms only what the mask
-        keeps: r2c over axis -1, c2c over axis -3 on the m3 <= N3/3 slab,
-        c2c over axis -2 on the kept m1 rows of it, then the rest is
-        zeroed.
+        kept=True gives the kept block of it, transforming only what the
+        2/3 rule keeps (see _kept_rfft); those passes run in work, a
+        complex half-spectrum array with values' leading axes, when
+        given, so that a caller that transforms often can keep one, else
+        in one made for the call.  dealiased=True gives that block in the
+        half-spectrum layout, zero at every other mode, and runs the
+        passes in out.
         """
         values = np.asarray(values, dtype=float)
+        if kept:
+            out = _output(values, self.resolution, self.kept_shape, complex,
+                          out)
+            return self._kept_rfft(values, out, work)
         out = _output(values, self.resolution, self.spectral_shape, complex,
                       out)
+        if dealiased:
+            return self.from_kept(self._kept_rfft(values, None, out), out)
         if _pocketfft is None:
             from scipy import fft
             out[...] = fft.rfftn(values, axes=(-3, -2, -1))
-            if dealiased:
-                out *= self.dealias_mask
             return out
-        if dealiased:
-            return self._pruned_rfft(values, out)
         ax = values.ndim - 3
         return _pocketfft.r2c(values, (ax, ax + 1, ax + 2), True, 0, out, 1)
 
-    def irfft(self, spectrum, out=None, dealiased=False):
+    def irfft(self, spectrum, out=None, dealiased=False, kept=False,
+              work=None):
         """Inverse real transform over the trailing three axes, written
-        into out when given.
+        into out when given; spectrum is not written.
 
-        The full transform is one multi-axis c2r, so it is irfftn's, and
-        leaves spectrum unwritten.  dealiased=True requires spectrum to be
-        zero outside the 2/3 mask and may overwrite it.  It transforms
-        only the kept modes: c2c over axis -3 on the kept (m2, m3)
-        columns, c2c over axis -2 on the m3 <= N3/3 slab, c2r over axis
-        -1, then the 1/N scaling.  This is pocketfft's own pass order, so
-        the result is bitwise that of irfftn.
+        The full transform is one multi-axis c2r, so it is irfftn's.
+        kept=True takes a kept block and transforms only those modes (see
+        _kept_irfft), bitwise the full transform of the block's
+        half-spectrum array; dealiased=True takes a half-spectrum array
+        and transforms its kept block alone.  work is as for rfft.
         """
         spectrum = np.asarray(spectrum, dtype=complex)
+        if kept:
+            out = _output(spectrum, self.kept_shape, self.resolution, float,
+                          out)
+            return self._kept_irfft(spectrum, out, work)
         out = _output(spectrum, self.spectral_shape, self.resolution, float,
                       out)
+        if dealiased:
+            return self._kept_irfft(self.to_kept(spectrum), out, work)
         if _pocketfft is None:
             from scipy import fft
             out[...] = fft.irfftn(spectrum, s=self.resolution,
                                   axes=(-3, -2, -1))
             return out
-        if dealiased:
-            return self._pruned_irfft(spectrum, out)
         ax = spectrum.ndim - 3
         return _pocketfft.c2r(spectrum, (ax, ax + 1, ax + 2),
                               self.resolution[2], False, 2, out, 1)
 
-    def _pruned_rfft(self, values, out):
+    def _kept_rfft(self, values, out, work):
+        """The kept block of values' spectrum in out (or a new array).
+        Into work: r2c over axis -1, c2c over axis -3 on the m3 <= c3
+        slab, c2c over axis -2 on the kept m1 rows of it; then the block
+        is gathered.  These are pocketfft's own passes, so the block is
+        bitwise that of rfftn."""
+        if _pocketfft is None:
+            return self.to_kept(self.rfft(values), out)
         pp = _pocketfft
-        N1, N2, _ = self.resolution
-        c1, c2, c3 = self._kept
+        N1, _, _ = self.resolution
+        c1, _, c3 = self._kept
         ax = values.ndim - 3
-        pp.r2c(values, (ax + 2,), True, 0, out, 1)
-        slab = out[..., :c3 + 1]
+        work = _output(values, self.resolution, self.spectral_shape, complex,
+                       work, "work")
+        pp.r2c(values, (ax + 2,), True, 0, work, 1)
+        slab = work[..., :c3 + 1]
         pp.c2c(slab, (ax,), True, 0, slab, 1)
         for rows in (slab[..., :c1 + 1, :, :], slab[..., N1 - c1:, :, :]):
             pp.c2c(rows, (ax + 1,), True, 0, rows, 1)
-        out[..., c3 + 1:] = 0.0
-        slab[..., c1 + 1:N1 - c1, :, :] = 0.0
-        slab[..., c2 + 1:N2 - c2, :] = 0.0
-        return out
+        return self.to_kept(work, out)
 
-    def _pruned_irfft(self, spectrum, out):
+    def _kept_irfft(self, spectrum, out, work):
+        """The inverse of the kept block spectrum into out.  The block is
+        scattered into work, zeroed, then: c2c over axis -3 on the kept
+        (m2, m3) columns, c2c over axis -2 on the m3 <= c3 slab, c2r over
+        axis -1 and the 1/N scaling.  This is pocketfft's own pass order,
+        so the result is bitwise that of irfftn."""
+        if _pocketfft is None:
+            return self.irfft(self.from_kept(spectrum), out)
         pp = _pocketfft
         _, N2, N3 = self.resolution
         _, c2, c3 = self._kept
         ax = spectrum.ndim - 3
-        slab = spectrum[..., :c3 + 1]
+        work = self.from_kept(spectrum, _output(
+            spectrum, self.kept_shape, self.spectral_shape, complex, work,
+            "work"))
+        slab = work[..., :c3 + 1]
         for cols in (slab[..., :c2 + 1, :], slab[..., N2 - c2:, :]):
             pp.c2c(cols, (ax,), False, 0, cols, 1)
         pp.c2c(slab, (ax + 1,), False, 0, slab, 1)
-        pp.c2r(spectrum, (ax + 2,), N3, False, 0, out, 1)
+        pp.c2r(work, (ax + 2,), N3, False, 0, out, 1)
         out *= self._inv_npoints
         return out
 

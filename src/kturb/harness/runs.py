@@ -194,7 +194,7 @@ class _Manufactured:
         self.profile = np.stack([np.broadcast_to(f, grid.resolution) for f in (
             0.1 * np.sin(k2 * x2), 0.1 * np.sin(k3 * x3), 0.1 * np.sin(k1 * x1),
             2.0 + 0.5 * np.cos(k1 * x1), 2.0 + 0.5 * np.sin(k2 * x2))])
-        self.profile_hat = grid.rfft(self.profile, dealiased=True)
+        self.profile_hat = grid.rfft(self.profile, kept=True)
         kernel = TendencyKernel(grid, params)
         rhs1 = kernel(self.profile_hat)
         rhs2 = kernel(2.0 * self.profile_hat)
@@ -214,7 +214,7 @@ class _Manufactured:
         return self.sigma(t) * self.profile
 
     def forcing(self, t):
-        """The spectrum F = d/dt y*_hat - K(y*_hat) on the 2/3 mask, so
+        """The spectrum F = d/dt y*_hat - K(y*_hat) on the kept block, so
         the exact fields solve the forced semi-discrete system with zero
         spatial error.  Every call returns a fresh array."""
         s = self.sigma(t)

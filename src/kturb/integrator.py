@@ -46,9 +46,9 @@ class StepControl:
             raise ValueError("dt_fixed must be positive")
 
 
-def _speed_and_mu_max(phys):
-    """max |v| and max mu of a physical (5, N1, N2, N3) state array."""
-    return float(np.max(np.abs(phys[:3]))), float(np.max(phys[4] / phys[3]))
+def _speed_and_mu_max(v, omega, b):
+    """max |v| and max mu = b/omega of physical fields."""
+    return float(np.max(np.abs(v))), float(np.max(b / omega))
 
 
 def _dt_from_arrays(grid, params, control, vmax, mumax):
@@ -65,21 +65,21 @@ def compute_dt(state: State, params: ModelParams, control: StepControl) -> float
     0.9 * 2.785 / (c_diff max mu k^2_max)), with k^2_max the largest
     dealiased |k|^2 of the grid."""
     return _dt_from_arrays(state.grid, params, control,
-                           *_speed_and_mu_max(state.y))
+                           *_speed_and_mu_max(state.v, state.omega, state.b))
 
 
 class _Marcher:
     """Owns the spectral state between steps so fields are transformed
     once per step, not once per call.  It also owns the four RK4 stage
-    tendencies and the stage input, reused on every step, so it is not
-    re-entrant."""
+    tendencies and the stage input, on the kept block and reused on
+    every step, so it is not re-entrant."""
 
     def __init__(self, grid, params, forcing=None):
         self.grid = grid
         self.params = params
         self.forcing = forcing
         self.kernel = TendencyKernel(grid, params)
-        shape = (5,) + grid.spectral_shape
+        shape = (5,) + grid.kept_shape
         self._k = np.empty((4,) + shape, dtype=complex)
         self._stage = np.empty(shape, dtype=complex)
 
@@ -88,32 +88,66 @@ class _Marcher:
         np.multiply(c, k, out=self._stage)
         return np.add(y_hat, self._stage, out=self._stage)
 
-    def _tendency(self, y_hat, t, out):
-        """kernel(y_hat) + forcing(t) in out; the forcing is only read."""
-        self.kernel(y_hat, t, out=out)
-        if self.forcing is not None:
-            f = np.asarray(self.forcing(t))
-            # another shape could broadcast silently, and a mode off the
-            # mask would corrupt the next stage's pruned inverse transform
-            if f.shape != out.shape or np.any(f[:, ~self.grid.dealias_mask]):
-                raise ValueError(f"forcing at t = {t:.6g} is not a spectrum "
-                                 f"of shape {out.shape} on the 2/3 mask")
-            np.add(out, f, out=out)
-        return out
-
-    def step_hat(self, y_hat, t, dt):
-        """Advance y_hat by one RK4 step in place and return it."""
-        tend = self._tendency
-        k1, k2, k3, k4 = self._k
+    def _kernel(self, y_hat, tc, out, t, inspect=None):
+        """kernel(y_hat) at the stage time tc in out, its NonPositiveOmega
+        raised as a PositivityViolation of the step from t."""
         try:
-            tend(y_hat, t, k1)
-            tend(self._stage_input(y_hat, 0.5 * dt, k1), t + 0.5 * dt, k2)
-            tend(self._stage_input(y_hat, 0.5 * dt, k2), t + 0.5 * dt, k3)
-            tend(self._stage_input(y_hat, dt, k3), t + dt, k4)
+            return self.kernel(y_hat, tc, out=out, inspect=inspect)
         except NonPositiveOmega as exc:
             raise PositivityViolation(
                 f"stage evaluation failed during step from t = {t:.6g}: {exc}",
                 t=t) from exc
+
+    def _add_forcing(self, t, out):
+        """out + forcing(t) in out; the forcing is only read."""
+        if self.forcing is not None:
+            f = np.asarray(self.forcing(t))
+            # another shape could broadcast silently
+            if f.shape != out.shape:
+                raise ValueError(f"forcing at t = {t:.6g} is not a kept-block "
+                                 f"spectrum of shape {out.shape}")
+            np.add(out, f, out=out)
+        return out
+
+    def first_stage(self, y_hat, t, guard=False, physical=False):
+        """The kernel's tendency at (y_hat, t), the first of a step, in
+        the first stage buffer, without the forcing.
+
+        With guard set it also checks the state y_hat first, as guard()
+        does, and returns (phys, vmax, mumax); phys is None unless
+        physical is set.  The physical fields of a state that is not
+        uniform are those the kernel's inverse transform makes: they are
+        checked, and copied into phys, before the kernel reads them."""
+        k1 = self._k[0]
+        if not guard:
+            self._kernel(y_hat, t, k1, t)
+            return None
+        if ops.is_uniform_state_hat(y_hat):
+            maxima = self.guard(y_hat, t)
+            phys = self.grid.irfft(y_hat, kept=True) if physical else None
+            self._kernel(y_hat, t, k1, t)
+            return (phys,) + maxima
+        found = {"phys": None}
+
+        def inspect(v, omega, b):
+            found["maxima"] = self.check(v, omega, b, t)
+            if physical:
+                found["phys"] = np.concatenate((v, omega[None], b[None]))
+
+        self._kernel(y_hat, t, k1, t, inspect)
+        return (found["phys"],) + found["maxima"]
+
+    def finish_step(self, y_hat, t, dt):
+        """Complete the RK4 step from t that first_stage began: add the
+        forcing to the first stage, make the other three and advance
+        y_hat by dt in place; return it."""
+        k1, k2, k3, k4 = self._k
+        self._add_forcing(t, k1)
+        for c, k, out, tc in ((0.5 * dt, k1, k2, t + 0.5 * dt),
+                              (0.5 * dt, k2, k3, t + 0.5 * dt),
+                              (dt, k3, k4, t + dt)):
+            self._kernel(self._stage_input(y_hat, c, k), tc, out, t)
+            self._add_forcing(tc, out)
         # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
         np.multiply(2.0, k2, out=k2)
         np.add(k1, k2, out=k1)
@@ -125,33 +159,30 @@ class _Marcher:
         ops.leray_hat(self.grid, y_hat[:3])
         return y_hat
 
-    def guard(self, y_hat, t, physical=False):
-        """Check the state y_hat reached at t; return (phys, vmax, mumax)
-        with phys its physical fields and vmax, mumax what the next step
-        size needs.  A spatially uniform state is checked on its k = 0
-        coefficients without a transform, and phys is None, unless
-        physical is set.  y_hat is not written: the transform consumes a
-        copy in the stage buffer, which is free between steps."""
-        g = self.grid
-        if physical or not ops.is_uniform_state_hat(y_hat):
-            np.copyto(self._stage, y_hat)
-            phys = g.irfft(self._stage, dealiased=True)
-            return (phys,) + self.check(phys, t)
-        return (None,) + self.check(y_hat[:, 0, 0, 0].real / g.npoints, t)
+    def guard(self, y_hat, t, phys=None):
+        """Check the state y_hat reached at t, from phys, its physical
+        fields, or, for a spatially uniform state, from its k = 0
+        coefficients without a transform; return max |v| and max mu,
+        which the next step size needs."""
+        if ops.is_uniform_state_hat(y_hat):
+            mean = y_hat[:, 0, 0, 0].real / self.grid.npoints
+            return self.check(mean[:3], mean[3], mean[4], t)
+        return self.check(phys[:3], phys[3], phys[4], t)
 
-    def check(self, phys, t):
-        """Check physical values of the five fields (any trailing shape);
-        return max |v| and max mu."""
-        if not np.all(np.isfinite(phys)):
+    def check(self, v, omega, b, t):
+        """Check physical values of the velocity, omega and b (any
+        trailing shape); return max |v| and max mu."""
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(omega))
+                and np.all(np.isfinite(b))):
             raise BlowUp(f"non-finite field values at t = {t:.6g}", t=t)
-        om_min = float(np.min(phys[3]))
-        b_min = float(np.min(phys[4]))
+        om_min = float(np.min(omega))
+        b_min = float(np.min(b))
         if om_min <= POSITIVITY_FLOOR or b_min <= POSITIVITY_FLOOR:
             raise PositivityViolation(
                 f"min(omega) = {om_min:.3e}, min(b) = {b_min:.3e} "
                 f"at or below floor {POSITIVITY_FLOOR:.1e} at t = {t:.6g}",
                 t=t)
-        return _speed_and_mu_max(phys)
+        return _speed_and_mu_max(v, omega, b)
 
 
 def advance(state: State, t_end: float, params: ModelParams,
@@ -159,10 +190,15 @@ def advance(state: State, t_end: float, params: ModelParams,
     """March from state.t to exactly t_end.
 
     The state is checked in physical space, then projected once onto the
-    2/3 mask; the spectrum stays there.  callbacks: (cadence, callable)
-    pairs, cadence an integer >= 1; each callable receives the freshly
-    accepted State, with its spectrum as y_hat, on steps 1, 1+cadence,
-    1+2*cadence, ...  A Forcing's spectrum is added at each stage time.
+    kept block of the 2/3 rule; the spectrum stays there.  callbacks:
+    (cadence, callable) pairs, cadence an integer >= 1; each callable
+    receives the freshly accepted State, with its dealiased half
+    spectrum as y_hat, on steps 1, 1+cadence, 1+2*cadence, ...  A
+    Forcing's spectrum is added at each stage time.
+
+    Each accepted state is checked, and handed to the callbacks, when
+    the next step's first kernel call has transformed it; the last one
+    when the inverse transform of the returned state has.
 
     A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
     k2_max) of the current state raises a RuntimeWarning on the first
@@ -183,12 +219,29 @@ def advance(state: State, t_end: float, params: ModelParams,
     g = state.grid
     m = _Marcher(g, params, forcing)
     t = state.t
-    vmax, mumax = m.check(state.y, t)
-    y = g.rfft(state.y, dealiased=True)
+    vmax, mumax = m.check(state.v, state.omega, state.b, t)
+    y = g.rfft(state.y, kept=True)
     nstep = 0
     alarm = None
+    cb_due = False
+
+    def run_callbacks(phys):
+        # phys is a fresh array and y_hat a copy, so callbacks may keep
+        # the state
+        y_hat = g.from_kept(y)
+        y_hat.flags.writeable = False
+        snap = State(g, phys, t, y_hat)
+        for every, fn in cbs:
+            if (nstep - 1) % every == 0:
+                fn(snap)
+
     try:
         while t < t_end:
+            if nstep:
+                phys, vmax, mumax = m.first_stage(y, t, guard=True,
+                                                  physical=cb_due)
+                if cb_due:
+                    run_callbacks(phys)
             dt = _dt_from_arrays(g, params, control, vmax, mumax)
             if t + dt == t:
                 raise ValueError(
@@ -213,22 +266,21 @@ def advance(state: State, t_end: float, params: ModelParams,
             last = t + dt >= t_end - 1e-12 * dt
             if last:
                 dt = t_end - t
-            y = m.step_hat(y, t, dt)
+            # later steps began in their guard above; the first one's
+            # state was checked in physical space, so it begins here,
+            # after the step-size checks
+            if not nstep:
+                m.first_stage(y, t)
+            y = m.finish_step(y, t, dt)
             t = t_end if last else t + dt
             nstep += 1
             cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
-            phys, vmax, mumax = m.guard(y, t, physical=cb_due)
-            if cb_due:
-                # phys is a fresh transform and y_hat a copy, so
-                # callbacks may keep the state
-                y_hat = y.copy()
-                y_hat.flags.writeable = False
-                snap = State(g, phys, t, y_hat)
-                for every, fn in cbs:
-                    if (nstep - 1) % every == 0:
-                        fn(snap)
+        phys = g.irfft(y, kept=True)
+        m.guard(y, t, phys)
+        if cb_due:
+            run_callbacks(phys.copy())
     except (PositivityViolation, BlowUp) as exc:
         if alarm is None:
             raise
         raise type(exc)(f"{exc}; {alarm}", t=exc.t) from exc
-    return State(g, g.irfft(y.copy(), dealiased=True), t, y)
+    return State(g, phys, t, g.from_kept(y))

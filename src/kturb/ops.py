@@ -10,12 +10,14 @@ import numpy as np
 
 
 def grad_hat(grid, fhat, out=None):
-    """Spectral gradient of one scalar spectrum: shape (3,) + spectral,
-    written into out when given."""
+    """Spectral gradient of one scalar spectrum, in the half-spectrum
+    layout or on the kept block: shape (3,) + fhat.shape, written into
+    out when given."""
+    _, ik, _ = grid.multipliers(fhat.shape)
     if out is None:
-        out = np.empty((3,) + grid.spectral_shape, dtype=complex)
+        out = np.empty((3,) + fhat.shape, dtype=complex)
     for i in range(3):
-        np.multiply(fhat, 1j * grid.k[i], out=out[i])
+        np.multiply(fhat, ik[i], out=out[i])
     return out
 
 
@@ -29,22 +31,25 @@ def div_hat(grid, uhat):
 
 
 def leray_hat(grid, uhat):
-    """Project a stacked vector spectrum onto divergence-free, zero-mean
-    fields (in place) and return it."""
-    kdotu = grid.k[0] * uhat[0] + grid.k[1] * uhat[1] + grid.k[2] * uhat[2]
-    kdotu *= grid.k_sq_inv
+    """Project a stacked vector spectrum, in the half-spectrum layout or
+    on the kept block, onto divergence-free, zero-mean fields (in place)
+    and return it."""
+    k, _, k_sq_inv = grid.multipliers(uhat.shape)
+    kdotu = k[0] * uhat[0] + k[1] * uhat[1] + k[2] * uhat[2]
+    kdotu *= k_sq_inv
     for i in range(3):
-        uhat[i] -= grid.k[i] * kdotu
+        uhat[i] -= k[i] * kdotu
         uhat[i][0, 0, 0] = 0.0
     return uhat
 
 
 def sym_grad_hat(grid, vhat, out=None):
     """Six independent entries of D = (grad v + grad v^T)/2 in spectral
-    space, ordered (11, 22, 33, 12, 13, 23), written into out when given."""
-    k1, k2, k3 = grid.k
+    space, ordered (11, 22, 33, 12, 13, 23), in vhat's layout (the half
+    spectrum or the kept block), written into out when given."""
+    (k1, k2, k3), ik, _ = grid.multipliers(vhat.shape)
     if out is None:
-        out = np.empty((6,) + grid.spectral_shape, dtype=complex)
+        out = np.empty((6,) + vhat.shape[1:], dtype=complex)
     # off-diagonals 0.5i (ka va + kb vb) first: row 0 is their scratch
     for row, ka, a, kb, b in ((3, k2, 0, k1, 1), (4, k3, 0, k1, 2),
                               (5, k3, 1, k2, 2)):
@@ -52,8 +57,8 @@ def sym_grad_hat(grid, vhat, out=None):
         np.multiply(kb, vhat[b], out=out[0])
         np.add(out[row], out[0], out=out[row])
         np.multiply(0.5j, out[row], out=out[row])
-    for i, k in enumerate(grid.k):
-        np.multiply(1j * k, vhat[i], out=out[i])
+    for i in range(3):
+        np.multiply(ik[i], vhat[i], out=out[i])
     return out
 
 
@@ -75,7 +80,7 @@ def l2sq_hat_rows(grid, fhat, orders):
     power = np.abs(fhat) ** 2
     rows = {}
     for o in orders:
-        k_pow = grid.k_sq**o if o else None
+        k_pow = grid.k_sq_power(o) if o else None
         rows[o] = [float(np.sum((row if k_pow is None else row * k_pow)
                                 * grid.hermitian_weight))
                    * grid.volume / grid.npoints**2 for row in power]

@@ -17,7 +17,7 @@ def uniform_state(grid, om=1.0, b=1.0, t=0.0):
 
 def uniform_forcing(grid, f_om=0.0, f_b=0.0):
     """The spectrum of the spatially uniform forcing (0, 0, 0, f_om, f_b)."""
-    f = np.zeros((5,) + grid.spectral_shape, dtype=complex)
+    f = np.zeros((5,) + grid.kept_shape, dtype=complex)
     f[3:, 0, 0, 0] = f_om * grid.npoints, f_b * grid.npoints
     return f
 
@@ -272,6 +272,54 @@ class TestAdvance:
                     forcing=forcing)
         assert 0.0 < exc.value.t <= 2.0
 
+    def test_guard_reads_the_kernel_inverse(self, monkeypatch):
+        # each accepted state is checked, and handed to the callbacks, on
+        # the inverse transform of the next step's first kernel call, the
+        # last on that of the returned state: no transform of its own
+        g = TorusGrid(resolution=(12, 12, 12))
+        s = make_state(g, np.random.default_rng(37))
+        inverses = []
+        orig = TorusGrid.irfft
+
+        def counted(self, *args, **kwargs):
+            inverses.append(np.shape(args[0])[0])
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "irfft", counted)
+        seen = []
+        # a binary dt, so every t is exact and no step is clipped
+        dt = 2.0**-8
+        ctl = StepControl(dt_max=1.0, dt_fixed=dt)
+        out = advance(s, 4 * dt, ModelParams(), ctl,
+                      callbacks=[(1, seen.append)])
+        assert inverses == [17] * 16 + [5]
+        monkeypatch.setattr(TorusGrid, "irfft", orig)
+        # the callback states are those of shorter runs, bit for bit
+        for i, state in enumerate(seen[:3]):
+            alone = advance(s, dt * (i + 1), ModelParams(), ctl)
+            assert state.t == alone.t
+            assert state.y.tobytes() == alone.y.tobytes()
+            assert state.y_hat.tobytes() == alone.y_hat.tobytes()
+        assert seen[-1].y.tobytes() == out.y.tobytes()
+        assert not np.shares_memory(seen[-1].y, out.y)
+
+    def test_guard_failure_names_the_state_time(self):
+        # a forcing drags min(b) through zero at step 6; the guard finds
+        # it in step 7's first kernel call and names t = 0.06
+        g = TorusGrid(resolution=(12, 12, 12))
+        s = make_state(g, np.random.default_rng(38))
+        f_b = uniform_forcing(g, f_b=-30.0)
+        seen = []
+        with pytest.raises(PositivityViolation,
+                           match=r"min\(b\) = -.* at t = 0.06$") as exc:
+            advance(s, 1.0, ModelParams(),
+                    StepControl(dt_max=1.0, dt_fixed=0.01),
+                    callbacks=[(1, lambda st: seen.append(st.t))],
+                    forcing=Forcing(lambda t: f_b))
+        assert exc.value.t == pytest.approx(0.06, abs=1e-15)
+        assert seen == pytest.approx([0.01 * i for i in range(1, 6)],
+                                     abs=1e-15)
+
     def test_deterministic_across_calls(self):
         g = TorusGrid(resolution=(12, 12, 12))
         s = make_state(g, np.random.default_rng(34))
@@ -288,20 +336,26 @@ class TestForcing:
 
     def test_wrong_shape_refused(self):
         g = TorusGrid(resolution=(8, 8, 8))
-        for shape in ((5,) + g.resolution, (3,) + g.spectral_shape,
-                      g.spectral_shape):
+        for shape in ((5,) + g.resolution, (3,) + g.kept_shape,
+                      g.kept_shape):
             f = np.zeros(shape, dtype=complex)
             with pytest.raises(ValueError, match="shape"):
                 one_step(uniform_state(g), 0.01, ModelParams(),
                          forcing=Forcing(lambda t: f))
 
     def test_off_mask_refused(self):
+        # the kept block has no room for a mode off the mask, so such a
+        # forcing comes in the half-spectrum layout, which is refused by
+        # its shape, as is that layout with no mode off the mask
         g = TorusGrid(resolution=(12, 12, 12))
-        f = spectral_forcing(g, np.random.default_rng(35))
+        f = g.from_kept(spectral_forcing(g, np.random.default_rng(35)))
         # the mask keeps |m_i| <= 12 // 3, so m1 = 5 lies outside it
         assert not g.dealias_mask[5, 0, 0]
+        with pytest.raises(ValueError, match="kept-block spectrum"):
+            one_step(make_state(g, np.random.default_rng(36)), 0.01,
+                     ModelParams(), forcing=Forcing(lambda t: f))
         f[4, 5, 0, 0] = 1e-12
-        with pytest.raises(ValueError, match="mask"):
+        with pytest.raises(ValueError, match="kept-block spectrum"):
             one_step(make_state(g, np.random.default_rng(36)), 0.01,
                      ModelParams(), forcing=Forcing(lambda t: f))
 

@@ -265,6 +265,144 @@ class TestDealiasedTransforms:
         assert np.array_equal(spec, g.rfft(phys) * g.dealias_mask)
 
 
+class TestKeptBlock:
+    """The kept-block layout: to_kept/from_kept, the kept-block
+    transforms against the full-layout pruned ones and against the
+    public-API fallback, bit for bit, and their out= checks."""
+
+    GRIDS = [(16, 16, 16), (16, 12, 8), (48, 32, 20)]
+    LEADS = [(), (3,), (2, 3)]
+
+    @staticmethod
+    def phys(g, lead):
+        rng = np.random.default_rng(sum(g.resolution) + len(lead))
+        return rng.standard_normal(lead + g.resolution)
+
+    @pytest.mark.parametrize("resolution", GRIDS)
+    def test_layout(self, resolution):
+        g = TorusGrid(resolution=resolution)
+        c = [n // 3 for n in resolution]
+        assert g.kept_shape == (2 * c[0] + 1, 2 * c[1] + 1, c[2] + 1)
+        assert int(g.dealias_mask.sum()) == np.prod(g.kept_shape)
+        # the block holds the masked modes in half-spectrum order
+        modes = [np.broadcast_to(m, g.spectral_shape) for m in g.modes]
+        for m, kept in zip(modes, (g.to_kept(m) for m in modes)):
+            assert np.array_equal(np.sort(kept.ravel()),
+                                  np.sort(m[g.dealias_mask]))
+        m1, m2, m3 = (g.to_kept(m) for m in modes)
+        assert list(m1[:, 0, 0]) == (list(range(c[0] + 1))
+                                     + list(range(-c[0], 0)))
+        assert list(m2[0, :, 0]) == (list(range(c[1] + 1))
+                                     + list(range(-c[1], 0)))
+        assert list(m3[0, 0]) == list(range(c[2] + 1))
+        k = np.stack([np.broadcast_to(k, g.spectral_shape) for k in g.k])
+        for table, full in ((g.k_kept, k), (g.k_sq_inv_kept, g.k_sq_inv)):
+            want = g.to_kept(full)
+            assert table.flags.c_contiguous
+            assert table.tobytes() == want.tobytes()
+        assert g.ik_kept.tobytes() == (1j * g.k_kept).tobytes()
+
+    @pytest.mark.parametrize("resolution", GRIDS)
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_to_and_from_kept(self, resolution, lead):
+        g = TorusGrid(resolution=resolution)
+        spec = g.rfft(self.phys(g, lead))
+        kept = g.to_kept(spec)
+        # the block is the masked modes in the half spectrum's own order
+        assert kept.shape == lead + g.kept_shape
+        assert kept.tobytes() == spec[..., g.dealias_mask].tobytes()
+        back = np.full(spec.shape, np.nan, dtype=complex)
+        assert g.from_kept(kept, back) is back
+        assert back.tobytes() == np.where(g.dealias_mask, spec, 0).tobytes()
+        assert g.to_kept(back).tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("resolution", GRIDS)
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_transforms_bitwise(self, resolution, lead, monkeypatch):
+        g = TorusGrid(resolution=resolution)
+        phys = self.phys(g, lead)
+        if grid_module._pocketfft is None:
+            pytest.skip("scipy has no usable private pocketfft binding")
+        kept = g.rfft(phys, kept=True)
+        full = g.rfft(phys, dealiased=True)
+        assert kept.shape == lead + g.kept_shape
+        assert kept.tobytes() == g.to_kept(full).tobytes()
+        assert kept.tobytes() == g.to_kept(g.rfft(phys)).tobytes()
+        inv = g.irfft(kept, kept=True)
+        unwritten = kept.tobytes()
+        assert inv.tobytes() == g.irfft(full, dealiased=True).tobytes()
+        assert inv.tobytes() == g.irfft(full).tobytes()
+        assert kept.tobytes() == unwritten
+        out = np.full(kept.shape, np.nan, dtype=complex)
+        assert g.rfft(phys, out, kept=True) is out
+        assert out.tobytes() == kept.tobytes()
+        back = np.full(inv.shape, np.nan)
+        assert g.irfft(kept, back, kept=True) is back
+        assert back.tobytes() == inv.tobytes()
+        # a caller's work array, left holding anything, gives the same bits
+        work = np.full(lead + g.spectral_shape, np.nan, dtype=complex)
+        assert g.rfft(phys, kept=True, work=work).tobytes() \
+            == kept.tobytes()
+        work[...] = np.nan
+        assert g.irfft(kept, kept=True, work=work).tobytes() \
+            == inv.tobytes()
+        assert g.irfft(full, dealiased=True, work=work).tobytes() \
+            == inv.tobytes()
+        spec = np.full(full.shape, np.nan, dtype=complex)
+        assert g.rfft(phys, spec, dealiased=True) is spec
+        assert spec.tobytes() == full.tobytes()
+        # the public-API fallback gives the same bits
+        monkeypatch.setattr(grid_module, "_pocketfft", None)
+        assert g.rfft(phys, kept=True).tobytes() == kept.tobytes()
+        assert g.irfft(kept, kept=True).tobytes() == inv.tobytes()
+
+    def test_batch_rows_match_single_fields(self):
+        # a row of a stack transforms as that field alone does, so the
+        # step guard can read a 17-field inverse
+        g = TorusGrid(resolution=(16, 16, 16))
+        phys = self.phys(g, (17,))
+        kept = g.rfft(phys, kept=True)
+        inv = g.irfft(kept, kept=True)
+        for row in (0, 1, 8, 16):
+            assert g.rfft(phys[row], kept=True).tobytes() \
+                == kept[row].tobytes()
+            assert g.irfft(kept[row], kept=True).tobytes() \
+                == inv[row].tobytes()
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_refuses_mismatched_arrays(self, fallback, monkeypatch):
+        # pocketfft would write through an out of the wrong shape
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft", None)
+        g = TorusGrid(resolution=(8, 8, 8))
+        phys = np.zeros((2, 8, 8, 8))
+        kept = np.zeros((2,) + g.kept_shape, dtype=complex)
+        with pytest.raises(ValueError, match="trailing axes"):
+            g.irfft(np.zeros((2,) + g.spectral_shape, complex), kept=True)
+        full = np.zeros((2,) + g.spectral_shape, dtype=complex)
+        for wrong in (kept[0], kept[..., :2], kept.astype(np.complex64),
+                      full):
+            with pytest.raises(ValueError, match="out must be"):
+                g.rfft(phys, wrong, kept=True)
+        for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                g.irfft(kept, wrong, kept=True)
+        for wrong in (kept[0], kept.astype(np.complex64), full):
+            with pytest.raises(ValueError, match="out must be"):
+                g.to_kept(full, wrong)
+        for wrong in (full[0], full.astype(np.complex64), kept):
+            with pytest.raises(ValueError, match="out must be"):
+                g.from_kept(kept, wrong)
+        if fallback:
+            return
+        for wrong in (full[0], full[..., :2], full.astype(np.complex64),
+                      kept):
+            with pytest.raises(ValueError, match="work must be"):
+                g.rfft(phys, kept=True, work=wrong)
+            with pytest.raises(ValueError, match="work must be"):
+                g.irfft(kept, kept=True, work=wrong)
+
+
 class TestFullTransforms:
     """The full transforms, one multi-axis call each to the pocketfft
     module that kturb.grid loads from its file, against scipy.fft's

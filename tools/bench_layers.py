@@ -6,13 +6,18 @@
 At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
 inverse and the 14-field forward transform the kernel makes, and one
 RK4 step of `advance` (its guard included), on the acceptance initial
-data (band 5, default ModelParams).  It also times one 16^3
-manufactured-solution study (`run_mms` at t_end 0.04, default dts) as
-`mms_study_ms`, and `full_report` with an infinite horizon on fixed-seed
-random bounds, drawn as the `criterion` benchmark workload draws them,
-as `criterion_report_ms`.  Each figure is the min and median of several
-calls, in ms.  The two whole-study rows and `import_ms` also keep every
-sample and their interquartile range over the median,
+data (band 5, default ModelParams).  The kernel and transform rows use
+the spectral layout the kernel takes: the kept block of the 2/3 rule
+where the grid has one (`kept=True`, with a work array passed as the
+kernel passes its own), else the half spectrum on the 2/3 mask
+(`dealiased=True`), as older checkouts have it; `layout` names which.
+It also times one 16^3 manufactured-solution study (`run_mms` at t_end
+0.04, default dts) as `mms_study_ms`, and `full_report` with an infinite
+horizon on fixed-seed random bounds, drawn as the `criterion` benchmark
+workload draws them, as `criterion_report_ms`.  Each figure is the min
+and median of several calls, in ms.  The two whole-study rows and
+`import_ms` also keep every sample and their interquartile range over
+the median,
 `iqr_over_median`: a difference between two runs smaller than that
 ratio does not resolve.  (The
 `criterion_report_ms` samples are of 300 different bounds, in the same
@@ -81,6 +86,17 @@ def _timed(fn, prepare, repeats):
     return times
 
 
+def _layout(grid, fields):
+    """The transform keywords of the kernel's spectral layout for a
+    stack of fields: the kept block, run in a work array as the kernel
+    runs its own, where the grid has one; else the half spectrum on the
+    2/3 mask."""
+    if not hasattr(grid, "kept_shape"):
+        return dict(dealiased=True)
+    return dict(kept=True, work=np.empty((fields,) + grid.spectral_shape,
+                                         dtype=complex))
+
+
 def time_layers(kturb, n):
     from kturb.harness import InitialDataSpec, generate_initial
     from kturb.dynamics import TendencyKernel
@@ -90,24 +106,25 @@ def time_layers(kturb, n):
     state = generate_initial(InitialDataSpec(seed=1, band=5), g)
     reps = REPEATS[n]
     rng = np.random.default_rng(n)
-    mask = g.dealias_mask
-
-    y_hat = g.rfft(state.y, dealiased=True)
+    y_hat = g.rfft(state.y, **_layout(g, 5))
     kern = TendencyKernel(g, params)
     out = np.empty_like(y_hat)
     kern(y_hat, 0.0, out=out)
     kernel = _timed(lambda: kern(y_hat, 0.0, out=out),
                     lambda: None, reps)
 
-    spec = g.rfft(rng.standard_normal((17,) + g.resolution)) * mask
+    # an older checkout's dealiased inverse consumes its input
+    layout = _layout(g, 17)
+    spec = g.rfft(rng.standard_normal((17,) + g.resolution), **layout)
     work = np.empty_like(spec)
     phys = np.empty((17,) + g.resolution)
-    inverse = _timed(lambda: g.irfft(work, out=phys, dealiased=True),
+    inverse = _timed(lambda: g.irfft(work, out=phys, **layout),
                      lambda: np.copyto(work, spec), reps)
 
+    layout = _layout(g, 14)
     prod = rng.standard_normal((14,) + g.resolution)
-    fwd = np.empty((14,) + g.spectral_shape, dtype=complex)
-    forward = _timed(lambda: g.rfft(prod, out=fwd, dealiased=True),
+    fwd = np.empty((14,) + spec.shape[1:], dtype=complex)
+    forward = _timed(lambda: g.rfft(prod, out=fwd, **layout),
                      lambda: None, reps)
 
     dt = kturb.compute_dt(state, params, kturb.StepControl(dt_max=1.0))
@@ -214,6 +231,8 @@ def main(argv=None):
         "label": args.label,
         "private_pocketfft": getattr(kturb.grid, "_pocketfft", None)
         is not None,
+        "layout": "kept block" if "kept" in _layout(kturb.TorusGrid(
+            resolution=(8, 8, 8)), 1) else "half spectrum on the 2/3 mask",
         "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
         "mms_study_ms": time_mms_study(),
         "criterion_report_ms": time_criterion_report(kturb),
@@ -225,7 +244,7 @@ def main(argv=None):
         with open(args.parent) as fh:
             parent = json.load(fh)
         result["parent"] = {k: parent[k] for k in (
-            "label", "layers", "mms_study_ms", "criterion_report_ms",
+            "label", "layout", "layers", "mms_study_ms", "criterion_report_ms",
             "import_ms", "tier1") if k in parent}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
