@@ -67,9 +67,10 @@ class State:
     array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
     v, omega and b are the views y[:3], y[3] and y[4], not copies.
-    y_hat, when set, is the dealiased spectrum that y was made from, in
-    the half-spectrum layout: advance sets it on the states it returns
-    and on read-only copies for the states it hands its callbacks.
+    y_hat, when set, is the spectrum that y was made from, on the kept
+    block of the 2/3 rule: shape (5,) + grid.kept_shape (see TorusGrid).
+    advance starts from a copy of it, and sets it, read-only with y, on
+    the states it returns and hands its callbacks.
     """
 
     grid: TorusGrid
@@ -93,11 +94,11 @@ class State:
         return cls(grid, y, t)
 
     def spectrum(self):
-        """The spectrum of y on the 2/3 mask: y_hat when set, else y
+        """The spectrum of y on the kept block: y_hat when set, else y
         projected afresh."""
         if self.y_hat is not None:
             return self.y_hat
-        return self.grid.rfft(self.y, dealiased=True)
+        return self.grid.rfft(self.y, kept=True)
 
     @property
     def v(self):
@@ -287,7 +288,7 @@ class TendencyKernel:
     def _assemble(self, spec, out):
         """out = (P div T, s_om + div Gw, s_b + div Gb) from the
         dealiased forward spectra, which are overwritten."""
-        ik = self.grid.ik_kept
+        ik = self.grid.multipliers(spec.shape).ik
         T = spec[8:14]
         # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
         for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):

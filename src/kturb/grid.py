@@ -1,16 +1,16 @@
 """Periodic box geometry and discrete Fourier machinery.
 
 All fields live on a uniform collocation grid over the box
-prod_i (0, L_i) with N_i points per axis.  Spectra use the real-FFT
-half-spectrum layout (last axis holds N_3//2 + 1 modes), or the kept
-block: only the modes the 2/3 rule keeps, |m_i| <= c_i = N_i // 3, in
-an array of shape (2 c1 + 1, 2 c2 + 1, c3 + 1) with m1 and m2 ordered
-0..c, -c..-1 as in the half spectrum.  Every transform runs through
-scipy's compiled pocketfft module, loaded from its file so that no scipy
-package is imported: the full transforms as one multi-axis call each,
-the dealiased ones skipping the modes the 2/3 rule drops.  When that
-module is missing or has changed, they fall back to scipy.fft's public
-rfftn/irfftn.
+prod_i (0, L_i) with N_i points per axis.  A full spectrum uses the
+real-FFT half-spectrum layout (last axis holds N_3//2 + 1 modes).  A
+dealiased one uses the kept block: only the modes the 2/3 rule keeps,
+|m_i| <= c_i = N_i // 3, in an array of shape (2 c1 + 1, 2 c2 + 1,
+c3 + 1) with m1 and m2 ordered 0..c, -c..-1 as in the half spectrum.
+Every transform runs through scipy's compiled pocketfft module, loaded
+from its file so that no scipy package is imported: the full transforms
+as one multi-axis call each, the kept-block ones skipping the modes the
+2/3 rule drops.  When that module is missing or has changed, they fall
+back to scipy.fft's public rfftn/irfftn.
 """
 
 import importlib.machinery
@@ -75,6 +75,23 @@ def check_box(lengths, resolution, error=ValueError):
     return lengths, resolution
 
 
+class Multipliers:
+    """The multiplier tables of one spectral layout: k and i k per axis,
+    |k|^2, 1/|k|^2 (zero at k = 0) and weight, the multiplicity of each
+    entry in full-spectrum (Plancherel) sums."""
+
+    def __init__(self, k, ik, k_sq, k_sq_inv, weight):
+        self.k, self.ik, self.k_sq, self.k_sq_inv = k, ik, k_sq, k_sq_inv
+        self.weight = weight
+        self._k_sq_powers = {}
+
+    def k_sq_power(self, order):
+        """k_sq**order, computed once per order and then reused."""
+        if order not in self._k_sq_powers:
+            self._k_sq_powers[order] = self.k_sq**order
+        return self._k_sq_powers[order]
+
+
 class TorusGrid:
     """Geometry, wavenumber tables and transforms for one periodic box.
 
@@ -118,7 +135,6 @@ class TorusGrid:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
         self.k_sq_inv = inv  # zero at k = 0
-        self._k_sq_powers = {}
 
         # 2/3-rule mask: True where the mode is kept (|m_i| <= N_i/3).
         keep = (
@@ -131,12 +147,13 @@ class TorusGrid:
         # diffusive step limit
         self.k_sq_max = float(np.max(self.k_sq[keep]))
 
-        # Multiplicity of each half-spectrum entry in full-spectrum sums.
-        w = np.full(m3.size, 2.0)
-        w[0] = 1.0
-        if N3 % 2 == 0:
-            w[-1] = 1.0
-        self.hermitian_weight = w.reshape(1, 1, m3.size)
+        # Multiplicity of each half-spectrum entry in full-spectrum sums:
+        # 1 in the m3 = 0 and Nyquist columns (N3 is even), 2 elsewhere.
+        w = np.full((1, 1, m3.size), 2.0)
+        w[..., [0, -1]] = 1.0
+        self._half_multipliers = Multipliers(
+            self.k, tuple(1j * k for k in self.k), self.k_sq, self.k_sq_inv,
+            w)
 
         self.npoints = N1 * N2 * N3
         self.volume = L1 * L2 * L3
@@ -158,12 +175,14 @@ class TorusGrid:
                            (slice(c1 + 1, None), slice(N1 - c1, None)))
             for kc, fc in ((slice(c2 + 1), slice(c2 + 1)),
                            (slice(c2 + 1, None), slice(N2 - c2, None))))
-        # contiguous multiplier tables on the block: k, i k and 1/|k|^2
-        # (zero at k = 0), gathered from the broadcast ones above
-        self.k_kept = self.to_kept(np.stack(
+        # contiguous tables on the block, gathered from the broadcast ones
+        # above; the block has no Nyquist column, so its weight is 1 at
+        # m3 = 0 and 2 elsewhere
+        k_kept = self.to_kept(np.stack(
             [np.broadcast_to(k, self.spectral_shape) for k in self.k]))
-        self.ik_kept = 1j * self.k_kept
-        self.k_sq_inv_kept = self.to_kept(self.k_sq_inv)
+        self._kept_multipliers = Multipliers(
+            k_kept, 1j * k_kept, self.to_kept(self.k_sq),
+            self.to_kept(self.k_sq_inv), w[..., :c3 + 1])
 
     def __eq__(self, other):
         return (
@@ -204,86 +223,40 @@ class TorusGrid:
         return out
 
     def multipliers(self, shape):
-        """(k, i k, 1/|k|^2 with 0 at k = 0) for spectra whose trailing
-        axes are shape: the kept block's contiguous tables, or the
-        broadcastable half-spectrum ones."""
+        """The Multipliers for spectra whose trailing axes are shape: the
+        kept block's contiguous tables, or the broadcastable
+        half-spectrum ones."""
         if tuple(shape[-3:]) == self.kept_shape:
-            return self.k_kept, self.ik_kept, self.k_sq_inv_kept
-        return self.k, tuple(1j * k for k in self.k), self.k_sq_inv
-
-    def k_sq_power(self, order):
-        """k_sq**order, computed once per order and then reused."""
-        if order not in self._k_sq_powers:
-            self._k_sq_powers[order] = self.k_sq**order
-        return self._k_sq_powers[order]
+            return self._kept_multipliers
+        return self._half_multipliers
 
     # -- transforms -------------------------------------------------------
 
-    def rfft(self, values, out=None, dealiased=False, kept=False,
-             work=None):
+    def rfft(self, values, out=None, kept=False, work=None):
         """Forward real transform over the trailing three axes, written
         into out when given.
 
         The full transform is one multi-axis r2c, so it is rfftn's.
-        kept=True gives the kept block of it, transforming only what the
-        2/3 rule keeps (see _kept_rfft); those passes run in work, a
-        complex half-spectrum array with values' leading axes, when
-        given, so that a caller that transforms often can keep one, else
-        in one made for the call.  dealiased=True gives that block in the
-        half-spectrum layout, zero at every other mode, and runs the
-        passes in out.
+        kept=True gives its kept block and transforms only what the 2/3
+        rule keeps.  Into work, a complex half-spectrum array with
+        values' leading axes (one is made for the call when none is
+        given, so a caller that transforms often can keep one): r2c over
+        axis -1, c2c over axis -3 on the m3 <= c3 slab, c2c over axis -2
+        on the kept m1 rows of it; then the block is gathered.  These are
+        pocketfft's own passes, so the block is bitwise that of rfftn.
         """
         values = np.asarray(values, dtype=float)
-        if kept:
-            out = _output(values, self.resolution, self.kept_shape, complex,
-                          out)
-            return self._kept_rfft(values, out, work)
-        out = _output(values, self.resolution, self.spectral_shape, complex,
-                      out)
-        if dealiased:
-            return self.from_kept(self._kept_rfft(values, None, out), out)
-        if _pocketfft is None:
-            from scipy import fft
-            out[...] = fft.rfftn(values, axes=(-3, -2, -1))
-            return out
-        ax = values.ndim - 3
-        return _pocketfft.r2c(values, (ax, ax + 1, ax + 2), True, 0, out, 1)
-
-    def irfft(self, spectrum, out=None, dealiased=False, kept=False,
-              work=None):
-        """Inverse real transform over the trailing three axes, written
-        into out when given; spectrum is not written.
-
-        The full transform is one multi-axis c2r, so it is irfftn's.
-        kept=True takes a kept block and transforms only those modes (see
-        _kept_irfft), bitwise the full transform of the block's
-        half-spectrum array; dealiased=True takes a half-spectrum array
-        and transforms its kept block alone.  work is as for rfft.
-        """
-        spectrum = np.asarray(spectrum, dtype=complex)
-        if kept:
-            out = _output(spectrum, self.kept_shape, self.resolution, float,
-                          out)
-            return self._kept_irfft(spectrum, out, work)
-        out = _output(spectrum, self.spectral_shape, self.resolution, float,
-                      out)
-        if dealiased:
-            return self._kept_irfft(self.to_kept(spectrum), out, work)
-        if _pocketfft is None:
-            from scipy import fft
-            out[...] = fft.irfftn(spectrum, s=self.resolution,
-                                  axes=(-3, -2, -1))
-            return out
-        ax = spectrum.ndim - 3
-        return _pocketfft.c2r(spectrum, (ax, ax + 1, ax + 2),
-                              self.resolution[2], False, 2, out, 1)
-
-    def _kept_rfft(self, values, out, work):
-        """The kept block of values' spectrum in out (or a new array).
-        Into work: r2c over axis -1, c2c over axis -3 on the m3 <= c3
-        slab, c2c over axis -2 on the kept m1 rows of it; then the block
-        is gathered.  These are pocketfft's own passes, so the block is
-        bitwise that of rfftn."""
+        if not kept:
+            out = _output(values, self.resolution, self.spectral_shape,
+                          complex, out)
+            if _pocketfft is None:
+                from scipy import fft
+                out[...] = fft.rfftn(values, axes=(-3, -2, -1))
+                return out
+            ax = values.ndim - 3
+            return _pocketfft.r2c(values, (ax, ax + 1, ax + 2), True, 0,
+                                  out, 1)
+        out = _output(values, self.resolution, self.kept_shape, complex, out)
         if _pocketfft is None:
             return self.to_kept(self.rfft(values), out)
         pp = _pocketfft
@@ -299,12 +272,31 @@ class TorusGrid:
             pp.c2c(rows, (ax + 1,), True, 0, rows, 1)
         return self.to_kept(work, out)
 
-    def _kept_irfft(self, spectrum, out, work):
-        """The inverse of the kept block spectrum into out.  The block is
-        scattered into work, zeroed, then: c2c over axis -3 on the kept
-        (m2, m3) columns, c2c over axis -2 on the m3 <= c3 slab, c2r over
-        axis -1 and the 1/N scaling.  This is pocketfft's own pass order,
-        so the result is bitwise that of irfftn."""
+    def irfft(self, spectrum, out=None, kept=False, work=None):
+        """Inverse real transform over the trailing three axes, written
+        into out when given; spectrum is not written.
+
+        The full transform is one multi-axis c2r, so it is irfftn's.
+        kept=True takes a kept block and transforms only those modes.
+        The block is scattered into work (as for rfft), zeroed, then: c2c
+        over axis -3 on the kept (m2, m3) columns, c2c over axis -2 on
+        the m3 <= c3 slab, c2r over axis -1 and the 1/N scaling.  This is
+        pocketfft's own pass order, so the result is bitwise the full
+        transform of the block's half-spectrum array.
+        """
+        spectrum = np.asarray(spectrum, dtype=complex)
+        if not kept:
+            out = _output(spectrum, self.spectral_shape, self.resolution,
+                          float, out)
+            if _pocketfft is None:
+                from scipy import fft
+                out[...] = fft.irfftn(spectrum, s=self.resolution,
+                                      axes=(-3, -2, -1))
+                return out
+            ax = spectrum.ndim - 3
+            return _pocketfft.c2r(spectrum, (ax, ax + 1, ax + 2),
+                                  self.resolution[2], False, 2, out, 1)
+        out = _output(spectrum, self.kept_shape, self.resolution, float, out)
         if _pocketfft is None:
             return self.irfft(self.from_kept(spectrum), out)
         pp = _pocketfft

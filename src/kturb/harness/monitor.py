@@ -69,9 +69,9 @@ class Monitor:
 
     def sample(self, state):
         """Record one state.  X1..X3 and the L2 norms are Plancherel sums
-        over state.spectrum(), which for the states advance hands out is
-        the evolved spectrum itself; the extrema and L1 terms come from
-        the physical fields."""
+        over state.spectrum(), the kept block, which for the states
+        advance hands out is the evolved spectrum itself; the extrema
+        and L1 terms come from the physical fields."""
         g = state.grid
         env = self.env
         fhat = state.spectrum()

@@ -37,6 +37,8 @@ def run_simulate(config: RunConfig) -> SimulationResult:
     when the march aborts."""
     grid = config.make_grid()
     state0 = generate_initial(config.initial, grid)
+    # one projection for extract_bounds, the first sample and advance
+    state0.y_hat = state0.spectrum()
     bounds = extract_bounds(state0, config.params, config.c_p_override)
     mon = Monitor(bounds)
     mon.sample(state0)

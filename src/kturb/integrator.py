@@ -189,11 +189,13 @@ def advance(state: State, t_end: float, params: ModelParams,
             control: StepControl, callbacks=(), forcing=None) -> State:
     """March from state.t to exactly t_end.
 
-    The state is checked in physical space, then projected once onto the
-    kept block of the 2/3 rule; the spectrum stays there.  callbacks:
-    (cadence, callable) pairs, cadence an integer >= 1; each callable
-    receives the freshly accepted State, with its dealiased half
-    spectrum as y_hat, on steps 1, 1+cadence, 1+2*cadence, ...  A
+    The state is checked in physical space, and the march starts from a
+    copy of state.spectrum(), its kept block of the 2/3 rule: y_hat when
+    set, else y projected once.  callbacks: (cadence, callable) pairs,
+    cadence an integer >= 1; each callable receives the freshly accepted
+    State on steps 1, 1+cadence, 1+2*cadence, ...  Its y and y_hat, and
+    those of the returned state, are read-only, so that a march from a
+    state advance handed out continues from it bit for bit.  A
     Forcing's spectrum is added at each stage time.
 
     Each accepted state is checked, and handed to the callbacks, when
@@ -220,16 +222,15 @@ def advance(state: State, t_end: float, params: ModelParams,
     m = _Marcher(g, params, forcing)
     t = state.t
     vmax, mumax = m.check(state.v, state.omega, state.b, t)
-    y = g.rfft(state.y, kept=True)
+    y = state.spectrum().copy()
     nstep = 0
     alarm = None
     cb_due = False
 
     def run_callbacks(phys):
-        # phys is a fresh array and y_hat a copy, so callbacks may keep
-        # the state
-        y_hat = g.from_kept(y)
-        y_hat.flags.writeable = False
+        # fresh arrays, so callbacks may keep the state
+        y_hat = y.copy()
+        phys.flags.writeable = y_hat.flags.writeable = False
         snap = State(g, phys, t, y_hat)
         for every, fn in cbs:
             if (nstep - 1) % every == 0:
@@ -283,4 +284,5 @@ def advance(state: State, t_end: float, params: ModelParams,
         if alarm is None:
             raise
         raise type(exc)(f"{exc}; {alarm}", t=exc.t) from exc
-    return State(g, phys, t, g.from_kept(y))
+    phys.flags.writeable = y.flags.writeable = False
+    return State(g, phys, t, y)

@@ -2,18 +2,19 @@
 
 Derivatives act in spectral space (multiplication by i*k); nonlinear
 products are formed pointwise in physical space and dealiased with the
-2/3 rule.  L^p norms use the uniform quadrature weight prod(L_i/N_i);
-Sobolev seminorms use Plancherel sums over the half spectrum.
+2/3 rule.  The spectral helpers take a spectrum in either layout of
+TorusGrid, the half spectrum or the kept block, and use that layout's
+multipliers.  L^p norms use the uniform quadrature weight
+prod(L_i/N_i); Sobolev seminorms use Plancherel sums over the spectrum.
 """
 
 import numpy as np
 
 
 def grad_hat(grid, fhat, out=None):
-    """Spectral gradient of one scalar spectrum, in the half-spectrum
-    layout or on the kept block: shape (3,) + fhat.shape, written into
-    out when given."""
-    _, ik, _ = grid.multipliers(fhat.shape)
+    """Spectral gradient of one scalar spectrum: shape (3,) + fhat.shape,
+    written into out when given."""
+    ik = grid.multipliers(fhat.shape).ik
     if out is None:
         out = np.empty((3,) + fhat.shape, dtype=complex)
     for i in range(3):
@@ -23,20 +24,17 @@ def grad_hat(grid, fhat, out=None):
 
 def div_hat(grid, uhat):
     """Spectral divergence of a stacked vector spectrum."""
-    return (
-        1j * grid.k[0] * uhat[0]
-        + 1j * grid.k[1] * uhat[1]
-        + 1j * grid.k[2] * uhat[2]
-    )
+    ik = grid.multipliers(uhat.shape).ik
+    return ik[0] * uhat[0] + ik[1] * uhat[1] + ik[2] * uhat[2]
 
 
 def leray_hat(grid, uhat):
-    """Project a stacked vector spectrum, in the half-spectrum layout or
-    on the kept block, onto divergence-free, zero-mean fields (in place)
-    and return it."""
-    k, _, k_sq_inv = grid.multipliers(uhat.shape)
+    """Project a stacked vector spectrum onto divergence-free, zero-mean
+    fields (in place) and return it."""
+    m = grid.multipliers(uhat.shape)
+    k = m.k
     kdotu = k[0] * uhat[0] + k[1] * uhat[1] + k[2] * uhat[2]
-    kdotu *= k_sq_inv
+    kdotu *= m.k_sq_inv
     for i in range(3):
         uhat[i] -= k[i] * kdotu
         uhat[i][0, 0, 0] = 0.0
@@ -45,9 +43,10 @@ def leray_hat(grid, uhat):
 
 def sym_grad_hat(grid, vhat, out=None):
     """Six independent entries of D = (grad v + grad v^T)/2 in spectral
-    space, ordered (11, 22, 33, 12, 13, 23), in vhat's layout (the half
-    spectrum or the kept block), written into out when given."""
-    (k1, k2, k3), ik, _ = grid.multipliers(vhat.shape)
+    space, ordered (11, 22, 33, 12, 13, 23), in vhat's layout, written
+    into out when given."""
+    m = grid.multipliers(vhat.shape)
+    (k1, k2, k3), ik = m.k, m.ik
     if out is None:
         out = np.empty((6,) + vhat.shape[1:], dtype=complex)
     # off-diagonals 0.5i (ka va + kb vb) first: row 0 is their scratch
@@ -77,12 +76,13 @@ def l2sq_hat(grid, fhat, order=0):
 def l2sq_hat_rows(grid, fhat, orders):
     """{order: [l2sq_hat(grid, row, order) for row in fhat]} for a stacked
     spectrum, with |fhat|^2 formed once."""
+    m = grid.multipliers(fhat.shape)
     power = np.abs(fhat) ** 2
     rows = {}
     for o in orders:
-        k_pow = grid.k_sq_power(o) if o else None
+        k_pow = m.k_sq_power(o) if o else None
         rows[o] = [float(np.sum((row if k_pow is None else row * k_pow)
-                                * grid.hermitian_weight))
+                                * m.weight))
                    * grid.volume / grid.npoints**2 for row in power]
     return rows
 

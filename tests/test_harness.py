@@ -466,9 +466,11 @@ class TestMonitor:
         # the projection on entry; the kernel transforms 14-row stacks
         assert [c for c in calls if c[0] == 5] == [s.y.shape]
         assert len(mon.records) == 4
-        assert not any(state.y_hat.flags.writeable for state in seen)
+        assert not any(state.y.flags.writeable or state.y_hat.flags.writeable
+                       for state in seen + [final])
         for state in seen + [final]:
-            back = g.irfft(state.y_hat.copy(), dealiased=True)
+            assert state.y_hat.shape == (5,) + g.kept_shape
+            back = g.irfft(state.y_hat, kept=True)
             assert back.tobytes() == state.y.tobytes()
         # the kept spectra are copies, not the marcher's buffer
         assert not np.shares_memory(seen[0].y_hat, seen[1].y_hat)
@@ -504,6 +506,24 @@ class TestRunSimulate:
         assert os.path.exists(tmp_path / "state_00001.snap")
         final, _ = read_snapshot(res.snapshot_path)
         assert final.t == 0.5
+
+    def test_one_projection_of_the_initial_state(self, monkeypatch):
+        # extract_bounds, the t = 0 sample and advance share the initial
+        # state's kept block, so its five fields go forward once
+        calls = []
+        orig = TorusGrid.rfft
+
+        def counted(self, *args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "rfft", counted)
+        res = run_simulate(RunConfig(
+            resolution=(8, 8, 8), initial=InitialDataSpec(seed=2, band=2),
+            control=StepControl(dt_max=1.0, dt_fixed=0.01), t_end=0.03))
+        assert [c for c in calls if c[0] == 5] == [(5, 8, 8, 8)]
+        assert len(res.records) == 4
+        assert res.bounds.lap_sum == res.records[0].x2
 
     def test_energy_identity_pair(self):
         cfg = small_run_config()

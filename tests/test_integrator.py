@@ -163,7 +163,7 @@ class TestEntryProjection:
         g = TorusGrid(resolution=(8, 8, 8))
         s = uniform_state(g)
         s.y[3, 0, 0, 0] = -0.5
-        assert np.min(g.irfft(g.rfft(s.y, dealiased=True))[3]) > 0.0
+        assert np.min(g.irfft(g.rfft(s.y, kept=True), kept=True)[3]) > 0.0
         with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
             one_step(s, 0.01, ModelParams())
         with pytest.raises(PositivityViolation, match="min\\(omega\\) = -5"):
@@ -302,6 +302,30 @@ class TestAdvance:
             assert state.y_hat.tobytes() == alone.y_hat.tobytes()
         assert seen[-1].y.tobytes() == out.y.tobytes()
         assert not np.shares_memory(seen[-1].y, out.y)
+
+    def test_restart_continues_bit_for_bit(self):
+        # a returned state carries its kept block and advance starts from
+        # a copy of it, so a run split in two gives the bits of one run
+        # and leaves the first result as it was
+        g = TorusGrid(resolution=(16, 16, 16))
+        s = make_state(g, np.random.default_rng(3), band=4)
+        dt = 2.0**-7
+        ctl = StepControl(dt_max=1.0, dt_fixed=dt)
+        first = advance(s, 4 * dt, ModelParams(), ctl)
+        y, y_hat = first.y.tobytes(), first.y_hat.tobytes()
+        split = advance(first, 8 * dt, ModelParams(), ctl)
+        whole = advance(s, 8 * dt, ModelParams(), ctl)
+        assert split.t == whole.t == 8 * dt
+        assert split.y.tobytes() == whole.y.tobytes()
+        assert split.y_hat.tobytes() == whole.y_hat.tobytes()
+        assert first.y.tobytes() == y
+        assert first.y_hat.tobytes() == y_hat
+        # both are read-only, so an edit of y cannot leave y_hat, which
+        # the next march starts from, behind
+        with pytest.raises(ValueError, match="read-only"):
+            first.y[4] += 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            first.y_hat[4] *= 2.0
 
     def test_guard_failure_names_the_state_time(self):
         # a forcing drags min(b) through zero at step 6; the guard finds

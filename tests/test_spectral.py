@@ -223,8 +223,8 @@ class TestNorms:
 
 
 class TestDealiasedTransforms:
-    """The pruned transforms against the full ones, on masked input: the
-    private pocketfft path and the public-API fallback."""
+    """The kept-block transforms against the full ones, on masked input:
+    the private pocketfft path and the public-API fallback."""
 
     @pytest.fixture(params=["pruned", "fallback"])
     def backend(self, request, monkeypatch):
@@ -242,25 +242,25 @@ class TestDealiasedTransforms:
         phys = rng.standard_normal((nfields,) + g.resolution)
         masked = g.rfft(phys) * g.dealias_mask
         want = g.irfft(masked)
-        got = g.irfft(masked.copy(), dealiased=True)
+        kept = g.to_kept(masked)
+        got = g.irfft(kept, kept=True)
         assert got.tobytes() == want.tobytes()
         out = np.full(want.shape, np.nan)
-        assert g.irfft(masked.copy(), out, dealiased=True) is out
+        assert g.irfft(kept, out, kept=True) is out
         assert out.tobytes() == want.tobytes()
-        assert g.irfft(masked[0].copy(), dealiased=True).tobytes() \
-            == want[0].tobytes()
-        fwd = g.rfft(want, dealiased=True)
-        assert np.array_equal(fwd, g.rfft(want) * g.dealias_mask)
+        assert g.irfft(kept[0], kept=True).tobytes() == want[0].tobytes()
+        fwd = g.rfft(want, kept=True)
+        assert np.array_equal(g.from_kept(fwd), g.rfft(want) * g.dealias_mask)
         spec = np.full(fwd.shape, np.nan, dtype=complex)
-        assert g.rfft(want, spec, dealiased=True) is spec
+        assert g.rfft(want, spec, kept=True) is spec
         assert np.array_equal(spec, fwd)
-        assert np.array_equal(g.rfft(want[0], dealiased=True), fwd[0])
+        assert np.array_equal(g.rfft(want[0], kept=True), fwd[0])
 
     def test_forward_drops_off_mask_modes(self, backend):
         g = TorusGrid(resolution=(12, 16, 8))
         rng = np.random.default_rng(3)
         phys = rng.standard_normal((2,) + g.resolution)
-        spec = g.rfft(phys, dealiased=True)
+        spec = g.from_kept(g.rfft(phys, kept=True))
         assert np.all(spec[:, ~g.dealias_mask] == 0.0)
         assert np.array_equal(spec, g.rfft(phys) * g.dealias_mask)
 
@@ -296,11 +296,20 @@ class TestKeptBlock:
                                      + list(range(-c[1], 0)))
         assert list(m3[0, 0]) == list(range(c[2] + 1))
         k = np.stack([np.broadcast_to(k, g.spectral_shape) for k in g.k])
-        for table, full in ((g.k_kept, k), (g.k_sq_inv_kept, g.k_sq_inv)):
+        tables = g.multipliers(g.kept_shape)
+        assert g.multipliers((5, 3) + g.kept_shape) is tables
+        for table, full in ((tables.k, k), (tables.k_sq, g.k_sq),
+                            (tables.k_sq_inv, g.k_sq_inv)):
             want = g.to_kept(full)
             assert table.flags.c_contiguous
             assert table.tobytes() == want.tobytes()
-        assert g.ik_kept.tobytes() == (1j * g.k_kept).tobytes()
+        assert tables.ik.tobytes() == (1j * tables.k).tobytes()
+        # the Hermitian weight: the half spectrum counts its m3 = 0 and
+        # Nyquist columns once, the block (no Nyquist column) its m3 = 0
+        # column once
+        half = g.multipliers(g.spectral_shape).weight
+        assert list(half.ravel()) == [1.0] + [2.0] * (half.size - 2) + [1.0]
+        assert list(tables.weight.ravel()) == [1.0] + [2.0] * c[2]
 
     @pytest.mark.parametrize("resolution", GRIDS)
     @pytest.mark.parametrize("lead", LEADS)
@@ -324,13 +333,11 @@ class TestKeptBlock:
         if grid_module._pocketfft is None:
             pytest.skip("scipy has no usable private pocketfft binding")
         kept = g.rfft(phys, kept=True)
-        full = g.rfft(phys, dealiased=True)
+        full = g.from_kept(kept)
         assert kept.shape == lead + g.kept_shape
-        assert kept.tobytes() == g.to_kept(full).tobytes()
         assert kept.tobytes() == g.to_kept(g.rfft(phys)).tobytes()
         inv = g.irfft(kept, kept=True)
         unwritten = kept.tobytes()
-        assert inv.tobytes() == g.irfft(full, dealiased=True).tobytes()
         assert inv.tobytes() == g.irfft(full).tobytes()
         assert kept.tobytes() == unwritten
         out = np.full(kept.shape, np.nan, dtype=complex)
@@ -346,15 +353,25 @@ class TestKeptBlock:
         work[...] = np.nan
         assert g.irfft(kept, kept=True, work=work).tobytes() \
             == inv.tobytes()
-        assert g.irfft(full, dealiased=True, work=work).tobytes() \
-            == inv.tobytes()
-        spec = np.full(full.shape, np.nan, dtype=complex)
-        assert g.rfft(phys, spec, dealiased=True) is spec
-        assert spec.tobytes() == full.tobytes()
         # the public-API fallback gives the same bits
         monkeypatch.setattr(grid_module, "_pocketfft", None)
         assert g.rfft(phys, kept=True).tobytes() == kept.tobytes()
         assert g.irfft(kept, kept=True).tobytes() == inv.tobytes()
+
+    @pytest.mark.parametrize("resolution", GRIDS)
+    def test_plancherel_sums_on_the_block(self, resolution):
+        # the block leaves out only zero entries of its half-spectrum
+        # array, so the sums differ by the grouping of the additions
+        g = TorusGrid(resolution=resolution)
+        kept = g.rfft(self.phys(g, (5,)), kept=True)
+        orders = (0, 1, 2, 3)
+        on_block = ops.l2sq_hat_rows(g, kept, orders)
+        on_half = ops.l2sq_hat_rows(g, g.from_kept(kept), orders)
+        for o in orders:
+            assert on_block[o] == pytest.approx(on_half[o], rel=1e-13)
+        for row, got in zip(g.irfft(kept, kept=True), on_block[0]):
+            assert got == pytest.approx(ops.lp_norm(g, row, 2) ** 2,
+                                        rel=1e-12)
 
     def test_batch_rows_match_single_fields(self):
         # a row of a stack transforms as that field alone does, so the
@@ -377,6 +394,8 @@ class TestKeptBlock:
         g = TorusGrid(resolution=(8, 8, 8))
         phys = np.zeros((2, 8, 8, 8))
         kept = np.zeros((2,) + g.kept_shape, dtype=complex)
+        with pytest.raises(ValueError, match="trailing axes"):
+            g.rfft(phys[..., :4], kept=True)
         with pytest.raises(ValueError, match="trailing axes"):
             g.irfft(np.zeros((2,) + g.spectral_shape, complex), kept=True)
         full = np.zeros((2,) + g.spectral_shape, dtype=complex)
@@ -455,17 +474,16 @@ class TestFullTransforms:
         g = TorusGrid(resolution=(8, 8, 8))
         phys = np.zeros((2, 8, 8, 8))
         spec = np.zeros((2, 8, 8, 5), dtype=complex)
-        for dealiased in (False, True):
-            with pytest.raises(ValueError, match="trailing axes"):
-                g.rfft(phys[..., :4], dealiased=dealiased)
-            with pytest.raises(ValueError, match="trailing axes"):
-                g.irfft(spec[..., :4], dealiased=dealiased)
-            for wrong in (spec[0], spec[..., :4], spec.astype(np.complex64)):
-                with pytest.raises(ValueError, match="out must be"):
-                    g.rfft(phys, wrong, dealiased=dealiased)
-            for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
-                with pytest.raises(ValueError, match="out must be"):
-                    g.irfft(spec, wrong, dealiased=dealiased)
+        with pytest.raises(ValueError, match="trailing axes"):
+            g.rfft(phys[..., :4])
+        with pytest.raises(ValueError, match="trailing axes"):
+            g.irfft(spec[..., :4])
+        for wrong in (spec[0], spec[..., :4], spec.astype(np.complex64)):
+            with pytest.raises(ValueError, match="out must be"):
+                g.rfft(phys, wrong)
+        for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                g.irfft(spec, wrong)
 
 
 _THEN_SCIPY = """
@@ -475,9 +493,8 @@ from kturb import TorusGrid
 
 def transforms(g, x):
     spec = g.rfft(x)
-    masked = g.rfft(x, dealiased=True)
-    return (spec, g.irfft(spec), masked,
-            g.irfft(masked.copy(), dealiased=True))
+    kept = g.rfft(x, kept=True)
+    return spec, g.irfft(spec), kept, g.irfft(kept, kept=True)
 
 g = TorusGrid(resolution=(16, 12, 8))
 x = np.random.default_rng(5).standard_normal((2,) + g.resolution)

@@ -4,9 +4,10 @@
         [--label TEXT] [--src DIR] [--parent FILE] [--skip-tier1]
 
 At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
-inverse and the 14-field forward transform the kernel makes, and one
-RK4 step of `advance` (its guard included), on the acceptance initial
-data (band 5, default ModelParams).  The kernel and transform rows use
+inverse and the 14-field forward transform the kernel makes, one RK4
+step of `advance` (its guard included), and one `Monitor.sample` of a
+state that `advance` handed its callback (`monitor_sample_ms`), on the
+acceptance initial data (band 5, default ModelParams).  The kernel and transform rows use
 the spectral layout the kernel takes: the kept block of the 2/3 rule
 where the grid has one (`kept=True`, with a work array passed as the
 kernel passes its own), else the half spectrum on the 2/3 mask
@@ -98,7 +99,8 @@ def _layout(grid, fields):
 
 
 def time_layers(kturb, n):
-    from kturb.harness import InitialDataSpec, generate_initial
+    from kturb.harness import (InitialDataSpec, Monitor, extract_bounds,
+                               generate_initial)
     from kturb.dynamics import TendencyKernel
 
     g = kturb.TorusGrid(resolution=(n, n, n))
@@ -132,11 +134,17 @@ def time_layers(kturb, n):
     span = STEPS_PER_CALL * dt
     steps = _timed(lambda: kturb.advance(state, span, params, ctl),
                    lambda: None, max(3, reps // 3))
+
+    handed = []
+    kturb.advance(state, span, params, ctl, callbacks=[(1, handed.append)])
+    mon = Monitor(extract_bounds(state, params))
+    sample = _timed(lambda: mon.sample(handed[-1]), lambda: None, reps)
     return {
         "kernel_ms": _stats(kernel),
         "inverse17_ms": _stats(inverse),
         "forward14_ms": _stats(forward),
         "rk4_step_ms": _stats(np.asarray(steps) / STEPS_PER_CALL),
+        "monitor_sample_ms": _stats(sample),
         "dt": dt,
     }
 
