@@ -171,10 +171,11 @@ class TendencyKernel:
 
     Its input and output are (5,) + grid.kept_shape spectra on the kept
     block, so every mode the 2/3 rule drops is absent rather than zero.
-    Every call transforms the same 17 fields to physical space and the
-    same 14 products back, with TorusGrid's kept-block transforms.  A
-    spatially uniform state skips the transforms: the FFT of a constant
-    field is exact, so the result is bitwise identical to the full path.
+    Every call transforms the same 17 fields to physical space, the
+    state's own five rows (v1, v2, v3, omega, b) first, and the same 14
+    products back, with TorusGrid's kept-block transforms.  A spatially
+    uniform state skips the transforms: the FFT of a constant field is
+    exact, so the result is bitwise identical to the full path.
 
     An instance owns the spectral stack, which the inverse transform
     reads and the forward transform refills, the physical fields, the
@@ -188,7 +189,7 @@ class TendencyKernel:
     def __init__(self, grid: TorusGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        # spectra of omega, b, grad omega, grad b, v, D; then those of
+        # spectra of v, omega, b, grad omega, grad b, D; then those of
         # the products
         self._spec = np.empty((17,) + grid.kept_shape, dtype=complex)
         # their physical fields
@@ -202,10 +203,11 @@ class TendencyKernel:
         """Tendency spectrum of y_hat, written into out when given and
         into a fresh array otherwise.  y_hat is only read; t only names
         the time in a NonPositiveOmega message.  inspect, when given, is
-        called as inspect(v, omega, b) with the physical fields of y_hat
-        as soon as the inverse transform has made them, and before
-        anything else reads them; those arrays are overwritten after it
-        returns.  A uniform state makes no transform and no such call."""
+        called as inspect(y) with y the (5, N1, N2, N3) physical state
+        of y_hat, as soon as the inverse transform has made it and
+        before anything else reads it; y is overwritten after inspect
+        returns.  A uniform state makes no transform: its y is filled
+        with the k = 0 means y_hat[:, 0, 0, 0].real / npoints."""
         g = self.grid
         p = self.params
         if out is None:
@@ -214,9 +216,12 @@ class TendencyKernel:
         if ops.is_uniform_state_hat(y_hat):
             # spatially uniform state: the reaction ODEs are the whole
             # dynamics
-            om = float(y_hat[3, 0, 0, 0].real) / g.npoints
+            mean = y_hat[:, 0, 0, 0].real / g.npoints
+            if inspect is not None:
+                self._phys[:5] = mean[:, None, None, None]
+                inspect(self._phys[:5])
+            om, bm = float(mean[3]), float(mean[4])
             _require_positive_omega(om, t)
-            bm = float(y_hat[4, 0, 0, 0].real) / g.npoints
             out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
             out[4, 0, 0, 0] = -bm * om * g.npoints
@@ -226,7 +231,7 @@ class TendencyKernel:
         phys = g.irfft(self._spec, out=self._phys, kept=True,
                        work=self._work)
         if inspect is not None:
-            inspect(phys[8:11], phys[0], phys[1])
+            inspect(phys[:5])
         self._products(phys, t)
         spec = g.rfft(self._fwd, out=self._spec[:14], kept=True,
                       work=self._work[:14])
@@ -235,11 +240,9 @@ class TendencyKernel:
     def _fill_inverse(self, y_hat):
         g = self.grid
         S = self._spec
-        S[0] = y_hat[3]
-        S[1] = y_hat[4]
-        ops.grad_hat(g, y_hat[3], out=S[2:5])
-        ops.grad_hat(g, y_hat[4], out=S[5:8])
-        S[8:11] = y_hat[:3]
+        S[:5] = y_hat
+        ops.grad_hat(g, y_hat[3], out=S[5:8])
+        ops.grad_hat(g, y_hat[4], out=S[8:11])
         ops.sym_grad_hat(g, y_hat[:3], out=S[11:17])
 
     def _products(self, phys, t):
@@ -247,8 +250,8 @@ class TendencyKernel:
         overwritten."""
         p = self.params
         F = self._fwd
-        omega, b = phys[0], phys[1]
-        grad_w, grad_b, v, D = phys[2:5], phys[5:8], phys[8:11], phys[11:17]
+        v, omega, b = phys[:3], phys[3], phys[4]
+        grad_w, grad_b, D = phys[5:8], phys[8:11], phys[11:17]
 
         _require_positive_omega(omega, t)
 
@@ -276,7 +279,7 @@ class TendencyKernel:
         # the gradient rows hold the velocity products
         np.multiply(p.c_v, mu, out=kmu)
         np.multiply(kmu, D, out=F[8:14])
-        vv = phys[2:8]
+        vv = phys[5:11]
         for row, (i, j) in enumerate(((0, 0), (1, 1), (2, 2),
                                       (0, 1), (0, 2), (1, 2))):
             np.multiply(v[i], v[j], out=vv[row])

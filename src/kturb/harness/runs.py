@@ -224,7 +224,11 @@ class _Manufactured:
                 - s * (self.linear + s * self.quadratic))
 
     def initial_state(self):
-        return State(self.grid, self.exact(0.0))
+        """The exact state at t = 0 with sigma(0) profile_hat, the
+        spectrum the forcing is made against, as its y_hat, so advance
+        projects nothing."""
+        s = self.sigma(0.0)
+        return State(self.grid, s * self.profile, 0.0, s * self.profile_hat)
 
 
 def _mms_errors(config: RunConfig, dt):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..dynamics import ModelParams, State
 from ..errors import ConfigError
-from ..grid import TorusGrid
+from ..grid import TorusGrid, check_box
 
 MAGIC = b"KTRB"
 VERSION = 1
@@ -55,12 +55,15 @@ def read_snapshot(path):
     off += 8
     pvals = struct.unpack_from("<6d", raw, off)
     off += 48
-    grid = TorusGrid(lengths=(l1, l2, l3), resolution=(n1, n2, n3))
-    count = 5 * grid.npoints
+    # checked before the grid, whose tables grow as N1 N2 N3, is built
+    lengths, resolution = check_box(
+        (l1, l2, l3), (n1, n2, n3), lambda msg: ConfigError(f"{path}: {msg}"))
+    count = 5 * n1 * n2 * n3
     if len(raw) < off + 8 * count:
         raise ConfigError(f"{path}: truncated field data")
     if len(raw) > off + 8 * count:
         raise ConfigError(f"{path}: trailing bytes after field data")
+    grid = TorusGrid(lengths=lengths, resolution=resolution)
     y = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
     params = ModelParams(nu0=pvals[0], kappa1=pvals[1], kappa2=pvals[2],
                          kappa3=pvals[3], kappa4=pvals[4],

@@ -46,9 +46,9 @@ class StepControl:
             raise ValueError("dt_fixed must be positive")
 
 
-def _speed_and_mu_max(v, omega, b):
-    """max |v| and max mu = b/omega of physical fields."""
-    return float(np.max(np.abs(v))), float(np.max(b / omega))
+def _speed_and_mu_max(y):
+    """max |v| and max mu = b/omega of a physical (5, ...) state."""
+    return float(np.max(np.abs(y[:3]))), float(np.max(y[4] / y[3]))
 
 
 def _dt_from_arrays(grid, params, control, vmax, mumax):
@@ -65,14 +65,16 @@ def compute_dt(state: State, params: ModelParams, control: StepControl) -> float
     0.9 * 2.785 / (c_diff max mu k^2_max)), with k^2_max the largest
     dealiased |k|^2 of the grid."""
     return _dt_from_arrays(state.grid, params, control,
-                           *_speed_and_mu_max(state.v, state.omega, state.b))
+                           *_speed_and_mu_max(state.y))
 
 
 class _Marcher:
     """Owns the spectral state between steps so fields are transformed
     once per step, not once per call.  It also owns the four RK4 stage
     tendencies and the stage input, on the kept block and reused on
-    every step, so it is not re-entrant."""
+    every step, so it is not re-entrant.  check() is the one guard of a
+    physical (5, N1, N2, N3) state; advance runs it on the state that
+    the first kernel call of each step hands first_stage's inspect."""
 
     def __init__(self, grid, params, forcing=None):
         self.grid = grid
@@ -109,33 +111,12 @@ class _Marcher:
             np.add(out, f, out=out)
         return out
 
-    def first_stage(self, y_hat, t, guard=False, physical=False):
+    def first_stage(self, y_hat, t, inspect=None):
         """The kernel's tendency at (y_hat, t), the first of a step, in
-        the first stage buffer, without the forcing.
-
-        With guard set it also checks the state y_hat first, as guard()
-        does, and returns (phys, vmax, mumax); phys is None unless
-        physical is set.  The physical fields of a state that is not
-        uniform are those the kernel's inverse transform makes: they are
-        checked, and copied into phys, before the kernel reads them."""
-        k1 = self._k[0]
-        if not guard:
-            self._kernel(y_hat, t, k1, t)
-            return None
-        if ops.is_uniform_state_hat(y_hat):
-            maxima = self.guard(y_hat, t)
-            phys = self.grid.irfft(y_hat, kept=True) if physical else None
-            self._kernel(y_hat, t, k1, t)
-            return (phys,) + maxima
-        found = {"phys": None}
-
-        def inspect(v, omega, b):
-            found["maxima"] = self.check(v, omega, b, t)
-            if physical:
-                found["phys"] = np.concatenate((v, omega[None], b[None]))
-
-        self._kernel(y_hat, t, k1, t, inspect)
-        return (found["phys"],) + found["maxima"]
+        the first stage buffer, without the forcing.  inspect, when
+        given, receives the physical state of y_hat as the kernel's
+        inspect hook does, before the kernel reads it."""
+        self._kernel(y_hat, t, self._k[0], t, inspect)
 
     def finish_step(self, y_hat, t, dt):
         """Complete the RK4 step from t that first_stage began: add the
@@ -159,30 +140,20 @@ class _Marcher:
         ops.leray_hat(self.grid, y_hat[:3])
         return y_hat
 
-    def guard(self, y_hat, t, phys=None):
-        """Check the state y_hat reached at t, from phys, its physical
-        fields, or, for a spatially uniform state, from its k = 0
-        coefficients without a transform; return max |v| and max mu,
-        which the next step size needs."""
-        if ops.is_uniform_state_hat(y_hat):
-            mean = y_hat[:, 0, 0, 0].real / self.grid.npoints
-            return self.check(mean[:3], mean[3], mean[4], t)
-        return self.check(phys[:3], phys[3], phys[4], t)
-
-    def check(self, v, omega, b, t):
-        """Check physical values of the velocity, omega and b (any
-        trailing shape); return max |v| and max mu."""
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(omega))
-                and np.all(np.isfinite(b))):
+    def check(self, y, t):
+        """Check the physical state y, of shape (5, N1, N2, N3), reached
+        at t; return max |v| and max mu, which the next step size
+        needs."""
+        if not np.all(np.isfinite(y)):
             raise BlowUp(f"non-finite field values at t = {t:.6g}", t=t)
-        om_min = float(np.min(omega))
-        b_min = float(np.min(b))
+        om_min = float(np.min(y[3]))
+        b_min = float(np.min(y[4]))
         if om_min <= POSITIVITY_FLOOR or b_min <= POSITIVITY_FLOOR:
             raise PositivityViolation(
                 f"min(omega) = {om_min:.3e}, min(b) = {b_min:.3e} "
                 f"at or below floor {POSITIVITY_FLOOR:.1e} at t = {t:.6g}",
                 t=t)
-        return _speed_and_mu_max(v, omega, b)
+        return _speed_and_mu_max(y)
 
 
 def advance(state: State, t_end: float, params: ModelParams,
@@ -198,9 +169,11 @@ def advance(state: State, t_end: float, params: ModelParams,
     state advance handed out continues from it bit for bit.  A
     Forcing's spectrum is added at each stage time.
 
-    Each accepted state is checked, and handed to the callbacks, when
-    the next step's first kernel call has transformed it; the last one
-    when the inverse transform of the returned state has.
+    Each accepted state is checked, and handed to the callbacks, on the
+    physical state that the next step's first kernel call passes its
+    inspect hook: the kernel's inverse transform, or the k = 0 means of
+    a uniform state, which is not transformed.  The last one is checked
+    on the inverse transform of the returned state.
 
     A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
     k2_max) of the current state raises a RuntimeWarning on the first
@@ -221,11 +194,20 @@ def advance(state: State, t_end: float, params: ModelParams,
     g = state.grid
     m = _Marcher(g, params, forcing)
     t = state.t
-    vmax, mumax = m.check(state.v, state.omega, state.b, t)
+    vmax, mumax = m.check(state.y, t)
     y = state.spectrum().copy()
     nstep = 0
     alarm = None
     cb_due = False
+    handed = None
+
+    def guard(phys):
+        # the state y reached at t; the kernel overwrites phys once this
+        # returns
+        nonlocal vmax, mumax, handed
+        vmax, mumax = m.check(phys, t)
+        if cb_due:
+            handed = phys.copy()
 
     def run_callbacks(phys):
         # fresh arrays, so callbacks may keep the state
@@ -239,10 +221,9 @@ def advance(state: State, t_end: float, params: ModelParams,
     try:
         while t < t_end:
             if nstep:
-                phys, vmax, mumax = m.first_stage(y, t, guard=True,
-                                                  physical=cb_due)
+                m.first_stage(y, t, guard)
                 if cb_due:
-                    run_callbacks(phys)
+                    run_callbacks(handed)
             dt = _dt_from_arrays(g, params, control, vmax, mumax)
             if t + dt == t:
                 raise ValueError(
@@ -267,9 +248,10 @@ def advance(state: State, t_end: float, params: ModelParams,
             last = t + dt >= t_end - 1e-12 * dt
             if last:
                 dt = t_end - t
-            # later steps began in their guard above; the first one's
-            # state was checked in physical space, so it begins here,
-            # after the step-size checks
+            # later steps began above, where their first kernel call
+            # checked the state; the first one's state was checked in
+            # physical space, so it begins here, after the step-size
+            # checks
             if not nstep:
                 m.first_stage(y, t)
             y = m.finish_step(y, t, dt)
@@ -277,7 +259,7 @@ def advance(state: State, t_end: float, params: ModelParams,
             nstep += 1
             cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
         phys = g.irfft(y, kept=True)
-        m.guard(y, t, phys)
+        m.check(phys, t)
         if cb_due:
             run_callbacks(phys.copy())
     except (PositivityViolation, BlowUp) as exc:

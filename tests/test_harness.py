@@ -383,6 +383,28 @@ class TestSnapshots:
         with pytest.raises(ConfigError):
             read_snapshot(tmp_path / "trunc.snap")
 
+    def test_header_checked_before_the_grid(self, tmp_path, monkeypatch):
+        # a header that claims 256^3 fails on the file length before a
+        # grid of that size, whose tables grow as N^3, is built
+        from kturb.harness import snapshot
+        built = []
+        monkeypatch.setattr(snapshot, "TorusGrid",
+                            lambda **kw: built.append(kw))
+        g = TorusGrid(resolution=(8, 8, 8))
+        good = tmp_path / "good.snap"
+        write_snapshot(good, State.uniform(g, 1.0, 1.0), ModelParams())
+        header = bytearray(good.read_bytes()[:100])
+        header[8:20] = np.array([256] * 3, dtype="<u4").tobytes()
+        path = tmp_path / "big.snap"
+        path.write_bytes(bytes(header))
+        with pytest.raises(ConfigError, match="truncated field data"):
+            read_snapshot(path)
+        header[8:20] = np.array([8, 7, 8], dtype="<u4").tobytes()
+        path.write_bytes(bytes(header))
+        with pytest.raises(ConfigError, match="big.snap: resolution"):
+            read_snapshot(path)
+        assert built == []
+
     def test_from_file_initial(self, tmp_path):
         g = TorusGrid(resolution=(8, 8, 8))
         s = generate_initial(InitialDataSpec(seed=1, band=2), g)
@@ -805,6 +827,21 @@ class TestRunMms:
             calls[0] = 0
             runs._mms_errors(cfg, dt)
             assert calls[0] == 4 * steps + 2
+
+    def test_one_projection_per_run(self, monkeypatch):
+        # the initial state carries sigma(0) profile_hat as its spectrum,
+        # so only the manufactured solution's profile goes forward
+        calls = []
+        orig = TorusGrid.rfft
+
+        def counted(self, *args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "rfft", counted)
+        runs._mms_errors(RunConfig(resolution=(8, 8, 8), t_end=0.05), 5e-3)
+        # the kernel's own forwards are of its 14 products
+        assert [c for c in calls if c[0] != 14] == [(5, 8, 8, 8)]
 
     @pytest.mark.parametrize("dts, t_end, name", [
         ((5e-3,), 0.05, "dts"),

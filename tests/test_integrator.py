@@ -303,6 +303,31 @@ class TestAdvance:
         assert seen[-1].y.tobytes() == out.y.tobytes()
         assert not np.shares_memory(seen[-1].y, out.y)
 
+    def test_uniform_run_transforms_once(self, monkeypatch):
+        # a uniform state is checked, and handed to the callbacks, on the
+        # k = 0 means the kernel fills in without a transform; only the
+        # returned state is transformed
+        g = TorusGrid(resolution=(16, 16, 16))
+        inverses = []
+        orig = TorusGrid.irfft
+
+        def counted(self, *args, **kwargs):
+            inverses.append(np.shape(args[0])[0])
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "irfft", counted)
+        seen = []
+        dt = 2.0**-8
+        out = advance(uniform_state(g, 0.9, 1.8), 16 * dt, ModelParams(),
+                      StepControl(dt_max=1.0, dt_fixed=dt),
+                      callbacks=[(1, seen.append)])
+        assert inverses == [5]
+        assert [state.t for state in seen] == [dt * i for i in range(1, 17)]
+        for state in seen:
+            mean = state.y_hat[:, 0, 0, 0].real / g.npoints
+            assert np.all(state.y == mean[:, None, None, None])
+        assert seen[-1].y.tobytes() == out.y.tobytes()
+
     def test_restart_continues_bit_for_bit(self):
         # a returned state carries its kept block and advance starts from
         # a copy of it, so a run split in two gives the bits of one run

@@ -7,22 +7,20 @@ At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
 inverse and the 14-field forward transform the kernel makes, one RK4
 step of `advance` (its guard included), and one `Monitor.sample` of a
 state that `advance` handed its callback (`monitor_sample_ms`), on the
-acceptance initial data (band 5, default ModelParams).  The kernel and transform rows use
-the spectral layout the kernel takes: the kept block of the 2/3 rule
-where the grid has one (`kept=True`, with a work array passed as the
-kernel passes its own), else the half spectrum on the 2/3 mask
-(`dealiased=True`), as older checkouts have it; `layout` names which.
-It also times one 16^3 manufactured-solution study (`run_mms` at t_end
-0.04, default dts) as `mms_study_ms`, and `full_report` with an infinite
-horizon on fixed-seed random bounds, drawn as the `criterion` benchmark
-workload draws them, as `criterion_report_ms`.  Each figure is the min
-and median of several calls, in ms.  The two whole-study rows and
-`import_ms` also keep every sample and their interquartile range over
-the median,
-`iqr_over_median`: a difference between two runs smaller than that
-ratio does not resolve.  (The
-`criterion_report_ms` samples are of 300 different bounds, in the same
-order on every run, so they can also be compared input by input.)
+acceptance initial data (band 5, default ModelParams).  The kernel and
+transform rows use the spectral layout the kernel takes: the kept block
+of the 2/3 rule (`kept=True`), with a work array passed as the kernel
+passes its own.  It also times one 16^3 manufactured-solution study
+(`run_mms` at t_end 0.04, default dts) as `mms_study_ms`, and
+`full_report` with an infinite horizon on fixed-seed random bounds,
+drawn as the `criterion` benchmark workload draws them, as
+`criterion_report_ms`.  Each row holds the min and median of several
+calls, in ms, every sample, and their interquartile range over the
+median, `iqr_over_median`: a difference between two runs smaller than
+that ratio does not resolve.  The printed summary leaves the samples
+out.  (The `criterion_report_ms` samples are of 300 different bounds, in
+the same order on every run, so they can also be compared input by
+input.)
 `import_ms` is the time of `import kturb, kturb.harness` in fresh
 interpreters, with the number of `scipy` and `scipy.*` modules that
 import loads.
@@ -61,19 +59,14 @@ print(t1 - t0, sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
 """
 
 
-def _stats(times):
-    ms = np.asarray(times) * 1e3
-    return {"min": round(float(ms.min()), 4),
-            "median": round(float(np.median(ms)), 4)}
-
-
 def _spread(times):
-    """_stats plus every sample and the interquartile range over the
-    median."""
+    """The min and median of times in ms, every sample, and the
+    interquartile range over the median."""
     ms = np.asarray(times) * 1e3
     q1, med, q3 = np.percentile(ms, [25, 50, 75])
-    return dict(_stats(times), iqr_over_median=round(float((q3 - q1) / med), 4),
-                samples=[round(float(x), 4) for x in ms])
+    return {"min": round(float(ms.min()), 4), "median": round(float(med), 4),
+            "iqr_over_median": round(float((q3 - q1) / med), 4),
+            "samples": [round(float(x), 4) for x in ms]}
 
 
 def _timed(fn, prepare, repeats):
@@ -90,12 +83,16 @@ def _timed(fn, prepare, repeats):
 def _layout(grid, fields):
     """The transform keywords of the kernel's spectral layout for a
     stack of fields: the kept block, run in a work array as the kernel
-    runs its own, where the grid has one; else the half spectrum on the
-    2/3 mask."""
-    if not hasattr(grid, "kept_shape"):
-        return dict(dealiased=True)
+    runs its own."""
     return dict(kept=True, work=np.empty((fields,) + grid.spectral_shape,
                                          dtype=complex))
+
+
+def _summary(value):
+    """value without its lists of samples, for printing."""
+    if isinstance(value, dict):
+        return {k: _summary(v) for k, v in value.items() if k != "samples"}
+    return value
 
 
 def time_layers(kturb, n):
@@ -115,13 +112,11 @@ def time_layers(kturb, n):
     kernel = _timed(lambda: kern(y_hat, 0.0, out=out),
                     lambda: None, reps)
 
-    # an older checkout's dealiased inverse consumes its input
     layout = _layout(g, 17)
     spec = g.rfft(rng.standard_normal((17,) + g.resolution), **layout)
-    work = np.empty_like(spec)
     phys = np.empty((17,) + g.resolution)
-    inverse = _timed(lambda: g.irfft(work, out=phys, **layout),
-                     lambda: np.copyto(work, spec), reps)
+    inverse = _timed(lambda: g.irfft(spec, out=phys, **layout),
+                     lambda: None, reps)
 
     layout = _layout(g, 14)
     prod = rng.standard_normal((14,) + g.resolution)
@@ -140,11 +135,11 @@ def time_layers(kturb, n):
     mon = Monitor(extract_bounds(state, params))
     sample = _timed(lambda: mon.sample(handed[-1]), lambda: None, reps)
     return {
-        "kernel_ms": _stats(kernel),
-        "inverse17_ms": _stats(inverse),
-        "forward14_ms": _stats(forward),
-        "rk4_step_ms": _stats(np.asarray(steps) / STEPS_PER_CALL),
-        "monitor_sample_ms": _stats(sample),
+        "kernel_ms": _spread(kernel),
+        "inverse17_ms": _spread(inverse),
+        "forward14_ms": _spread(forward),
+        "rk4_step_ms": _spread(np.asarray(steps) / STEPS_PER_CALL),
+        "monitor_sample_ms": _spread(sample),
         "dt": dt,
     }
 
@@ -239,8 +234,6 @@ def main(argv=None):
         "label": args.label,
         "private_pocketfft": getattr(kturb.grid, "_pocketfft", None)
         is not None,
-        "layout": "kept block" if "kept" in _layout(kturb.TorusGrid(
-            resolution=(8, 8, 8)), 1) else "half spectrum on the 2/3 mask",
         "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
         "mms_study_ms": time_mms_study(),
         "criterion_report_ms": time_criterion_report(kturb),
@@ -252,16 +245,14 @@ def main(argv=None):
         with open(args.parent) as fh:
             parent = json.load(fh)
         result["parent"] = {k: parent[k] for k in (
-            "label", "layout", "layers", "mms_study_ms", "criterion_report_ms",
+            "label", "layers", "mms_study_ms", "criterion_report_ms",
             "import_ms", "tier1") if k in parent}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    spreads = ("mms_study_ms", "criterion_report_ms", "import_ms")
-    shown = {k: result[k] for k in ("layers",) + spreads}
-    for k in spreads:
-        shown[k] = {s: v for s, v in shown[k].items() if s != "samples"}
-    print(json.dumps(shown, indent=1))
+    print(json.dumps(_summary({k: result[k] for k in (
+        "layers", "mms_study_ms", "criterion_report_ms", "import_ms")}),
+        indent=1))
 
 
 if __name__ == "__main__":
