@@ -14,8 +14,7 @@ from .criterion import (CriterionConfig, CriterionReport, check_glob_add,
 from .dynamics import Forcing, ModelParams, State
 from .envelopes import DataBounds, EnvelopeSet, geometric_times
 from .errors import (BlowUp, ConfigError, InconclusiveTail, Kappa2TooSmall,
-                     KturbError, NonPositiveOmega, PositivityViolation,
-                     VerificationFailure)
+                     KturbError, PositivityViolation, VerificationFailure)
 from .grid import TorusGrid
 from .integrator import StepControl, advance, compute_dt
 
@@ -27,7 +26,6 @@ __all__ = [
     "DataBounds", "EnvelopeSet", "geometric_times",
     "CriterionConfig", "CriterionReport", "margin", "check_glob_add",
     "compute_a0", "full_report",
-    "KturbError", "NonPositiveOmega", "PositivityViolation", "BlowUp",
-    "Kappa2TooSmall", "InconclusiveTail", "VerificationFailure",
-    "ConfigError",
+    "KturbError", "PositivityViolation", "BlowUp", "Kappa2TooSmall",
+    "InconclusiveTail", "VerificationFailure", "ConfigError",
 ]

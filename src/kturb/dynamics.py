@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import NonPositiveOmega, require_finite
+from .errors import PositivityViolation, require_finite
 from .grid import TorusGrid
 
 # omega and b at or below this value abort a march: mu = b/omega is
@@ -145,12 +145,13 @@ class Forcing:
 
 
 def _require_positive_omega(omega, t):
-    """Raise NonPositiveOmega unless min(omega) is finite and above
-    POSITIVITY_FLOOR."""
+    """Raise a PositivityViolation at t unless min(omega) is finite and
+    above POSITIVITY_FLOOR."""
     om_min = float(np.min(omega))
     if not np.isfinite(om_min) or om_min <= POSITIVITY_FLOOR:
-        raise NonPositiveOmega(
-            f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega")
+        raise PositivityViolation(
+            f"min(omega) = {om_min:.3e} at t = {t:.6g}; cannot form b/omega",
+            t=t)
 
 
 def _strain_sq(D):
@@ -201,13 +202,14 @@ class TendencyKernel:
 
     def __call__(self, y_hat, t=0.0, out=None, inspect=None):
         """Tendency spectrum of y_hat, written into out when given and
-        into a fresh array otherwise.  y_hat is only read; t only names
-        the time in a NonPositiveOmega message.  inspect, when given, is
-        called as inspect(y) with y the (5, N1, N2, N3) physical state
-        of y_hat, as soon as the inverse transform has made it and
-        before anything else reads it; y is overwritten after inspect
-        returns.  A uniform state makes no transform: its y is filled
-        with the k = 0 means y_hat[:, 0, 0, 0].real / npoints."""
+        into a fresh array otherwise.  y_hat is only read; t is only the
+        time of the PositivityViolation raised when omega is at or below
+        POSITIVITY_FLOOR.  inspect, when given, is called as inspect(y)
+        with y the (5, N1, N2, N3) physical state of y_hat, as soon as
+        the inverse transform has made it and before anything else
+        reads it; y is overwritten after inspect returns.  A uniform
+        state makes no transform: its y is filled with the k = 0 means
+        y_hat[:, 0, 0, 0].real / npoints."""
         g = self.grid
         p = self.params
         if out is None:

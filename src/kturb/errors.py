@@ -11,14 +11,10 @@ class KturbError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveOmega(KturbError):
-    """The dissipation-rate field dropped to or below the positivity floor,
-    so the eddy viscosity b/omega cannot be formed."""
-
-
 class PositivityViolation(KturbError):
-    """A time step produced min(omega) or min(b) at or below the floor.
-    Usually means the step size is too large or the data is inadmissible."""
+    """A state has min(omega) or min(b), or an RK4 stage input has
+    min(omega), at or below the positivity floor; t is its time.  Usually
+    means the step size is too large or the data is inadmissible."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

@@ -14,7 +14,7 @@ from .. import ops
 from ..criterion import CriterionReport, check_glob_add, full_report
 from ..dynamics import Forcing, State, TendencyKernel
 from ..envelopes import EnvelopeSet, require_large_kappa2
-from ..errors import KturbError, VerificationFailure
+from ..errors import VerificationFailure
 from ..integrator import StepControl, advance, compute_dt
 from .config import RunConfig
 from .initial import extract_bounds, generate_initial
@@ -59,17 +59,14 @@ def run_simulate(config: RunConfig) -> SimulationResult:
     try:
         final = advance(state0, config.t_end, config.params, config.control,
                         callbacks=callbacks)
-    except KturbError:
+        if final.t > mon.records[-1].t:
+            mon.sample(final)
+    finally:
         mon.finalize()
         if monitor_path:
             write_csv(monitor_path, mon.records)
-        raise
-    if final.t > mon.records[-1].t:
-        mon.sample(final)
-    mon.finalize()
     snapshot_path = None
     if out:
-        write_csv(monitor_path, mon.records)
         snapshot_path = os.path.join(out, "final.snap")
         write_snapshot(snapshot_path, final, config.params)
     return SimulationResult(final, mon.records, bounds,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import ops
 from .dynamics import POSITIVITY_FLOOR, ModelParams, State, TendencyKernel
-from .errors import (BlowUp, NonPositiveOmega, PositivityViolation,
-                     require_finite)
+from .errors import BlowUp, PositivityViolation, require_finite
 
 # Classical RK4 is stable for real negative eigenvalues lambda with
 # |lambda| dt <= 2.785 (Hairer & Wanner, Solving ODEs II, sec. IV.2);
@@ -74,11 +73,12 @@ class _Marcher:
     tendencies and the stage input, on the kept block and reused on
     every step, so it is not re-entrant.  check() is the one guard of a
     physical (5, N1, N2, N3) state; advance runs it on the state that
-    the first kernel call of each step hands first_stage's inspect."""
+    the first kernel call of each step after the first hands
+    first_stage's inspect.  A kernel call whose omega is at or below the
+    floor raises the kernel's PositivityViolation at its stage time."""
 
     def __init__(self, grid, params, forcing=None):
         self.grid = grid
-        self.params = params
         self.forcing = forcing
         self.kernel = TendencyKernel(grid, params)
         shape = (5,) + grid.kept_shape
@@ -89,16 +89,6 @@ class _Marcher:
         """y_hat + c k in the stage buffer."""
         np.multiply(c, k, out=self._stage)
         return np.add(y_hat, self._stage, out=self._stage)
-
-    def _kernel(self, y_hat, tc, out, t, inspect=None):
-        """kernel(y_hat) at the stage time tc in out, its NonPositiveOmega
-        raised as a PositivityViolation of the step from t."""
-        try:
-            return self.kernel(y_hat, tc, out=out, inspect=inspect)
-        except NonPositiveOmega as exc:
-            raise PositivityViolation(
-                f"stage evaluation failed during step from t = {t:.6g}: {exc}",
-                t=t) from exc
 
     def _add_forcing(self, t, out):
         """out + forcing(t) in out; the forcing is only read."""
@@ -113,10 +103,11 @@ class _Marcher:
 
     def first_stage(self, y_hat, t, inspect=None):
         """The kernel's tendency at (y_hat, t), the first of a step, in
-        the first stage buffer, without the forcing.  inspect, when
-        given, receives the physical state of y_hat as the kernel's
-        inspect hook does, before the kernel reads it."""
-        self._kernel(y_hat, t, self._k[0], t, inspect)
+        the first stage buffer, without the forcing; every step begins
+        with it.  inspect, when given, receives the physical state of
+        y_hat as the kernel's inspect hook does, before the kernel reads
+        it."""
+        self.kernel(y_hat, t, out=self._k[0], inspect=inspect)
 
     def finish_step(self, y_hat, t, dt):
         """Complete the RK4 step from t that first_stage began: add the
@@ -127,7 +118,7 @@ class _Marcher:
         for c, k, out, tc in ((0.5 * dt, k1, k2, t + 0.5 * dt),
                               (0.5 * dt, k2, k3, t + 0.5 * dt),
                               (dt, k3, k4, t + dt)):
-            self._kernel(self._stage_input(y_hat, c, k), tc, out, t)
+            self.kernel(self._stage_input(y_hat, c, k), tc, out=out)
             self._add_forcing(tc, out)
         # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
         np.multiply(2.0, k2, out=k2)
@@ -169,11 +160,15 @@ def advance(state: State, t_end: float, params: ModelParams,
     state advance handed out continues from it bit for bit.  A
     Forcing's spectrum is added at each stage time.
 
-    Each accepted state is checked, and handed to the callbacks, on the
-    physical state that the next step's first kernel call passes its
-    inspect hook: the kernel's inverse transform, or the k = 0 means of
-    a uniform state, which is not transformed.  The last one is checked
-    on the inverse transform of the returned state.
+    Every step begins with the same first kernel call.  Each accepted
+    state is checked, and handed to the callbacks, on the physical
+    state that this call passes its inspect hook: the kernel's inverse
+    transform, or the k = 0 means of a uniform state, which is not
+    transformed.  Step 0's call has no inspect hook, since its state
+    was checked in physical space; the last state is checked on the
+    inverse transform of the returned state.  A stage whose omega is at
+    or below the floor raises the kernel's PositivityViolation, whose t
+    is that stage's time.
 
     A fixed dt above the RK4 real-axis limit 2.785/(c_diff max mu
     k2_max) of the current state raises a RuntimeWarning on the first
@@ -220,10 +215,10 @@ def advance(state: State, t_end: float, params: ModelParams,
 
     try:
         while t < t_end:
-            if nstep:
-                m.first_stage(y, t, guard)
-                if cb_due:
-                    run_callbacks(handed)
+            # step 0's state was checked in physical space above
+            m.first_stage(y, t, guard if nstep else None)
+            if cb_due:
+                run_callbacks(handed)
             dt = _dt_from_arrays(g, params, control, vmax, mumax)
             if t + dt == t:
                 raise ValueError(
@@ -248,12 +243,6 @@ def advance(state: State, t_end: float, params: ModelParams,
             last = t + dt >= t_end - 1e-12 * dt
             if last:
                 dt = t_end - t
-            # later steps began above, where their first kernel call
-            # checked the state; the first one's state was checked in
-            # physical space, so it begins here, after the step-size
-            # checks
-            if not nstep:
-                m.first_stage(y, t)
             y = m.finish_step(y, t, dt)
             t = t_end if last else t + dt
             nstep += 1

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kturb import (Forcing, ModelParams, NonPositiveOmega, State,
+from kturb import (Forcing, ModelParams, PositivityViolation, State,
                    StepControl, TorusGrid, advance)
 from kturb import ops
 from kturb.dynamics import TendencyKernel, _strain_sq
@@ -150,8 +150,22 @@ class TestEddyViscosity:
         s = State.uniform(g, 1.0, 1.0)
         x1, _, _ = g.coordinates()
         s.y[3] = 1.0 - 1.5 * np.cos(x1)
-        with pytest.raises(NonPositiveOmega):
+        with pytest.raises(PositivityViolation):
             tendency(s, ModelParams())
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_failure_carries_the_time_passed(self, uniform):
+        # the kernel raises the march's own error type, at the stage
+        # time it was called with, on both of its paths
+        g = TorusGrid(resolution=(8, 8, 8))
+        s = State.uniform(g, -0.5, 1.0)
+        if not uniform:
+            s.y[3] += 0.1 * np.cos(g.coordinates()[0])
+        y_hat = g.rfft(s.y, kept=True)
+        with pytest.raises(PositivityViolation,
+                           match=r"at t = 0.375; cannot form b/omega") as exc:
+            TendencyKernel(g, ModelParams())(y_hat, 0.375)
+        assert exc.value.t == 0.375
 
 
 class TestAgainstNaiveOracle:

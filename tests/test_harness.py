@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from typing import Optional
 
@@ -14,6 +15,7 @@ import pytest
 from kturb import (BlowUp, ConfigError, CriterionConfig, DataBounds, Forcing,
                    ModelParams, PositivityViolation, State, StepControl,
                    TorusGrid, VerificationFailure, advance, ops)
+from kturb import cli
 from kturb.cli import main
 from kturb.dynamics import TendencyKernel
 from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
@@ -405,6 +407,23 @@ class TestSnapshots:
             read_snapshot(path)
         assert built == []
 
+    def test_one_copy_of_the_state(self, tmp_path):
+        # the fields go between the file and the state's array with no
+        # bytes object in between
+        g = TorusGrid(resolution=(32, 32, 32))
+        s = generate_initial(InitialDataSpec(seed=1, band=3), g)
+        path = tmp_path / "a.snap"
+        peaks = []
+        for run in (lambda: write_snapshot(path, s, ModelParams()),
+                    lambda: read_snapshot(path)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / s.y.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.5 and peaks[1] < 2.0, peaks
+
     def test_from_file_initial(self, tmp_path):
         g = TorusGrid(resolution=(8, 8, 8))
         s = generate_initial(InitialDataSpec(seed=1, band=2), g)
@@ -563,6 +582,31 @@ class TestRunSimulate:
                 pytest.warns(RuntimeWarning, match=RK4_ALARM):
             run_simulate(cfg)
         assert (tmp_path / "monitor.csv").exists()
+
+    def test_partial_monitor_flushed_on_any_error(self, tmp_path,
+                                                  monkeypatch):
+        # a snapshot write that fails on its second call, after the
+        # samples at t = 0, 0.01 and 0.02
+        calls = []
+        orig = runs.write_snapshot
+
+        def failing(*args):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return orig(*args)
+
+        monkeypatch.setattr(runs, "write_snapshot", failing)
+        cfg = RunConfig(resolution=(8, 8, 8),
+                        initial=InitialDataSpec(seed=2, band=2),
+                        control=StepControl(dt_max=1.0, dt_fixed=0.01),
+                        t_end=0.1, monitor_every=1, snapshot_every=1,
+                        out_dir=str(tmp_path))
+        with pytest.raises(OSError, match="disk full"):
+            run_simulate(cfg)
+        rows = (tmp_path / "monitor.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == \
+            pytest.approx([0.0, 0.01, 0.02], abs=1e-15)
 
 
 class TestRunVerify:
@@ -776,6 +820,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cannot form b/omega" in err
         assert "stability limit" in err and "from step 1 " in err
+
+    def test_stage_failure_names_the_stage_time(self, capsys, monkeypatch):
+        # the README's example loses omega at the last stage of the step
+        # from t = 0.18, and the failure names that stage's t = 0.2
+        raised = []
+
+        def recording(cfg):
+            try:
+                return runs.run_simulate(cfg)
+            except PositivityViolation as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "run_simulate", recording)
+        args = ["simulate", "--resolution", "16", "--seed", "0",
+                "--t-end", "9", "--dt", "0.02"]
+        with pytest.warns(RuntimeWarning, match=RK4_ALARM):
+            assert main(args) == 4
+        assert raised[0].t == pytest.approx(0.2, abs=1e-15)
+        err = capsys.readouterr().err
+        assert "at t = 0.2; cannot form b/omega; fixed dt = 0.02" in err
 
     def test_fixed_dt_below_rk4_limit_is_silent(self):
         args = ["simulate", "--resolution", "16", "--seed", "0",

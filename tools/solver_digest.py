@@ -8,9 +8,11 @@ into a temporary directory, and prints for each the sha1 of the
 `monitor.csv` and `final.snap` it writes; the command's own report is
 not shown.  It then runs the 16^3 manufactured-solution study (`run_mms`
 at t_end 0.04 and its default dts, the `mms16` benchmark configuration)
-and prints its v, omega and b errors at each dt as `float.hex`.  Two
-checkouts print the same lines when their solver outputs are
-byte-identical.
+and prints its v, omega and b errors at each dt as `float.hex`.
+Last it runs the README's failing example, `kturb simulate --resolution
+16 --seed 0 --t-end 9 --dt 0.02`, and prints its exit code and its
+`runtime failure:` line.  Two checkouts print the same lines when their
+solver outputs and failure paths are the same.
 
 --src imports kturb from another checkout's `src` (for example the parent
 commit's).
@@ -29,6 +31,8 @@ VERIFY_RUNS = (
     ["--resolution", "16", "--seed", "4", "--t-end", "0.5"],
     ["--resolution", "32", "--seed", "1", "--t-end", "0.06", "--dt", "0.003"],
 )
+FAILING_RUN = ["simulate", "--resolution", "16", "--seed", "0",
+               "--t-end", "9", "--dt", "0.02"]
 
 
 def _sha1(path):
@@ -54,6 +58,17 @@ def mms_errors():
             for name, errs in report.errors.items()}
 
 
+def failure_line():
+    from kturb import cli
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(FAILING_RUN)
+    lines = [ln for ln in err.getvalue().splitlines()
+             if ln.startswith("runtime failure:")]
+    return f"exit {code}: " + (lines[0] if lines else "no runtime failure")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -63,6 +78,7 @@ def main():
         print(" ".join(flags), *verify_digest(flags), flush=True)
     for name, errs in mms_errors().items():
         print("mms", name, *errs, flush=True)
+    print(failure_line(), flush=True)
 
 
 if __name__ == "__main__":
