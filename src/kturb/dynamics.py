@@ -67,10 +67,11 @@ class State:
     array y of shape (5, N1, N2, N3) with rows (v1, v2, v3, omega, b).
 
     v, omega and b are the views y[:3], y[3] and y[4], not copies.
-    y_hat, when set, is the spectrum that y was made from, on the kept
-    block of the 2/3 rule: shape (5,) + grid.kept_shape (see TorusGrid).
-    advance starts from a copy of it, and sets it, read-only with y, on
-    the states it returns and hands its callbacks.
+    y_hat, when set, is the spectrum of y on the kept block of the 2/3
+    rule, shape (5,) + grid.kept_shape (see TorusGrid): the spectrum
+    that y was made from, or y projected onto the block, as validate
+    sets it.  advance starts from a copy of it, and sets it, read-only
+    with y, on the states it returns and hands its callbacks.
     """
 
     grid: TorusGrid
@@ -98,7 +99,7 @@ class State:
         projected afresh."""
         if self.y_hat is not None:
             return self.y_hat
-        return self.grid.rfft(self.y, kept=True)
+        return self.grid.rfft(self.y)
 
     @property
     def v(self):
@@ -113,10 +114,16 @@ class State:
         return self.y[4]
 
     def validate(self):
+        """Return self if it is admissible, with y_hat set to
+        spectrum(); raise ValueError otherwise.  The velocity must be
+        divergence-free and zero-mean on the kept block, which is all of
+        it that advance marches, and omega and b strictly positive at
+        every grid point."""
         if not np.all(np.isfinite(self.y)):
             raise ValueError("field values must be finite")
         g = self.grid
-        vhat = g.rfft(self.y[:3])
+        y_hat = self.spectrum()
+        vhat = y_hat[:3]
         vnorm = np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3)))
         div = ops.div_hat(g, vhat)
         if np.max(np.abs(div)) > 1e-12 * max(vnorm, 1e-300) * g.npoints:
@@ -128,6 +135,7 @@ class State:
             raise ValueError("omega must be strictly positive")
         if np.min(self.y[4]) <= 0.0:
             raise ValueError("b must be strictly positive")
+        self.y_hat = y_hat
         return self
 
 
@@ -230,13 +238,11 @@ class TendencyKernel:
             return out
 
         self._fill_inverse(y_hat)
-        phys = g.irfft(self._spec, out=self._phys, kept=True,
-                       work=self._work)
+        phys = g.irfft(self._spec, out=self._phys, work=self._work)
         if inspect is not None:
             inspect(phys[:5])
         self._products(phys, t)
-        spec = g.rfft(self._fwd, out=self._spec[:14], kept=True,
-                      work=self._work[:14])
+        spec = g.rfft(self._fwd, out=self._spec[:14], work=self._work[:14])
         return self._assemble(spec, out)
 
     def _fill_inverse(self, y_hat):
@@ -293,7 +299,7 @@ class TendencyKernel:
     def _assemble(self, spec, out):
         """out = (P div T, s_om + div Gw, s_b + div Gb) from the
         dealiased forward spectra, which are overwritten."""
-        ik = self.grid.multipliers(spec.shape).ik
+        ik = self.grid.multipliers.ik
         T = spec[8:14]
         # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
         for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):

@@ -1,16 +1,17 @@
 """Periodic box geometry and discrete Fourier machinery.
 
 All fields live on a uniform collocation grid over the box
-prod_i (0, L_i) with N_i points per axis.  A full spectrum uses the
-real-FFT half-spectrum layout (last axis holds N_3//2 + 1 modes).  A
-dealiased one uses the kept block: only the modes the 2/3 rule keeps,
+prod_i (0, L_i) with N_i points per axis.  Every spectrum is dealiased
+and has one layout, the kept block: only the modes the 2/3 rule keeps,
 |m_i| <= c_i = N_i // 3, in an array of shape (2 c1 + 1, 2 c2 + 1,
-c3 + 1) with m1 and m2 ordered 0..c, -c..-1 as in the half spectrum.
-Every transform runs through scipy's compiled pocketfft module, loaded
-from its file so that no scipy package is imported: the full transforms
-as one multi-axis call each, the kept-block ones skipping the modes the
-2/3 rule drops.  When that module is missing or has changed, they fall
-back to scipy.fft's public rfftn/irfftn.
+c3 + 1) with m1 and m2 ordered 0..c, -c..-1.  The wavenumber tables are
+built on it, and rfft projects a physical array onto it.  The
+transforms run scipy's compiled pocketfft module, loaded from its file
+so that no scipy package is imported, in a real-FFT half-spectrum work
+array (last axis N_3//2 + 1), skipping the modes the 2/3 rule drops.
+When that module is missing or has changed, they fall back to
+scipy.fft's public rfftn/irfftn, gathering or scattering the block
+around them (to_kept/from_kept).
 """
 
 import importlib.machinery
@@ -76,7 +77,7 @@ def check_box(lengths, resolution, error=ValueError):
 
 
 class Multipliers:
-    """The multiplier tables of one spectral layout: k and i k per axis,
+    """The multiplier tables of the kept block: k and i k per axis,
     |k|^2, 1/|k|^2 (zero at k = 0) and weight, the multiplicity of each
     entry in full-spectrum (Plancherel) sums."""
 
@@ -108,58 +109,12 @@ class TorusGrid:
         self.lengths, self.resolution = lengths, resolution
         N1, N2, N3 = resolution
         L1, L2, L3 = lengths
-
-        # Integer mode indices m in [-N/2, N/2); wavenumber k = 2*pi*m/L.
-        m1 = np.rint(np.fft.fftfreq(N1) * N1).astype(np.int64)
-        m2 = np.rint(np.fft.fftfreq(N2) * N2).astype(np.int64)
-        m3 = np.rint(np.fft.rfftfreq(N3) * N3).astype(np.int64)
-        self.modes = (
-            m1.reshape(N1, 1, 1),
-            m2.reshape(1, N2, 1),
-            m3.reshape(1, 1, m3.size),
-        )
-        # Nyquist columns carry no sign information under odd (i k)
-        # multipliers, so their derivative wavenumber is set to zero;
-        # the 2/3 mask removes them from evolved fields anyway.
-        def _wavenumbers(m, N, L):
-            kd = m.astype(float)
-            kd[np.abs(m) * 2 == N] = 0.0
-            return (2.0 * np.pi / L) * kd
-
-        self.k = (
-            _wavenumbers(self.modes[0], N1, L1),
-            _wavenumbers(self.modes[1], N2, L2),
-            _wavenumbers(self.modes[2], N3, L3),
-        )
-        self.k_sq = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
-        self.k_sq_inv = inv  # zero at k = 0
-
-        # 2/3-rule mask: True where the mode is kept (|m_i| <= N_i/3).
-        keep = (
-            (np.abs(self.modes[0]) * 3 <= N1)
-            & (np.abs(self.modes[1]) * 3 <= N2)
-            & (np.abs(self.modes[2]) * 3 <= N3)
-        )
-        self.dealias_mask = keep
-        # largest |k|^2 the dealiased tendency acts on; it sets the
-        # diffusive step limit
-        self.k_sq_max = float(np.max(self.k_sq[keep]))
-
-        # Multiplicity of each half-spectrum entry in full-spectrum sums:
-        # 1 in the m3 = 0 and Nyquist columns (N3 is even), 2 elsewhere.
-        w = np.full((1, 1, m3.size), 2.0)
-        w[..., [0, -1]] = 1.0
-        self._half_multipliers = Multipliers(
-            self.k, tuple(1j * k for k in self.k), self.k_sq, self.k_sq_inv,
-            w)
-
         self.npoints = N1 * N2 * N3
         self.volume = L1 * L2 * L3
         self.cell_volume = self.volume / self.npoints
         self.min_spacing = min(L / N for L, N in zip(lengths, resolution))
-        self.spectral_shape = (N1, N2, m3.size)
+        # the complex half spectrum the transforms run their passes in
+        self.spectral_shape = (N1, N2, N3 // 2 + 1)
         # pocketfft's inverse normalisation, rounded through long double
         # as pocketfft rounds it
         self._inv_npoints = float(np.longdouble(1) / self.npoints)
@@ -175,14 +130,28 @@ class TorusGrid:
                            (slice(c1 + 1, None), slice(N1 - c1, None)))
             for kc, fc in ((slice(c2 + 1), slice(c2 + 1)),
                            (slice(c2 + 1, None), slice(N2 - c2, None))))
-        # contiguous tables on the block, gathered from the broadcast ones
-        # above; the block has no Nyquist column, so its weight is 1 at
-        # m3 = 0 and 2 elsewhere
-        k_kept = self.to_kept(np.stack(
-            [np.broadcast_to(k, self.spectral_shape) for k in self.k]))
-        self._kept_multipliers = Multipliers(
-            k_kept, 1j * k_kept, self.to_kept(self.k_sq),
-            self.to_kept(self.k_sq_inv), w[..., :c3 + 1])
+
+        # Integer modes m of the block, 0..c, -c..-1 on the first two
+        # axes and 0..c3 on the last, and wavenumbers k = 2 pi m / L.
+        m1, m2 = (np.r_[0:c + 1, -c:0] for c in (c1, c2))
+        self.modes = (m1.reshape(-1, 1, 1), m2.reshape(1, -1, 1),
+                      np.arange(c3 + 1).reshape(1, 1, -1))
+        self.k = tuple((2.0 * np.pi / L) * m.astype(float)
+                       for m, L in zip(self.modes, lengths))
+        self.k_sq = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
+        self.k_sq_inv = np.where(
+            self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0),
+            0.0)  # zero at k = 0
+        # largest |k|^2 the dealiased tendency acts on; it sets the
+        # diffusive step limit
+        self.k_sq_max = float(np.max(self.k_sq))
+        # contiguous tables; the block has no Nyquist column, so its
+        # Hermitian weight is 1 at m3 = 0 and 2 elsewhere
+        k = np.stack([np.broadcast_to(ki, self.kept_shape) for ki in self.k])
+        weight = np.full((1, 1, c3 + 1), 2.0)
+        weight[..., 0] = 1.0
+        self.multipliers = Multipliers(k, 1j * k, self.k_sq, self.k_sq_inv,
+                                       weight)
 
     def __eq__(self, other):
         return (
@@ -222,43 +191,25 @@ class TorusGrid:
             out[full] = kept[k]
         return out
 
-    def multipliers(self, shape):
-        """The Multipliers for spectra whose trailing axes are shape: the
-        kept block's contiguous tables, or the broadcastable
-        half-spectrum ones."""
-        if tuple(shape[-3:]) == self.kept_shape:
-            return self._kept_multipliers
-        return self._half_multipliers
-
     # -- transforms -------------------------------------------------------
 
-    def rfft(self, values, out=None, kept=False, work=None):
-        """Forward real transform over the trailing three axes, written
-        into out when given.
+    def rfft(self, values, out=None, work=None):
+        """Forward real transform over the trailing three axes, onto the
+        kept block, written into out when given.
 
-        The full transform is one multi-axis r2c, so it is rfftn's.
-        kept=True gives its kept block and transforms only what the 2/3
-        rule keeps.  Into work, a complex half-spectrum array with
-        values' leading axes (one is made for the call when none is
-        given, so a caller that transforms often can keep one): r2c over
-        axis -1, c2c over axis -3 on the m3 <= c3 slab, c2c over axis -2
-        on the kept m1 rows of it; then the block is gathered.  These are
-        pocketfft's own passes, so the block is bitwise that of rfftn.
+        Only what the 2/3 rule keeps is transformed.  Into work, a complex
+        half-spectrum array with values' leading axes (one is made for
+        the call when none is given, so a caller that transforms often
+        can keep one): r2c over axis -1, c2c over axis -3 on the m3 <= c3
+        slab, c2c over axis -2 on the kept m1 rows of it; then the block
+        is gathered.  These are pocketfft's own passes, so the block is
+        bitwise that of rfftn.
         """
         values = np.asarray(values, dtype=float)
-        if not kept:
-            out = _output(values, self.resolution, self.spectral_shape,
-                          complex, out)
-            if _pocketfft is None:
-                from scipy import fft
-                out[...] = fft.rfftn(values, axes=(-3, -2, -1))
-                return out
-            ax = values.ndim - 3
-            return _pocketfft.r2c(values, (ax, ax + 1, ax + 2), True, 0,
-                                  out, 1)
         out = _output(values, self.resolution, self.kept_shape, complex, out)
         if _pocketfft is None:
-            return self.to_kept(self.rfft(values), out)
+            from scipy import fft
+            return self.to_kept(fft.rfftn(values, axes=(-3, -2, -1)), out)
         pp = _pocketfft
         N1, _, _ = self.resolution
         c1, _, c3 = self._kept
@@ -272,33 +223,24 @@ class TorusGrid:
             pp.c2c(rows, (ax + 1,), True, 0, rows, 1)
         return self.to_kept(work, out)
 
-    def irfft(self, spectrum, out=None, kept=False, work=None):
-        """Inverse real transform over the trailing three axes, written
-        into out when given; spectrum is not written.
+    def irfft(self, spectrum, out=None, work=None):
+        """Inverse real transform of a kept block over its trailing three
+        axes, written into out when given; spectrum is not written.
 
-        The full transform is one multi-axis c2r, so it is irfftn's.
-        kept=True takes a kept block and transforms only those modes.
-        The block is scattered into work (as for rfft), zeroed, then: c2c
-        over axis -3 on the kept (m2, m3) columns, c2c over axis -2 on
-        the m3 <= c3 slab, c2r over axis -1 and the 1/N scaling.  This is
-        pocketfft's own pass order, so the result is bitwise the full
-        transform of the block's half-spectrum array.
+        Only the kept modes are transformed.  The block is scattered into
+        work (as for rfft), zeroed, then: c2c over axis -3 on the kept
+        (m2, m3) columns, c2c over axis -2 on the m3 <= c3 slab, c2r over
+        axis -1 and the 1/N scaling.  This is pocketfft's own pass order,
+        so the result is bitwise irfftn's of the block's half-spectrum
+        array.
         """
         spectrum = np.asarray(spectrum, dtype=complex)
-        if not kept:
-            out = _output(spectrum, self.spectral_shape, self.resolution,
-                          float, out)
-            if _pocketfft is None:
-                from scipy import fft
-                out[...] = fft.irfftn(spectrum, s=self.resolution,
-                                      axes=(-3, -2, -1))
-                return out
-            ax = spectrum.ndim - 3
-            return _pocketfft.c2r(spectrum, (ax, ax + 1, ax + 2),
-                                  self.resolution[2], False, 2, out, 1)
         out = _output(spectrum, self.kept_shape, self.resolution, float, out)
         if _pocketfft is None:
-            return self.irfft(self.from_kept(spectrum), out)
+            from scipy import fft
+            out[...] = fft.irfftn(self.from_kept(spectrum), s=self.resolution,
+                                  axes=(-3, -2, -1))
+            return out
         pp = _pocketfft
         _, N2, N3 = self.resolution
         _, c2, c3 = self._kept

@@ -58,12 +58,13 @@ def _band_mask(grid, band):
 
 
 def _band_limited(grid, rng, band, shape=()):
-    """Random real band-limited zero-mean field(s)."""
-    noise = rng.standard_normal(shape + grid.resolution)
-    fhat = grid.rfft(noise)
+    """Kept-block spectra of random real band-limited zero-mean
+    field(s): grid-point noise projected onto the block, modes with
+    some |m_i| > band zeroed, and k = 0 zeroed."""
+    fhat = grid.rfft(rng.standard_normal(shape + grid.resolution))
     fhat *= _band_mask(grid, band)
     fhat[..., 0, 0, 0] = 0.0
-    return grid.irfft(fhat)
+    return fhat
 
 
 def _rescaled(pert, amp):
@@ -76,9 +77,12 @@ def _rescaled(pert, amp):
 def generate_initial(spec: InitialDataSpec, grid: TorusGrid) -> State:
     """Build an admissible State; deterministic in spec.seed.
 
-    Every kind is checked by State.validate(); inadmissible data (a
-    velocity that is not divergence-free and zero-mean, or scalars that
-    are not strictly positive) raise ConfigError.
+    Every kind is checked by State.validate(), which sets the state's
+    y_hat to its kept-block spectrum; inadmissible data (a velocity that
+    is not divergence-free and zero-mean on the block, or scalars that
+    are not strictly positive) raise ConfigError.  A from_file array is
+    projected onto the block before it is checked: energy outside the
+    block is neither checked nor marched.
     """
     state = _build_initial(spec, grid)
     try:
@@ -99,12 +103,11 @@ def _build_initial(spec, grid):
     if 3 * spec.band > min(grid.resolution):
         raise ConfigError("band exceeds the dealiased range N/3")
     rng = np.random.default_rng(spec.seed)
-    b0 = spec.b_mean + _rescaled(_band_limited(grid, rng, spec.band), spec.b_amp)
+    b0 = spec.b_mean + _rescaled(
+        grid.irfft(_band_limited(grid, rng, spec.band)), spec.b_amp)
     om0 = spec.omega_mean + _rescaled(
-        _band_limited(grid, rng, spec.band), spec.omega_amp)
-    vraw = _band_limited(grid, rng, spec.band, shape=(3,))
-    vhat = grid.rfft(vraw)
-    ops.leray_hat(grid, vhat)
+        grid.irfft(_band_limited(grid, rng, spec.band)), spec.omega_amp)
+    vhat = ops.leray_hat(grid, _band_limited(grid, rng, spec.band, (3,)))
     v0 = _rescaled(grid.irfft(vhat), spec.v_amp)
     return State(grid, np.concatenate([v0, om0[None], b0[None]]))
 

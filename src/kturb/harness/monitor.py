@@ -16,6 +16,12 @@ by finalize(), since the interior rule needs the next sample).  The
 interpolation keeps the defect at O(dt^3) or better; a plain trapezoid
 would leave an O(dt^2) gap with a box-volume-sized constant.  Both
 entries are zero on the first record.
+
+The semi-discrete budget is d/dt (|b|_1 + 1/2 |v|_2^2) = -(b omega, 1)
++ (kappa4 - c_v) (mu |D(v)|^2, 1).  The pair leaves the second term
+out, so it checks the budget only when c_v = kappa4, as the default
+ModelParams have it; with momentum_diffusion_coeff = 2, for one, the
+two entries differ by that term.
 """
 
 import dataclasses
@@ -58,10 +64,15 @@ FIELD_NAMES = tuple(f.name for f in dataclasses.fields(MonitorRecord))
 
 
 class Monitor:
-    """Accumulates MonitorRecords from sampled states."""
+    """Accumulates MonitorRecords from sampled states.
 
-    def __init__(self, bounds):
+    bounds come from the data at time t0, so the envelopes are evaluated
+    at t - t0; a record's t is the state's own.
+    """
+
+    def __init__(self, bounds, t0=0.0):
         self.env = EnvelopeSet(bounds)
+        self.t0 = t0
         self.records = []
         self._times = []
         self._energies = []
@@ -90,11 +101,12 @@ class Monitor:
         self._couplings.append(coupling)
         lhs = rhs = 0.0  # filled in by finalize()
 
-        e_ol = float(env.omega_lower(t))
-        e_ou = float(env.omega_upper(t))
-        e_bl = float(env.b_lower(t))
-        e_v = float(env.v_l2_envelope(t)) if env.bounds.large_kappa2 else np.nan
-        e_b1 = float(env.b_l1_upper(t, "min"))
+        tau = t - self.t0
+        e_ol = float(env.omega_lower(tau))
+        e_ou = float(env.omega_upper(tau))
+        e_bl = float(env.b_lower(tau))
+        e_v = float(env.v_l2_envelope(tau)) if env.bounds.large_kappa2 else np.nan
+        e_b1 = float(env.b_l1_upper(tau, "min"))
         min_omega = float(np.min(state.y[3]))
         max_omega = float(np.max(state.y[3]))
         min_b = float(np.min(state.y[4]))

@@ -247,7 +247,7 @@ def advance(state: State, t_end: float, params: ModelParams,
             t = t_end if last else t + dt
             nstep += 1
             cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
-        phys = g.irfft(y, kept=True)
+        phys = g.irfft(y)
         m.check(phys, t)
         if cb_due:
             run_callbacks(phys.copy())

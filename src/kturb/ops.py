@@ -2,9 +2,8 @@
 
 Derivatives act in spectral space (multiplication by i*k); nonlinear
 products are formed pointwise in physical space and dealiased with the
-2/3 rule.  The spectral helpers take a spectrum in either layout of
-TorusGrid, the half spectrum or the kept block, and use that layout's
-multipliers.  L^p norms use the uniform quadrature weight
+2/3 rule.  The spectral helpers take spectra on TorusGrid's kept block
+and use its multipliers.  L^p norms use the uniform quadrature weight
 prod(L_i/N_i); Sobolev seminorms use Plancherel sums over the spectrum.
 """
 
@@ -14,7 +13,7 @@ import numpy as np
 def grad_hat(grid, fhat, out=None):
     """Spectral gradient of one scalar spectrum: shape (3,) + fhat.shape,
     written into out when given."""
-    ik = grid.multipliers(fhat.shape).ik
+    ik = grid.multipliers.ik
     if out is None:
         out = np.empty((3,) + fhat.shape, dtype=complex)
     for i in range(3):
@@ -24,14 +23,14 @@ def grad_hat(grid, fhat, out=None):
 
 def div_hat(grid, uhat):
     """Spectral divergence of a stacked vector spectrum."""
-    ik = grid.multipliers(uhat.shape).ik
+    ik = grid.multipliers.ik
     return ik[0] * uhat[0] + ik[1] * uhat[1] + ik[2] * uhat[2]
 
 
 def leray_hat(grid, uhat):
     """Project a stacked vector spectrum onto divergence-free, zero-mean
     fields (in place) and return it."""
-    m = grid.multipliers(uhat.shape)
+    m = grid.multipliers
     k = m.k
     kdotu = k[0] * uhat[0] + k[1] * uhat[1] + k[2] * uhat[2]
     kdotu *= m.k_sq_inv
@@ -43,9 +42,9 @@ def leray_hat(grid, uhat):
 
 def sym_grad_hat(grid, vhat, out=None):
     """Six independent entries of D = (grad v + grad v^T)/2 in spectral
-    space, ordered (11, 22, 33, 12, 13, 23), in vhat's layout, written
-    into out when given."""
-    m = grid.multipliers(vhat.shape)
+    space, ordered (11, 22, 33, 12, 13, 23), written into out when
+    given."""
+    m = grid.multipliers
     (k1, k2, k3), ik = m.k, m.ik
     if out is None:
         out = np.empty((6,) + vhat.shape[1:], dtype=complex)
@@ -76,7 +75,7 @@ def l2sq_hat(grid, fhat, order=0):
 def l2sq_hat_rows(grid, fhat, orders):
     """{order: [l2sq_hat(grid, row, order) for row in fhat]} for a stacked
     spectrum, with |fhat|^2 formed once."""
-    m = grid.multipliers(fhat.shape)
+    m = grid.multipliers
     power = np.abs(fhat) ** 2
     rows = {}
     for o in orders:

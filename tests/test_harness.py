@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from kturb import (BlowUp, ConfigError, CriterionConfig, DataBounds, Forcing,
                    ModelParams, PositivityViolation, State, StepControl,
@@ -290,7 +291,63 @@ class TestConfigFailClosed:
             parse_config("[run]\nt_end = inf\n")
 
 
+def half_spectrum_recipe(spec, grid):
+    """generate_initial's random_band data as it was built on the full
+    half spectrum with scipy.fft: band-limited noise through
+    rfftn/irfftn, and the velocity Leray-projected after a second
+    rfftn, with the derivative wavenumber of Nyquist modes set to 0."""
+    axes = (-3, -2, -1)
+    N = grid.resolution
+    modes = [np.rint(scipy.fft.fftfreq(n) * n).astype(np.int64)
+             for n in N[:2]] + [np.arange(N[2] // 2 + 1)]
+    modes = [m.reshape(shape) for m, shape in zip(
+        modes, ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))]
+    band = ((np.abs(modes[0]) <= spec.band) & (np.abs(modes[1]) <= spec.band)
+            & (modes[2] <= spec.band))
+    k = []
+    for m, n, L in zip(modes, N, grid.lengths):
+        kd = m.astype(float)
+        kd[np.abs(m) * 2 == n] = 0.0
+        k.append((2.0 * np.pi / L) * kd)
+    k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    k_sq_inv = np.where(k_sq > 0.0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    rng = np.random.default_rng(spec.seed)
+
+    def band_limited(shape=()):
+        fhat = scipy.fft.rfftn(rng.standard_normal(shape + N), axes=axes)
+        fhat *= band
+        fhat[..., 0, 0, 0] = 0.0
+        return scipy.fft.irfftn(fhat, s=N, axes=axes)
+
+    def rescaled(pert, amp):
+        return pert * (amp / float(np.max(np.abs(pert))))
+
+    b0 = spec.b_mean + rescaled(band_limited(), spec.b_amp)
+    om0 = spec.omega_mean + rescaled(band_limited(), spec.omega_amp)
+    vhat = scipy.fft.rfftn(band_limited((3,)), axes=axes)
+    kdotu = (k[0] * vhat[0] + k[1] * vhat[1] + k[2] * vhat[2]) * k_sq_inv
+    for i in range(3):
+        vhat[i] -= k[i] * kdotu
+        vhat[i][0, 0, 0] = 0.0
+    v0 = rescaled(scipy.fft.irfftn(vhat, s=N, axes=axes), spec.v_amp)
+    return np.concatenate([v0, om0[None], b0[None]])
+
+
 class TestInitialData:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_against_the_half_spectrum_recipe(self, n):
+        # drawn on the kept block, the scalars are bitwise the old
+        # recipe's; the velocity, projected on the block with no round
+        # trip, differs by roundoff
+        g = TorusGrid(resolution=(n, n, n))
+        for seed, band in ((0, 5), (1, 5), (4, 5), (7, 3), (9, n // 3)):
+            spec = InitialDataSpec(seed=seed, band=band)
+            got = generate_initial(spec, g)
+            want = half_spectrum_recipe(spec, g)
+            assert np.array_equal(got.y[3:], want[3:])
+            assert np.max(np.abs(got.y[:3] - want[:3])) <= 2e-15 * spec.v_amp
+            assert got.y_hat.tobytes() == g.rfft(got.y).tobytes()
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             InitialDataSpec(kind="gaussian")
@@ -461,6 +518,30 @@ class TestSnapshots:
             assert main(["simulate", "--config", str(cfg)]) == 3
 
 
+    def test_from_file_projected_onto_the_block(self, tmp_path):
+        # a divergent velocity and an omega ripple at |m| = 7 > 16 / 3
+        # lie outside the kept block: they are neither checked nor
+        # marched, and the array read is kept as it is
+        g = TorusGrid(resolution=(16, 16, 16))
+        clean = generate_initial(InitialDataSpec(seed=3, band=3, v_amp=0.1),
+                                 g)
+        x1, x2, _ = g.coordinates()
+        y = clean.y.copy()
+        y[0] += 1e-2 * np.sin(7 * x1)
+        y[3] += 1e-2 * np.cos(7 * x2)
+        path = str(tmp_path / "off_block.snap")
+        write_snapshot(path, State(g, y), ModelParams())
+        noisy = generate_initial(
+            InitialDataSpec(kind="from_file", path=path), g)
+        assert noisy.y.tobytes() == y.tobytes()
+        scale = np.max(np.abs(clean.y_hat))
+        assert np.max(np.abs(noisy.y_hat - clean.y_hat)) < 1e-14 * scale
+        ctl = StepControl(dt_max=1.0, dt_fixed=0.01)
+        want = advance(clean, 0.03, ModelParams(), ctl).y
+        got = advance(noisy, 0.03, ModelParams(), ctl).y
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 class TestMonitor:
     def test_aggregates_against_independent_norms(self):
         g = TorusGrid(resolution=(16, 16, 16))
@@ -504,14 +585,15 @@ class TestMonitor:
         final = advance(s, 0.03, ModelParams(),
                         StepControl(dt_max=1.0, dt_fixed=0.01),
                         callbacks=[(1, keep)])
-        # the projection on entry; the kernel transforms 14-row stacks
-        assert [c for c in calls if c[0] == 5] == [s.y.shape]
+        # generate_initial's validate set the state's spectrum, which
+        # advance starts from, and the kernel transforms 14-row stacks
+        assert [c for c in calls if c[0] == 5] == []
         assert len(mon.records) == 4
         assert not any(state.y.flags.writeable or state.y_hat.flags.writeable
                        for state in seen + [final])
         for state in seen + [final]:
             assert state.y_hat.shape == (5,) + g.kept_shape
-            back = g.irfft(state.y_hat, kept=True)
+            back = g.irfft(state.y_hat)
             assert back.tobytes() == state.y.tobytes()
         # the kept spectra are copies, not the marcher's buffer
         assert not np.shares_memory(seen[0].y_hat, seen[1].y_hat)
@@ -632,6 +714,31 @@ class TestRunVerify:
                             f"envelope: measured {rec.v_l2:.12g} vs bound "
                             f"{rec.env_v_l2:.12g}")
 
+    def test_from_a_mid_run_snapshot(self, tmp_path):
+        # the bounds of a snapshot's state hold from the snapshot's time
+        # t0 on, so the envelopes and the criterion horizon start there
+        control = StepControl(dt_max=0.1, dt_fixed=0.01)
+        run_simulate(RunConfig(
+            resolution=(16, 16, 16), initial=InitialDataSpec(seed=4),
+            control=control, t_end=0.5, snapshot_every=25,
+            out_dir=str(tmp_path)))
+        # callbacks fall on steps 1, 26, 51, ...
+        path = str(tmp_path / "state_00002.snap")
+        t0 = read_snapshot(path)[0].t
+        assert t0 == pytest.approx(0.26)
+        rep = run_verify(RunConfig(
+            resolution=(16, 16, 16),
+            initial=InitialDataSpec(kind="from_file", path=path),
+            control=control, t_end=0.75))
+        assert rep.passed and not rep.failures
+        first = rep.records[0]
+        assert first.t == t0
+        # the envelopes at t0 are the data's own extrema
+        assert first.env_omega_upper == rep.result.bounds.omega_max
+        assert (first.margin_omega_lower, first.margin_omega_upper,
+                first.margin_b_lower) == (0.0, 0.0, 0.0)
+        assert rep.records[-1].t == pytest.approx(0.75)
+
     def test_unstable_step_raises(self):
         cfg = small_run_config(
             control=StepControl(dt_max=5.0, dt_fixed=2.0), t_end=10.0)
@@ -669,13 +776,13 @@ class TestManufactured:
         p = ModelParams()
         mms = _Manufactured(grid, p)
         kern = TendencyKernel(grid, p)
-        profile_hat = grid.rfft(mms.exact(0.0), kept=True)
+        profile_hat = grid.rfft(mms.exact(0.0))
         for t in (0.0, math.pi / 10, 0.37, 3 * math.pi / 10, 2.0):
             h = 1e-5
             assert mms.dsigma(t) == pytest.approx(
                 (mms.sigma(t + h) - mms.sigma(t - h)) / (2 * h), abs=1e-8)
             want = (mms.dsigma(t) * profile_hat
-                    - kern(grid.rfft(mms.exact(t), kept=True)))
+                    - kern(grid.rfft(mms.exact(t))))
             got = mms.forcing(t)
             assert got.shape == want.shape
             assert (np.max(np.abs(got - want))

@@ -15,6 +15,46 @@ from kturb import ops
 PI2 = 2.0 * np.pi
 
 
+def rfftn(x):
+    return scipy.fft.rfftn(x, axes=(-3, -2, -1))
+
+
+def irfftn(grid, spec):
+    return scipy.fft.irfftn(spec, s=grid.resolution, axes=(-3, -2, -1))
+
+
+def half_modes(grid):
+    """Integer modes of the half spectrum that scipy.fft.rfftn returns."""
+    N1, N2, N3 = grid.resolution
+    m1, m2 = (np.rint(scipy.fft.fftfreq(N) * N).astype(np.int64)
+              for N in (N1, N2))
+    return (m1.reshape(-1, 1, 1), m2.reshape(1, -1, 1),
+            np.arange(N3 // 2 + 1).reshape(1, 1, -1))
+
+
+def kept_mask(grid):
+    """True on the half-spectrum modes the 2/3 rule keeps."""
+    m1, m2, m3 = half_modes(grid)
+    N1, N2, N3 = grid.resolution
+    return (np.abs(m1) * 3 <= N1) & (np.abs(m2) * 3 <= N2) & (m3 * 3 <= N3)
+
+
+def half_tables(grid):
+    """k per axis, |k|^2, 1/|k|^2 (zero at k = 0) and the Hermitian
+    weight on the half spectrum, with the derivative wavenumber of the
+    Nyquist modes set to zero."""
+    k = []
+    for m, N, L in zip(half_modes(grid), grid.resolution, grid.lengths):
+        kd = m.astype(float)
+        kd[np.abs(m) * 2 == N] = 0.0
+        k.append((2.0 * np.pi / L) * kd)
+    k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    k_sq_inv = np.where(k_sq > 0.0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    weight = np.full(grid.spectral_shape[-1], 2.0)
+    weight[[0, -1]] = 1.0
+    return k, k_sq, k_sq_inv, weight
+
+
 def random_scalar(grid, rng, band=None):
     fhat = grid.rfft(rng.standard_normal(grid.resolution))
     if band is not None:
@@ -53,23 +93,26 @@ class TestGrid:
         assert a != TorusGrid(resolution=(8, 8, 16))
 
     def test_dealias_mask_keeps_third(self):
+        # the block holds the modes |m_i| <= 12 / 3 and no other
         g = TorusGrid(resolution=(12, 12, 12))
-        m1, m2, m3 = g.modes
-        inside = (np.abs(m1) <= 4) & (np.abs(m2) <= 4) & (np.abs(m3) <= 4)
-        assert np.array_equal(g.dealias_mask, inside)
+        m1, m2, m3 = (m.ravel() for m in g.modes)
+        assert sorted(m1) == sorted(m2) == list(range(-4, 5))
+        assert list(m3) == list(range(5))
+        assert g.kept_shape == (9, 9, 5)
 
 
 class TestTransforms:
     def test_round_trip(self):
+        # a field on the kept block comes back
         for seed in range(10):
             rng = np.random.default_rng(seed)
             g = TorusGrid(resolution=(16, 12, 8))
-            f = rng.standard_normal(g.resolution)
+            f = random_scalar(g, rng)
             back = g.irfft(g.rfft(f))
             assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
     def test_parseval(self):
-        # quadrature L2 equals the Plancherel sum over the half spectrum
+        # quadrature L2 equals the Plancherel sum over the kept block
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             g = TorusGrid(lengths=(PI2, 3.0, 5.0), resolution=(16, 8, 12))
@@ -153,21 +196,23 @@ class TestDealiasing:
         fine = TorusGrid(resolution=(24, 24, 24))
         f = random_scalar(g, rng, band=3)
         h = random_scalar(g, rng, band=3)
-        prod_hat = g.rfft(f * h) * g.dealias_mask
+        prod_hat = g.rfft(f * h)
 
+        # a mode m sits at index m of either grid's block, negative m
+        # counting from the end
         def upsample(field):
             coarse = g.rfft(field) / g.npoints
-            out = np.zeros(fine.spectral_shape, dtype=complex)
+            out = np.zeros(fine.kept_shape, dtype=complex)
             for idx in np.argwhere(np.abs(coarse) > 1e-14):
                 m = [int(g.modes[ax].ravel()[idx[ax]]) for ax in range(3)]
                 out[m[0], m[1], m[2]] = coarse[tuple(idx)]
             return fine.irfft(out * fine.npoints)
 
         exact = fine.rfft(upsample(f) * upsample(h)) / fine.npoints
-        for idx in np.argwhere(g.dealias_mask):
+        for idx in np.ndindex(g.kept_shape):
             m = [int(g.modes[ax].ravel()[idx[ax]]) for ax in range(3)]
             want = exact[m[0], m[1], m[2]]
-            got = prod_hat[tuple(idx)] / g.npoints
+            got = prod_hat[idx] / g.npoints
             assert abs(got - want) < 1e-12
 
 
@@ -223,8 +268,9 @@ class TestNorms:
 
 
 class TestDealiasedTransforms:
-    """The kept-block transforms against the full ones, on masked input:
-    the private pocketfft path and the public-API fallback."""
+    """The kept-block transforms against scipy.fft's full ones, on
+    masked input: the private pocketfft path and the public-API
+    fallback."""
 
     @pytest.fixture(params=["pruned", "fallback"])
     def backend(self, request, monkeypatch):
@@ -240,34 +286,34 @@ class TestDealiasedTransforms:
         g = TorusGrid(resolution=(n, n, n))
         rng = np.random.default_rng(n)
         phys = rng.standard_normal((nfields,) + g.resolution)
-        masked = g.rfft(phys) * g.dealias_mask
-        want = g.irfft(masked)
+        masked = rfftn(phys) * kept_mask(g)
+        want = irfftn(g, masked)
         kept = g.to_kept(masked)
-        got = g.irfft(kept, kept=True)
+        got = g.irfft(kept)
         assert got.tobytes() == want.tobytes()
         out = np.full(want.shape, np.nan)
-        assert g.irfft(kept, out, kept=True) is out
+        assert g.irfft(kept, out) is out
         assert out.tobytes() == want.tobytes()
-        assert g.irfft(kept[0], kept=True).tobytes() == want[0].tobytes()
-        fwd = g.rfft(want, kept=True)
-        assert np.array_equal(g.from_kept(fwd), g.rfft(want) * g.dealias_mask)
+        assert g.irfft(kept[0]).tobytes() == want[0].tobytes()
+        fwd = g.rfft(want)
+        assert np.array_equal(g.from_kept(fwd), rfftn(want) * kept_mask(g))
         spec = np.full(fwd.shape, np.nan, dtype=complex)
-        assert g.rfft(want, spec, kept=True) is spec
+        assert g.rfft(want, spec) is spec
         assert np.array_equal(spec, fwd)
-        assert np.array_equal(g.rfft(want[0], kept=True), fwd[0])
+        assert np.array_equal(g.rfft(want[0]), fwd[0])
 
     def test_forward_drops_off_mask_modes(self, backend):
         g = TorusGrid(resolution=(12, 16, 8))
         rng = np.random.default_rng(3)
         phys = rng.standard_normal((2,) + g.resolution)
-        spec = g.from_kept(g.rfft(phys, kept=True))
-        assert np.all(spec[:, ~g.dealias_mask] == 0.0)
-        assert np.array_equal(spec, g.rfft(phys) * g.dealias_mask)
+        spec = g.from_kept(g.rfft(phys))
+        assert np.all(spec[:, ~kept_mask(g)] == 0.0)
+        assert np.array_equal(spec, rfftn(phys) * kept_mask(g))
 
 
 class TestKeptBlock:
-    """The kept-block layout: to_kept/from_kept, the kept-block
-    transforms against the full-layout pruned ones and against the
+    """The kept-block layout: its modes and tables, to_kept/from_kept,
+    the transforms against scipy.fft's full ones and against the
     public-API fallback, bit for bit, and their out= checks."""
 
     GRIDS = [(16, 16, 16), (16, 12, 8), (48, 32, 20)]
@@ -283,46 +329,54 @@ class TestKeptBlock:
         g = TorusGrid(resolution=resolution)
         c = [n // 3 for n in resolution]
         assert g.kept_shape == (2 * c[0] + 1, 2 * c[1] + 1, c[2] + 1)
-        assert int(g.dealias_mask.sum()) == np.prod(g.kept_shape)
+        assert int(kept_mask(g).sum()) == np.prod(g.kept_shape)
         # the block holds the masked modes in half-spectrum order
-        modes = [np.broadcast_to(m, g.spectral_shape) for m in g.modes]
-        for m, kept in zip(modes, (g.to_kept(m) for m in modes)):
-            assert np.array_equal(np.sort(kept.ravel()),
-                                  np.sort(m[g.dealias_mask]))
-        m1, m2, m3 = (g.to_kept(m) for m in modes)
-        assert list(m1[:, 0, 0]) == (list(range(c[0] + 1))
-                                     + list(range(-c[0], 0)))
-        assert list(m2[0, :, 0]) == (list(range(c[1] + 1))
-                                     + list(range(-c[1], 0)))
-        assert list(m3[0, 0]) == list(range(c[2] + 1))
-        k = np.stack([np.broadcast_to(k, g.spectral_shape) for k in g.k])
-        tables = g.multipliers(g.kept_shape)
-        assert g.multipliers((5, 3) + g.kept_shape) is tables
-        for table, full in ((tables.k, k), (tables.k_sq, g.k_sq),
-                            (tables.k_sq_inv, g.k_sq_inv)):
-            want = g.to_kept(full)
+        for m, mine in zip(half_modes(g), g.modes):
+            full = np.broadcast_to(m, g.spectral_shape)
+            assert np.array_equal(g.to_kept(full),
+                                  np.broadcast_to(mine, g.kept_shape))
+        m1, m2, m3 = (m.ravel() for m in g.modes)
+        assert list(m1) == list(range(c[0] + 1)) + list(range(-c[0], 0))
+        assert list(m2) == list(range(c[1] + 1)) + list(range(-c[1], 0))
+        assert list(m3) == list(range(c[2] + 1))
+        # the Hermitian weight: the block has no Nyquist column, so it
+        # counts its m3 = 0 column once and every other twice
+        assert list(g.multipliers.weight.ravel()) == [1.0] + [2.0] * c[2]
+
+    @pytest.mark.parametrize("resolution", GRIDS + [(12, 12, 12),
+                                                    (32, 32, 32)])
+    def test_tables_equal_the_half_spectrum_gather(self, resolution):
+        # built on the block, the tables are bitwise the half-spectrum
+        # ones gathered onto it, and the largest |k|^2 is the same
+        g = TorusGrid(lengths=(2.0 * np.pi, 3.0, 7.5), resolution=resolution)
+        k, k_sq, k_sq_inv, _ = half_tables(g)
+        tables = g.multipliers
+        full_k = np.stack([np.broadcast_to(ki, g.spectral_shape) for ki in k])
+        for table, full in ((tables.k, full_k), (tables.k_sq, k_sq),
+                            (tables.k_sq_inv, k_sq_inv)):
             assert table.flags.c_contiguous
-            assert table.tobytes() == want.tobytes()
+            assert table.tobytes() == g.to_kept(full).tobytes()
         assert tables.ik.tobytes() == (1j * tables.k).tobytes()
-        # the Hermitian weight: the half spectrum counts its m3 = 0 and
-        # Nyquist columns once, the block (no Nyquist column) its m3 = 0
-        # column once
-        half = g.multipliers(g.spectral_shape).weight
-        assert list(half.ravel()) == [1.0] + [2.0] * (half.size - 2) + [1.0]
-        assert list(tables.weight.ravel()) == [1.0] + [2.0] * c[2]
+        for mine, ki in zip(g.k, k):
+            assert np.broadcast_to(mine, g.kept_shape).tobytes() \
+                == g.to_kept(np.broadcast_to(ki, g.spectral_shape)).tobytes()
+        assert g.k_sq.tobytes() == tables.k_sq.tobytes()
+        assert g.k_sq_inv.tobytes() == tables.k_sq_inv.tobytes()
+        assert g.k_sq_max == float(np.max(k_sq[kept_mask(g)]))
 
     @pytest.mark.parametrize("resolution", GRIDS)
     @pytest.mark.parametrize("lead", LEADS)
     def test_to_and_from_kept(self, resolution, lead):
         g = TorusGrid(resolution=resolution)
-        spec = g.rfft(self.phys(g, lead))
+        spec = rfftn(self.phys(g, lead))
+        mask = np.broadcast_to(kept_mask(g), g.spectral_shape)
         kept = g.to_kept(spec)
         # the block is the masked modes in the half spectrum's own order
         assert kept.shape == lead + g.kept_shape
-        assert kept.tobytes() == spec[..., g.dealias_mask].tobytes()
+        assert kept.tobytes() == spec[..., mask].tobytes()
         back = np.full(spec.shape, np.nan, dtype=complex)
         assert g.from_kept(kept, back) is back
-        assert back.tobytes() == np.where(g.dealias_mask, spec, 0).tobytes()
+        assert back.tobytes() == np.where(mask, spec, 0).tobytes()
         assert g.to_kept(back).tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("resolution", GRIDS)
@@ -332,44 +386,45 @@ class TestKeptBlock:
         phys = self.phys(g, lead)
         if grid_module._pocketfft is None:
             pytest.skip("scipy has no usable private pocketfft binding")
-        kept = g.rfft(phys, kept=True)
+        kept = g.rfft(phys)
         full = g.from_kept(kept)
         assert kept.shape == lead + g.kept_shape
-        assert kept.tobytes() == g.to_kept(g.rfft(phys)).tobytes()
-        inv = g.irfft(kept, kept=True)
+        assert kept.tobytes() == g.to_kept(rfftn(phys)).tobytes()
+        inv = g.irfft(kept)
         unwritten = kept.tobytes()
-        assert inv.tobytes() == g.irfft(full).tobytes()
+        assert inv.tobytes() == irfftn(g, full).tobytes()
         assert kept.tobytes() == unwritten
         out = np.full(kept.shape, np.nan, dtype=complex)
-        assert g.rfft(phys, out, kept=True) is out
+        assert g.rfft(phys, out) is out
         assert out.tobytes() == kept.tobytes()
         back = np.full(inv.shape, np.nan)
-        assert g.irfft(kept, back, kept=True) is back
+        assert g.irfft(kept, back) is back
         assert back.tobytes() == inv.tobytes()
         # a caller's work array, left holding anything, gives the same bits
         work = np.full(lead + g.spectral_shape, np.nan, dtype=complex)
-        assert g.rfft(phys, kept=True, work=work).tobytes() \
-            == kept.tobytes()
+        assert g.rfft(phys, work=work).tobytes() == kept.tobytes()
         work[...] = np.nan
-        assert g.irfft(kept, kept=True, work=work).tobytes() \
-            == inv.tobytes()
+        assert g.irfft(kept, work=work).tobytes() == inv.tobytes()
         # the public-API fallback gives the same bits
         monkeypatch.setattr(grid_module, "_pocketfft", None)
-        assert g.rfft(phys, kept=True).tobytes() == kept.tobytes()
-        assert g.irfft(kept, kept=True).tobytes() == inv.tobytes()
+        assert g.rfft(phys).tobytes() == kept.tobytes()
+        assert g.irfft(kept).tobytes() == inv.tobytes()
 
     @pytest.mark.parametrize("resolution", GRIDS)
     def test_plancherel_sums_on_the_block(self, resolution):
         # the block leaves out only zero entries of its half-spectrum
         # array, so the sums differ by the grouping of the additions
         g = TorusGrid(resolution=resolution)
-        kept = g.rfft(self.phys(g, (5,)), kept=True)
+        kept = g.rfft(self.phys(g, (5,)))
         orders = (0, 1, 2, 3)
         on_block = ops.l2sq_hat_rows(g, kept, orders)
-        on_half = ops.l2sq_hat_rows(g, g.from_kept(kept), orders)
+        _, k_sq, _, weight = half_tables(g)
+        power = np.abs(g.from_kept(kept)) ** 2
         for o in orders:
-            assert on_block[o] == pytest.approx(on_half[o], rel=1e-13)
-        for row, got in zip(g.irfft(kept, kept=True), on_block[0]):
+            on_half = [float(np.sum(row * k_sq**o * weight))
+                       * g.volume / g.npoints**2 for row in power]
+            assert on_block[o] == pytest.approx(on_half, rel=1e-13)
+        for row, got in zip(g.irfft(kept), on_block[0]):
             assert got == pytest.approx(ops.lp_norm(g, row, 2) ** 2,
                                         rel=1e-12)
 
@@ -378,13 +433,11 @@ class TestKeptBlock:
         # step guard can read a 17-field inverse
         g = TorusGrid(resolution=(16, 16, 16))
         phys = self.phys(g, (17,))
-        kept = g.rfft(phys, kept=True)
-        inv = g.irfft(kept, kept=True)
+        kept = g.rfft(phys)
+        inv = g.irfft(kept)
         for row in (0, 1, 8, 16):
-            assert g.rfft(phys[row], kept=True).tobytes() \
-                == kept[row].tobytes()
-            assert g.irfft(kept[row], kept=True).tobytes() \
-                == inv[row].tobytes()
+            assert g.rfft(phys[row]).tobytes() == kept[row].tobytes()
+            assert g.irfft(kept[row]).tobytes() == inv[row].tobytes()
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_refuses_mismatched_arrays(self, fallback, monkeypatch):
@@ -395,17 +448,17 @@ class TestKeptBlock:
         phys = np.zeros((2, 8, 8, 8))
         kept = np.zeros((2,) + g.kept_shape, dtype=complex)
         with pytest.raises(ValueError, match="trailing axes"):
-            g.rfft(phys[..., :4], kept=True)
+            g.rfft(phys[..., :4])
         with pytest.raises(ValueError, match="trailing axes"):
-            g.irfft(np.zeros((2,) + g.spectral_shape, complex), kept=True)
+            g.irfft(np.zeros((2,) + g.spectral_shape, complex))
         full = np.zeros((2,) + g.spectral_shape, dtype=complex)
         for wrong in (kept[0], kept[..., :2], kept.astype(np.complex64),
                       full):
             with pytest.raises(ValueError, match="out must be"):
-                g.rfft(phys, wrong, kept=True)
+                g.rfft(phys, wrong)
         for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
             with pytest.raises(ValueError, match="out must be"):
-                g.irfft(kept, wrong, kept=True)
+                g.irfft(kept, wrong)
         for wrong in (kept[0], kept.astype(np.complex64), full):
             with pytest.raises(ValueError, match="out must be"):
                 g.to_kept(full, wrong)
@@ -417,15 +470,16 @@ class TestKeptBlock:
         for wrong in (full[0], full[..., :2], full.astype(np.complex64),
                       kept):
             with pytest.raises(ValueError, match="work must be"):
-                g.rfft(phys, kept=True, work=wrong)
+                g.rfft(phys, work=wrong)
             with pytest.raises(ValueError, match="work must be"):
-                g.irfft(kept, kept=True, work=wrong)
+                g.irfft(kept, work=wrong)
 
 
 class TestFullTransforms:
-    """The full transforms, one multi-axis call each to the pocketfft
-    module that kturb.grid loads from its file, against scipy.fft's
-    public rfftn/irfftn, bit for bit."""
+    """The transforms, run through the pocketfft module that kturb.grid
+    loads from its file, against scipy.fft's public full rfftn/irfftn,
+    bit for bit: rfft is the block of rfftn, and irfft is irfftn of the
+    block's half spectrum."""
 
     @pytest.fixture(autouse=True)
     def binding(self):
@@ -439,13 +493,13 @@ class TestFullTransforms:
         g = TorusGrid(resolution=resolution)
         rng = np.random.default_rng(sum(resolution) + len(lead))
         phys = rng.standard_normal(lead + g.resolution)
-        want = scipy.fft.rfftn(phys, axes=(-3, -2, -1))
+        want = g.to_kept(rfftn(phys))
         assert g.rfft(phys).tobytes() == want.tobytes()
         spec = np.full(want.shape, np.nan, dtype=complex)
         assert g.rfft(phys, spec) is spec
         assert spec.tobytes() == want.tobytes()
 
-        back = scipy.fft.irfftn(want, s=g.resolution, axes=(-3, -2, -1))
+        back = irfftn(g, g.from_kept(want))
         unwritten = want.tobytes()
         assert g.irfft(want).tobytes() == back.tobytes()
         out = np.full(back.shape, np.nan)
@@ -468,22 +522,20 @@ class TestFullTransforms:
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_refuses_mismatched_arrays(self, fallback, monkeypatch):
-        # pocketfft would write through an out of the wrong shape
+        # the half-spectrum layout is refused, in and out
         if fallback:
             monkeypatch.setattr(grid_module, "_pocketfft", None)
         g = TorusGrid(resolution=(8, 8, 8))
         phys = np.zeros((2, 8, 8, 8))
         spec = np.zeros((2, 8, 8, 5), dtype=complex)
+        assert spec.shape[1:] == g.spectral_shape != g.kept_shape
         with pytest.raises(ValueError, match="trailing axes"):
-            g.rfft(phys[..., :4])
+            g.irfft(spec)
         with pytest.raises(ValueError, match="trailing axes"):
-            g.irfft(spec[..., :4])
-        for wrong in (spec[0], spec[..., :4], spec.astype(np.complex64)):
+            g.irfft(spec[..., :3])
+        for wrong in (spec, spec[0], spec[..., :3]):
             with pytest.raises(ValueError, match="out must be"):
                 g.rfft(phys, wrong)
-        for wrong in (phys[0], phys[..., :4], phys.astype(np.float32)):
-            with pytest.raises(ValueError, match="out must be"):
-                g.irfft(spec, wrong)
 
 
 _THEN_SCIPY = """
@@ -492,9 +544,8 @@ import numpy as np
 from kturb import TorusGrid
 
 def transforms(g, x):
-    spec = g.rfft(x)
-    kept = g.rfft(x, kept=True)
-    return spec, g.irfft(spec), kept, g.irfft(kept, kept=True)
+    kept = g.rfft(x)
+    return kept, g.irfft(kept)
 
 g = TorusGrid(resolution=(16, 12, 8))
 x = np.random.default_rng(5).standard_normal((2,) + g.resolution)
@@ -504,7 +555,8 @@ import scipy.fft
 after = transforms(g, x)
 assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
 want = scipy.fft.rfftn(x, axes=(-3, -2, -1))
-assert after[0].tobytes() == want.tobytes()
-back = scipy.fft.irfftn(want, s=g.resolution, axes=(-3, -2, -1))
+assert after[0].tobytes() == g.to_kept(want).tobytes()
+back = scipy.fft.irfftn(g.from_kept(after[0]), s=g.resolution,
+                        axes=(-3, -2, -1))
 assert after[1].tobytes() == back.tobytes()
 """

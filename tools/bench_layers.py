@@ -7,20 +7,23 @@ At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
 inverse and the 14-field forward transform the kernel makes, one RK4
 step of `advance` (its guard included), and one `Monitor.sample` of a
 state that `advance` handed its callback (`monitor_sample_ms`), on the
-acceptance initial data (band 5, default ModelParams).  The kernel and
-transform rows use the spectral layout the kernel takes: the kept block
-of the 2/3 rule (`kept=True`), with a work array passed as the kernel
-passes its own.  It also times one 16^3 manufactured-solution study
-(`run_mms` at t_end 0.04, default dts) as `mms_study_ms`, and
+acceptance initial data (band 5, default ModelParams).  The two
+transform rows repeat the calls that one kernel call makes, with the
+kernel's own arrays and keywords, so they time whatever the timed
+checkout's kernel does.  These layer rows are timed in LAYER_ROUNDS (5)
+fresh processes, and a row is the min and median of the per-process
+medians, in ms, those medians as its samples, and their interquartile
+range over the median, `iqr_over_median`: the spread between
+processes, so a difference between two checkouts smaller than that
+ratio does not resolve.  It also times one 16^3 manufactured-solution
+study (`run_mms` at t_end 0.04, default dts) as `mms_study_ms`, and
 `full_report` with an infinite horizon on fixed-seed random bounds,
 drawn as the `criterion` benchmark workload draws them, as
-`criterion_report_ms`.  Each row holds the min and median of several
-calls, in ms, every sample, and their interquartile range over the
-median, `iqr_over_median`: a difference between two runs smaller than
-that ratio does not resolve.  The printed summary leaves the samples
-out.  (The `criterion_report_ms` samples are of 300 different bounds, in
-the same order on every run, so they can also be compared input by
-input.)
+`criterion_report_ms`; each of those rows holds the min and median of
+several calls in this process, every sample and `iqr_over_median`.
+The printed summary leaves the samples out.  (The `criterion_report_ms`
+samples are of 300 different bounds, in the same order on every run, so
+they can also be compared input by input.)
 `import_ms` is the time of `import kturb, kturb.harness` in fresh
 interpreters, with the number of `scipy` and `scipy.*` modules that
 import loads.
@@ -28,8 +31,13 @@ It also runs the tier-1 suite once in a subprocess and records its wall
 time and pass count.
 
 --src times another checkout's package (for example the parent commit's
-`src`).  --parent copies the layer figures of an earlier output file
-into this one, under "parent".
+`src`).  Its layer rows go under "layers" and this checkout's under
+"layers_this_checkout", the two checkouts' processes alternating and
+each going first in every other round, so that a drift of the machine
+falls on both.  --parent copies the layer
+figures of an earlier output file into this one, under "parent".
+--layers-only prints one process's raw layer samples, in seconds, as
+JSON; the rounds run the tool so.
 """
 
 import argparse
@@ -47,6 +55,7 @@ import numpy as np
 SIZES = (16, 32, 64)
 REPEATS = {16: 60, 32: 30, 64: 8}
 STEPS_PER_CALL = 4
+LAYER_ROUNDS = 5
 MMS_REPEATS = 9
 CRITERION_REPORTS = 300
 IMPORT_REPEATS = 9
@@ -80,12 +89,21 @@ def _timed(fn, prepare, repeats):
     return times
 
 
-def _layout(grid, fields):
-    """The transform keywords of the kernel's spectral layout for a
-    stack of fields: the kept block, run in a work array as the kernel
-    runs its own."""
-    return dict(kept=True, work=np.empty((fields,) + grid.spectral_shape,
-                                         dtype=complex))
+def _kernel_transforms(grid, kern, y_hat):
+    """The inverse and the forward transform one call kern(y_hat) makes,
+    as callables that repeat them with the kernel's own arguments."""
+    calls = {}
+    for name in ("irfft", "rfft"):
+        def spy(*args, _name=name, _orig=getattr(grid, name), **kwargs):
+            calls[_name] = (_orig, args, kwargs)
+            return _orig(*args, **kwargs)
+        setattr(grid, name, spy)
+    try:
+        kern(y_hat, 0.0)
+    finally:
+        del grid.irfft, grid.rfft
+    return [lambda f=f, a=a, kw=kw: f(*a, **kw)
+            for f, a, kw in (calls["irfft"], calls["rfft"])]
 
 
 def _summary(value):
@@ -96,6 +114,7 @@ def _summary(value):
 
 
 def time_layers(kturb, n):
+    """The layer rows at n^3 in this process, as lists of seconds."""
     from kturb.harness import (InitialDataSpec, Monitor, extract_bounds,
                                generate_initial)
     from kturb.dynamics import TendencyKernel
@@ -104,25 +123,14 @@ def time_layers(kturb, n):
     params = kturb.ModelParams()
     state = generate_initial(InitialDataSpec(seed=1, band=5), g)
     reps = REPEATS[n]
-    rng = np.random.default_rng(n)
-    y_hat = g.rfft(state.y, **_layout(g, 5))
+    y_hat = state.spectrum()
     kern = TendencyKernel(g, params)
     out = np.empty_like(y_hat)
     kern(y_hat, 0.0, out=out)
     kernel = _timed(lambda: kern(y_hat, 0.0, out=out),
                     lambda: None, reps)
-
-    layout = _layout(g, 17)
-    spec = g.rfft(rng.standard_normal((17,) + g.resolution), **layout)
-    phys = np.empty((17,) + g.resolution)
-    inverse = _timed(lambda: g.irfft(spec, out=phys, **layout),
-                     lambda: None, reps)
-
-    layout = _layout(g, 14)
-    prod = rng.standard_normal((14,) + g.resolution)
-    fwd = np.empty((14,) + spec.shape[1:], dtype=complex)
-    forward = _timed(lambda: g.rfft(prod, out=fwd, **layout),
-                     lambda: None, reps)
+    inverse, forward = (_timed(call, lambda: None, reps)
+                        for call in _kernel_transforms(g, kern, y_hat))
 
     dt = kturb.compute_dt(state, params, kturb.StepControl(dt_max=1.0))
     ctl = kturb.StepControl(dt_max=1.0, dt_fixed=dt)
@@ -135,13 +143,42 @@ def time_layers(kturb, n):
     mon = Monitor(extract_bounds(state, params))
     sample = _timed(lambda: mon.sample(handed[-1]), lambda: None, reps)
     return {
-        "kernel_ms": _spread(kernel),
-        "inverse17_ms": _spread(inverse),
-        "forward14_ms": _spread(forward),
-        "rk4_step_ms": _spread(np.asarray(steps) / STEPS_PER_CALL),
-        "monitor_sample_ms": _spread(sample),
+        "kernel_ms": kernel,
+        "inverse17_ms": inverse,
+        "forward14_ms": forward,
+        "rk4_step_ms": list(np.asarray(steps) / STEPS_PER_CALL),
+        "monitor_sample_ms": sample,
         "dt": dt,
     }
+
+
+def _layers_in_process(src):
+    """time_layers at every size, in a fresh interpreter that imports
+    kturb from src."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--layers-only",
+         "--src", src], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def time_layer_rounds(sides):
+    """Each side's layer rows over LAYER_ROUNDS processes per side, the
+    sides' processes alternating, and which side goes first alternating
+    from round to round.  A row is the _spread of its per-process
+    medians, so its iqr_over_median is the spread between processes."""
+    runs = {name: [] for name in sides}
+    for r in range(LAYER_ROUNDS):
+        for name, src in list(sides.items())[::1 if r % 2 == 0 else -1]:
+            runs[name].append(_layers_in_process(src))
+    result = {}
+    for name, rounds in runs.items():
+        result[name] = {}
+        for size, rows in rounds[0].items():
+            result[name][size] = {
+                row: _spread([np.median(r[size][row]) for r in rounds])
+                for row in rows if row != "dt"}
+            result[name][size]["dt"] = rows["dt"]
+    return result
 
 
 def time_mms_study():
@@ -206,15 +243,18 @@ def run_tier1(root, src):
 
 def main(argv=None):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    here = os.path.join(root, "src")
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="output JSON path")
+    ap.add_argument("--out", help="output JSON path")
     ap.add_argument("--label", default="",
                     help="what was timed, for example a commit")
-    ap.add_argument("--src", default=os.path.join(root, "src"),
+    ap.add_argument("--src", default=here,
                     help="directory holding the kturb package to time")
     ap.add_argument("--parent", help="earlier output whose layers to quote")
     ap.add_argument("--skip-tier1", action="store_true",
                     help="leave out the tier-1 run")
+    ap.add_argument("--layers-only", action="store_true",
+                    help="print one process's raw layer samples as JSON")
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -222,6 +262,15 @@ def main(argv=None):
     import kturb
     import kturb.grid
 
+    if args.layers_only:
+        print(json.dumps({f"{n}^3": time_layers(kturb, n) for n in SIZES}))
+        return
+    if not args.out:
+        ap.error("--out is required")
+    sides = {"src": src}
+    if src != here:
+        sides["this_checkout"] = here
+    layers = time_layer_rounds(sides)
     result = {
         "machine": {
             "platform": platform.platform(),
@@ -234,11 +283,14 @@ def main(argv=None):
         "label": args.label,
         "private_pocketfft": getattr(kturb.grid, "_pocketfft", None)
         is not None,
-        "layers": {f"{n}^3": time_layers(kturb, n) for n in SIZES},
+        "layer_rounds": LAYER_ROUNDS,
+        "layers": layers["src"],
         "mms_study_ms": time_mms_study(),
         "criterion_report_ms": time_criterion_report(kturb),
         "import_ms": time_import(src),
     }
+    if "this_checkout" in layers:
+        result["layers_this_checkout"] = layers["this_checkout"]
     if not args.skip_tier1:
         result["tier1"] = run_tier1(os.path.dirname(src), src)
     if args.parent:
@@ -251,8 +303,8 @@ def main(argv=None):
         json.dump(result, fh, indent=2)
         fh.write("\n")
     print(json.dumps(_summary({k: result[k] for k in (
-        "layers", "mms_study_ms", "criterion_report_ms", "import_ms")}),
-        indent=1))
+        "layers", "layers_this_checkout", "mms_study_ms",
+        "criterion_report_ms", "import_ms") if k in result}), indent=1))
 
 
 if __name__ == "__main__":
