@@ -36,6 +36,8 @@ class ModelParams:
     momentum_diffusion_coeff = 1 matches the weak-form normalization in
     which the velocity dissipation and the b production balance exactly;
     set it to 2 to recover the literal strong-form momentum equation.
+    TendencyKernel's energy budget carries the gap between them,
+    (kappa4 - c_v) (mu |D(v)|^2, 1), so it holds for either.
     """
 
     nu0: float = 1.0
@@ -72,6 +74,8 @@ class State:
     that y was made from, or y projected onto the block, as validate
     sets it.  advance starts from a copy of it, and sets it, read-only
     with y, on the states it returns and hands its callbacks.
+    budget is advance's time integral of TendencyKernel's energy_rate
+    up to t, continued from its input state's (0.0 by default).
     """
 
     grid: TorusGrid
@@ -79,6 +83,7 @@ class State:
     t: float = 0.0
     y_hat: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
+    budget = 0.0  # not a field: no __init__ parameter, not in repr or ==
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -118,15 +123,18 @@ class State:
         spectrum(); raise ValueError otherwise.  The velocity must be
         divergence-free and zero-mean on the kept block, which is all of
         it that advance marches, and omega and b strictly positive at
-        every grid point."""
+        every grid point.  The divergence tolerance scales with the
+        velocity's L2 norm on the block, floored at 1e-3 of y's, so a
+        velocity off the block is not judged by roundoff alone."""
         if not np.all(np.isfinite(self.y)):
             raise ValueError("field values must be finite")
         g = self.grid
         y_hat = self.spectrum()
         vhat = y_hat[:3]
-        vnorm = np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3)))
+        vnorm = max(np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3))),
+                    1e-3 * ops.lp_norm(g, self.v, 2), 1e-300)
         div = ops.div_hat(g, vhat)
-        if np.max(np.abs(div)) > 1e-12 * max(vnorm, 1e-300) * g.npoints:
+        if np.max(np.abs(div)) > 1e-12 * vnorm * g.npoints:
             raise ValueError("velocity is not divergence-free")
         for i in range(3):
             if abs(vhat[i][0, 0, 0]) > 1e-12 * g.npoints:
@@ -186,6 +194,12 @@ class TendencyKernel:
     uniform state skips the transforms: the FFT of a constant field is
     exact, so the result is bitwise identical to the full path.
 
+    Every call also stores energy_rate, the energy budget's rate
+    d/dt (|b|_1 + |v|_2^2 / 2) = -(b omega, 1) + (kappa4 - c_v) (mu
+    |D(v)|^2, 1) at y_hat, as grid quadratures of the products it
+    forms; the dealiased transport terms integrate to zero.  The
+    forcing is not part of it.
+
     An instance owns the spectral stack, which the inverse transform
     reads and the forward transform refills, the physical fields, the
     physical products and the half-spectrum work array the transforms
@@ -232,6 +246,7 @@ class TendencyKernel:
                 inspect(self._phys[:5])
             om, bm = float(mean[3]), float(mean[4])
             _require_positive_omega(om, t)
+            self.energy_rate = -bm * om * g.volume
             out[...] = 0.0
             out[3, 0, 0, 0] = -p.kappa2 * om * om * g.npoints
             out[4, 0, 0, 0] = -bm * om * g.npoints
@@ -269,6 +284,7 @@ class TendencyKernel:
         # s_b = -b omega + kappa4 mu |D|^2 (last term below)
         np.negative(b, out=F[1])
         np.multiply(F[1], omega, out=F[1])
+        coupling = float(np.sum(F[1]))
         # Gw = -omega v + kappa1 mu grad omega, Gb = -b v + kappa3 mu grad b
         np.multiply(omega, v, out=F[2:5])
         np.subtract(0.0, F[2:5], out=F[2:5])
@@ -294,12 +310,14 @@ class TendencyKernel:
         np.subtract(F[8:14], vv, out=F[8:14])
         np.multiply(p.kappa4, mu, out=kmu)
         np.multiply(kmu, _strain_sq(D), out=kmu)
+        self.energy_rate = self.grid.cell_volume * (
+            coupling + (1.0 - p.c_v / p.kappa4) * float(np.sum(kmu)))
         np.add(F[1], kmu, out=F[1])
 
     def _assemble(self, spec, out):
         """out = (P div T, s_om + div Gw, s_b + div Gb) from the
         dealiased forward spectra, which are overwritten."""
-        ik = self.grid.multipliers.ik
+        ik = self.grid.ik
         T = spec[8:14]
         # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
         for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):

@@ -76,23 +76,6 @@ def check_box(lengths, resolution, error=ValueError):
     return lengths, resolution
 
 
-class Multipliers:
-    """The multiplier tables of the kept block: k and i k per axis,
-    |k|^2, 1/|k|^2 (zero at k = 0) and weight, the multiplicity of each
-    entry in full-spectrum (Plancherel) sums."""
-
-    def __init__(self, k, ik, k_sq, k_sq_inv, weight):
-        self.k, self.ik, self.k_sq, self.k_sq_inv = k, ik, k_sq, k_sq_inv
-        self.weight = weight
-        self._k_sq_powers = {}
-
-    def k_sq_power(self, order):
-        """k_sq**order, computed once per order and then reused."""
-        if order not in self._k_sq_powers:
-            self._k_sq_powers[order] = self.k_sq**order
-        return self._k_sq_powers[order]
-
-
 class TorusGrid:
     """Geometry, wavenumber tables and transforms for one periodic box.
 
@@ -132,26 +115,30 @@ class TorusGrid:
                            (slice(c2 + 1, None), slice(N2 - c2, None))))
 
         # Integer modes m of the block, 0..c, -c..-1 on the first two
-        # axes and 0..c3 on the last, and wavenumbers k = 2 pi m / L.
+        # axes and 0..c3 on the last.  The multiplier tables are
+        # contiguous (3,) + kept_shape or kept_shape arrays, since a
+        # multiply by a broadcast row is slower: k = 2 pi m / L and i k
+        # per axis, |k|^2 and 1/|k|^2 (zero at k = 0).
         m1, m2 = (np.r_[0:c + 1, -c:0] for c in (c1, c2))
         self.modes = (m1.reshape(-1, 1, 1), m2.reshape(1, -1, 1),
                       np.arange(c3 + 1).reshape(1, 1, -1))
-        self.k = tuple((2.0 * np.pi / L) * m.astype(float)
-                       for m, L in zip(self.modes, lengths))
+        self.k = np.stack([np.broadcast_to((2.0 * np.pi / L) * m,
+                                           self.kept_shape)
+                           for m, L in zip(self.modes, lengths)])
+        self.ik = 1j * self.k
         self.k_sq = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
         self.k_sq_inv = np.where(
             self.k_sq > 0.0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0),
-            0.0)  # zero at k = 0
+            0.0)
+        self._k_sq_powers = {}
         # largest |k|^2 the dealiased tendency acts on; it sets the
         # diffusive step limit
         self.k_sq_max = float(np.max(self.k_sq))
-        # contiguous tables; the block has no Nyquist column, so its
-        # Hermitian weight is 1 at m3 = 0 and 2 elsewhere
-        k = np.stack([np.broadcast_to(ki, self.kept_shape) for ki in self.k])
-        weight = np.full((1, 1, c3 + 1), 2.0)
-        weight[..., 0] = 1.0
-        self.multipliers = Multipliers(k, 1j * k, self.k_sq, self.k_sq_inv,
-                                       weight)
+        # the multiplicity of each entry in full-spectrum (Plancherel)
+        # sums: the block has no Nyquist column, so its Hermitian weight
+        # is 1 at m3 = 0 and 2 elsewhere
+        self.weight = np.full((1, 1, c3 + 1), 2.0)
+        self.weight[..., 0] = 1.0
 
     def __eq__(self, other):
         return (
@@ -165,6 +152,12 @@ class TorusGrid:
 
     def __repr__(self):
         return f"TorusGrid(lengths={self.lengths}, resolution={self.resolution})"
+
+    def k_sq_power(self, order):
+        """k_sq**order, computed once per order and then reused."""
+        if order not in self._k_sq_powers:
+            self._k_sq_powers[order] = self.k_sq**order
+        return self._k_sq_powers[order]
 
     # -- kept block ------------------------------------------------------
 

@@ -4,24 +4,20 @@ Each record stores the measured norm aggregates X0..X3, extrema,
 selected norms, a discrete energy-identity pair, and every envelope
 value with its signed margin (positive margin = bound satisfied).
 
-The energy pair approximates both sides of
+The energy pair checks the semi-discrete energy budget
 
-    d/dt (|b|_1 + 1/2 |v|_2^2) = -(b omega, 1)
+    d/dt (|b|_1 + 1/2 |v|_2^2)
+        = -(b omega, 1) + (kappa4 - c_v) (mu |D(v)|^2, 1)
 
-between consecutive samples: the left side by a backward difference,
-which equals the interval average of the right side exactly for the
-semi-discrete solution, and the right side by cubic interpolation of
-the sampled coupling through up to four neighboring samples (filled in
-by finalize(), since the interior rule needs the next sample).  The
-interpolation keeps the defect at O(dt^3) or better; a plain trapezoid
-would leave an O(dt^2) gap with a box-volume-sized constant.  Both
-entries are zero on the first record.
-
-The semi-discrete budget is d/dt (|b|_1 + 1/2 |v|_2^2) = -(b omega, 1)
-+ (kappa4 - c_v) (mu |D(v)|^2, 1).  The pair leaves the second term
-out, so it checks the budget only when c_v = kappa4, as the default
-ModelParams have it; with momentum_diffusion_coeff = 2, for one, the
-two entries differ by that term.
+between consecutive samples, for every ModelParams: energy_lhs is the
+backward difference of the left side's energy, and energy_rhs the
+interval average of the right side, (budget - previous budget)/dt from
+the State.budget that advance accumulates by the RK4 stage quadrature
+of the kernel's own integrands.  The two agree to the scheme's fourth
+order, and to roundoff while v = 0.  Both entries are zero on the
+first record, and on a record whose t does not follow the previous
+one's.  A forcing is outside the budget, so the pair covers the
+unforced system.
 """
 
 import dataclasses
@@ -74,9 +70,8 @@ class Monitor:
         self.env = EnvelopeSet(bounds)
         self.t0 = t0
         self.records = []
-        self._times = []
-        self._energies = []
-        self._couplings = []
+        # (t, energy, budget) of the previous sample
+        self._last = None
 
     def sample(self, state):
         """Record one state.  X1..X3 and the L2 norms are Plancherel sums
@@ -92,14 +87,15 @@ class Monitor:
         v_l2 = float(np.sqrt(l2sq[0] + l2sq[1] + l2sq[2]))
         omega_l2 = float(np.sqrt(l2sq[3]))
         b_l1 = ops.lp_norm(g, state.y[4], 1)
-        coupling = -ops.integral(g, state.y[4] * state.y[3])
 
         t = state.t
         energy = b_l1 + 0.5 * v_l2**2
-        self._times.append(t)
-        self._energies.append(energy)
-        self._couplings.append(coupling)
-        lhs = rhs = 0.0  # filled in by finalize()
+        lhs = rhs = 0.0
+        if self._last is not None and t > self._last[0]:
+            t_prev, e_prev, budget_prev = self._last
+            lhs = (energy - e_prev) / (t - t_prev)
+            rhs = (state.budget - budget_prev) / (t - t_prev)
+        self._last = (t, energy, state.budget)
 
         tau = t - self.t0
         e_ol = float(env.omega_lower(tau))
@@ -137,24 +133,7 @@ class Monitor:
         return rec
 
     def finalize(self):
-        """Fill in the energy-identity pair for every consecutive sample
-        pair; safe to call repeatedly and after partial runs."""
-        ts = np.asarray(self._times)
-        es = np.asarray(self._energies)
-        cs = np.asarray(self._couplings)
-        n = ts.size
-        for i in range(1, n):
-            if ts[i] <= ts[i - 1]:
-                continue
-            dt = ts[i] - ts[i - 1]
-            lo = max(0, i - 2)
-            hi = min(n, i + 2)
-            tt = ts[lo:hi] - ts[i - 1]  # shift for conditioning
-            poly = np.polynomial.Polynomial.fit(
-                tt, cs[lo:hi], deg=tt.size - 1).convert()
-            integ = poly.integ()
-            self.records[i].energy_lhs = (es[i] - es[i - 1]) / dt
-            self.records[i].energy_rhs = float(integ(dt) - integ(0.0)) / dt
+        """The records: every sample fills in its own energy pair."""
         return self.records
 
 

@@ -62,7 +62,6 @@ def run_simulate(config: RunConfig) -> SimulationResult:
         if final.t > mon.records[-1].t:
             mon.sample(final)
     finally:
-        mon.finalize()
         if monitor_path:
             write_csv(monitor_path, mon.records)
     snapshot_path = None

@@ -75,11 +75,14 @@ class _Marcher:
     physical (5, N1, N2, N3) state; advance runs it on the state that
     the first kernel call of each step after the first hands
     first_stage's inspect.  A kernel call whose omega is at or below the
-    floor raises the kernel's PositivityViolation at its stage time."""
+    floor raises the kernel's PositivityViolation at its stage time.
+    budget is the one given plus the RK4 quadrature of the kernel's
+    energy_rate over the steps made."""
 
-    def __init__(self, grid, params, forcing=None):
+    def __init__(self, grid, params, forcing=None, budget=0.0):
         self.grid = grid
         self.forcing = forcing
+        self.budget = budget
         self.kernel = TendencyKernel(grid, params)
         shape = (5,) + grid.kept_shape
         self._k = np.empty((4,) + shape, dtype=complex)
@@ -108,6 +111,7 @@ class _Marcher:
         y_hat as the kernel's inspect hook does, before the kernel reads
         it."""
         self.kernel(y_hat, t, out=self._k[0], inspect=inspect)
+        self._rate = self.kernel.energy_rate
 
     def finish_step(self, y_hat, t, dt):
         """Complete the RK4 step from t that first_stage began: add the
@@ -115,11 +119,14 @@ class _Marcher:
         y_hat by dt in place; return it."""
         k1, k2, k3, k4 = self._k
         self._add_forcing(t, k1)
-        for c, k, out, tc in ((0.5 * dt, k1, k2, t + 0.5 * dt),
-                              (0.5 * dt, k2, k3, t + 0.5 * dt),
-                              (dt, k3, k4, t + dt)):
+        # the stage rates' ((C1 + 2 C2) + 2 C3) + C4, summed in _rate
+        for c, k, out, tc, w in ((0.5 * dt, k1, k2, t + 0.5 * dt, 2.0),
+                                 (0.5 * dt, k2, k3, t + 0.5 * dt, 2.0),
+                                 (dt, k3, k4, t + dt, 1.0)):
             self.kernel(self._stage_input(y_hat, c, k), tc, out=out)
+            self._rate += w * self.kernel.energy_rate
             self._add_forcing(tc, out)
+        self.budget += dt / 6.0 * self._rate
         # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
         np.multiply(2.0, k2, out=k2)
         np.add(k1, k2, out=k1)
@@ -157,8 +164,10 @@ def advance(state: State, t_end: float, params: ModelParams,
     cadence an integer >= 1; each callable receives the freshly accepted
     State on steps 1, 1+cadence, 1+2*cadence, ...  Its y and y_hat, and
     those of the returned state, are read-only, so that a march from a
-    state advance handed out continues from it bit for bit.  A
-    Forcing's spectrum is added at each stage time.
+    state advance handed out continues from it bit for bit.  Their
+    budget is state.budget plus the RK4 stage quadrature of the
+    kernel's energy_rate over the steps made.  A Forcing's spectrum is
+    added at each stage time; the budget leaves it out.
 
     Every step begins with the same first kernel call.  Each accepted
     state is checked, and handed to the callbacks, on the physical
@@ -187,7 +196,7 @@ def advance(state: State, t_end: float, params: ModelParams,
         return state
 
     g = state.grid
-    m = _Marcher(g, params, forcing)
+    m = _Marcher(g, params, forcing, state.budget)
     t = state.t
     vmax, mumax = m.check(state.y, t)
     y = state.spectrum().copy()
@@ -209,6 +218,7 @@ def advance(state: State, t_end: float, params: ModelParams,
         y_hat = y.copy()
         phys.flags.writeable = y_hat.flags.writeable = False
         snap = State(g, phys, t, y_hat)
+        snap.budget = m.budget
         for every, fn in cbs:
             if (nstep - 1) % every == 0:
                 fn(snap)
@@ -256,4 +266,6 @@ def advance(state: State, t_end: float, params: ModelParams,
             raise
         raise type(exc)(f"{exc}; {alarm}", t=exc.t) from exc
     phys.flags.writeable = y.flags.writeable = False
-    return State(g, phys, t, y)
+    final = State(g, phys, t, y)
+    final.budget = m.budget
+    return final

@@ -3,8 +3,9 @@
 Derivatives act in spectral space (multiplication by i*k); nonlinear
 products are formed pointwise in physical space and dealiased with the
 2/3 rule.  The spectral helpers take spectra on TorusGrid's kept block
-and use its multipliers.  L^p norms use the uniform quadrature weight
-prod(L_i/N_i); Sobolev seminorms use Plancherel sums over the spectrum.
+and use its multiplier tables.  L^p norms use the uniform quadrature
+weight prod(L_i/N_i); Sobolev seminorms use Plancherel sums over the
+spectrum.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 def grad_hat(grid, fhat, out=None):
     """Spectral gradient of one scalar spectrum: shape (3,) + fhat.shape,
     written into out when given."""
-    ik = grid.multipliers.ik
+    ik = grid.ik
     if out is None:
         out = np.empty((3,) + fhat.shape, dtype=complex)
     for i in range(3):
@@ -23,17 +24,16 @@ def grad_hat(grid, fhat, out=None):
 
 def div_hat(grid, uhat):
     """Spectral divergence of a stacked vector spectrum."""
-    ik = grid.multipliers.ik
+    ik = grid.ik
     return ik[0] * uhat[0] + ik[1] * uhat[1] + ik[2] * uhat[2]
 
 
 def leray_hat(grid, uhat):
     """Project a stacked vector spectrum onto divergence-free, zero-mean
     fields (in place) and return it."""
-    m = grid.multipliers
-    k = m.k
+    k = grid.k
     kdotu = k[0] * uhat[0] + k[1] * uhat[1] + k[2] * uhat[2]
-    kdotu *= m.k_sq_inv
+    kdotu *= grid.k_sq_inv
     for i in range(3):
         uhat[i] -= k[i] * kdotu
         uhat[i][0, 0, 0] = 0.0
@@ -44,8 +44,7 @@ def sym_grad_hat(grid, vhat, out=None):
     """Six independent entries of D = (grad v + grad v^T)/2 in spectral
     space, ordered (11, 22, 33, 12, 13, 23), written into out when
     given."""
-    m = grid.multipliers
-    (k1, k2, k3), ik = m.k, m.ik
+    (k1, k2, k3), ik = grid.k, grid.ik
     if out is None:
         out = np.empty((6,) + vhat.shape[1:], dtype=complex)
     # off-diagonals 0.5i (ka va + kb vb) first: row 0 is their scratch
@@ -75,13 +74,12 @@ def l2sq_hat(grid, fhat, order=0):
 def l2sq_hat_rows(grid, fhat, orders):
     """{order: [l2sq_hat(grid, row, order) for row in fhat]} for a stacked
     spectrum, with |fhat|^2 formed once."""
-    m = grid.multipliers
     power = np.abs(fhat) ** 2
     rows = {}
     for o in orders:
-        k_pow = m.k_sq_power(o) if o else None
+        k_pow = grid.k_sq_power(o) if o else None
         rows[o] = [float(np.sum((row if k_pow is None else row * k_pow)
-                                * m.weight))
+                                * grid.weight))
                    * grid.volume / grid.npoints**2 for row in power]
     return rows
 

@@ -136,6 +136,18 @@ class TestStateValidation:
         assert s.validate() is s
         assert s.y_hat.tobytes() == g.rfft(s.y).tobytes()
 
+    @pytest.mark.parametrize("amp", [1.0, 1e-3])
+    def test_velocity_off_the_block_is_admissible(self, amp):
+        # |m1| = 7 > 16/3, so the block holds only the transform's
+        # roundoff of v, a divergence of 1.25e-11 amp; scaled by the block
+        # alone the tolerance was that roundoff too, and floored by the
+        # physical velocity it is 4.6e-11 amp
+        g = TorusGrid(resolution=(16, 16, 16))
+        x1, _, _ = g.coordinates()
+        s = State.uniform(g, 1.0, 1.0)
+        s.y[0] = amp * np.sin(7 * x1)
+        assert s.validate() is s
+
 
 class TestUniformReductions:
     def test_reaction_only(self):
@@ -397,6 +409,20 @@ class TestEnergyFlux:
         # integrate to zero
         _, dbm, _ = energy_flux(s, p)
         assert db_int == pytest.approx(dbm, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("coeff", [1.0, 2.0])
+    def test_kernel_rate_is_the_budget(self, coeff):
+        # the rate every kernel call stores, on the transformed path and
+        # on the uniform one, is dE_kin + dB_mass of the state it reads
+        g = TorusGrid(resolution=(12, 12, 12))
+        p = ModelParams(momentum_diffusion_coeff=coeff)
+        kern = TendencyKernel(g, p)
+        for s in (make_state(g, np.random.default_rng(16)),
+                  State.uniform(g, 1.5, 2.5)):
+            y_hat = g.rfft(s.y)
+            kern(y_hat)
+            de, dbm, _ = energy_flux(State(g, g.irfft(y_hat)), p)
+            assert kern.energy_rate == pytest.approx(de + dbm, rel=1e-12)
 
 
 class TestPackUnpack:

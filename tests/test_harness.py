@@ -655,6 +655,33 @@ class TestRunSimulate:
         for rec in res.records[1:]:
             assert abs(rec.energy_lhs - rec.energy_rhs) < 10.0 * dt * dt
 
+    def test_energy_pair_closes_at_rest(self):
+        # with v = 0 the energy |b|_1 is linear in the state, so the RK4
+        # quadrature of the kernel's rate closes the budget to roundoff
+        res = run_simulate(RunConfig(
+            resolution=(16, 16, 16),
+            control=StepControl(dt_max=1.0, dt_fixed=5e-3),
+            initial=InitialDataSpec(seed=4, v_amp=0.0), t_end=0.1))
+        assert len(res.records) == 21
+        for rec in res.records[1:]:
+            assert abs(rec.energy_lhs - rec.energy_rhs) \
+                <= 1e-12 * abs(rec.energy_rhs)
+
+    def test_energy_pair_fourth_order_in_strong_form(self):
+        # momentum_diffusion_coeff = 2 puts (kappa4 - c_v) (mu |D|^2, 1)
+        # into the budget, and the defect still falls at RK4's order
+        defects = []
+        for dt in (5e-3, 2.5e-3, 1.25e-3):
+            res = run_simulate(RunConfig(
+                resolution=(16, 16, 16),
+                params=ModelParams(momentum_diffusion_coeff=2.0),
+                control=StepControl(dt_max=1.0, dt_fixed=dt),
+                initial=InitialDataSpec(seed=4, v_amp=0.3), t_end=0.3))
+            defects.append(max(abs(rec.energy_lhs - rec.energy_rhs)
+                               for rec in res.records[1:]))
+        for coarse, fine in zip(defects, defects[1:]):
+            assert math.log2(coarse / fine) >= 3.8
+
     def test_partial_monitor_flushed_on_abort(self, tmp_path):
         cfg = RunConfig(resolution=(8, 8, 8),
                         initial=InitialDataSpec(kind="uniform"),

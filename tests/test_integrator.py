@@ -300,7 +300,9 @@ class TestAdvance:
             assert state.t == alone.t
             assert state.y.tobytes() == alone.y.tobytes()
             assert state.y_hat.tobytes() == alone.y_hat.tobytes()
+            assert state.budget == alone.budget != 0.0
         assert seen[-1].y.tobytes() == out.y.tobytes()
+        assert seen[-1].budget == out.budget
         assert not np.shares_memory(seen[-1].y, out.y)
 
     def test_uniform_run_transforms_once(self, monkeypatch):
@@ -343,6 +345,8 @@ class TestAdvance:
         assert split.t == whole.t == 8 * dt
         assert split.y.tobytes() == whole.y.tobytes()
         assert split.y_hat.tobytes() == whole.y_hat.tobytes()
+        # the energy budget's integral is continued, not restarted
+        assert split.budget == whole.budget != first.budget
         assert first.y.tobytes() == y
         assert first.y_hat.tobytes() == y_hat
         # both are read-only, so an edit of y cannot leave y_hat, which

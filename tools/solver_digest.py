@@ -9,10 +9,12 @@ b rows 3-4, each as little-endian float64 bytes.  Then it runs `kturb
 verify --resolution 16 --seed 4 --t-end 0.5` and `kturb verify
 --resolution 32 --seed 1 --t-end 0.06 --dt 0.003`, each into a
 temporary directory, and prints for each the sha1 of the
-`monitor.csv` and `final.snap` it writes; the command's own report is
-not shown.  It then runs the 16^3 manufactured-solution study (`run_mms`
-at t_end 0.04 and its default dts, the `mms16` benchmark configuration)
-and prints its v, omega and b errors at each dt as `float.hex`.
+`monitor.csv` and `final.snap` it writes and the worst energy-identity
+defect |energy_lhs - energy_rhs| over the `monitor.csv` rows; the
+command's own report is not shown.  It then runs the 16^3
+manufactured-solution study (`run_mms` at t_end 0.04 and its default
+dts, the `mms16` benchmark configuration) and prints its v, omega and
+b errors at each dt as `float.hex`.
 Last it runs the README's failing example, `kturb simulate --resolution
 16 --seed 0 --t-end 9 --dt 0.02`, and prints its exit code and its
 `runtime failure:` line.  Two checkouts print the same lines when their
@@ -29,6 +31,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INITIAL_DATA = ((16, 4), (32, 1))
@@ -61,8 +65,11 @@ def verify_digest(flags):
         code = cli.main(["verify"] + flags + ["--out", out])
         if code != 0:
             raise SystemExit(f"kturb verify {' '.join(flags)} exited {code}")
-        return [_sha1(os.path.join(out, name))
-                for name in ("monitor.csv", "final.snap")]
+        monitor = os.path.join(out, "monitor.csv")
+        cols = np.genfromtxt(monitor, delimiter=",", names=True)
+        defect = np.max(np.abs(cols["energy_lhs"] - cols["energy_rhs"]))
+        return [_sha1(monitor), _sha1(os.path.join(out, "final.snap")),
+                f"defect {defect:.3e}"]
 
 
 def mms_errors():
