@@ -28,6 +28,37 @@ EXIT_RUNTIME = 4
 _BOUND_FLAGS = ("b_min", "omega_min", "omega_max", "b0_l1", "v0_l2sq",
                 "lap_sum", "c_p")
 
+# flag -> add_argument keywords
+_FLAGS = {
+    "config": dict(metavar="PATH", help="run configuration file"),
+    "out": dict(metavar="DIR", help="output directory"),
+    "seed": dict(type=int, help="initial data seed override"),
+    "t-end": dict(type=float, dest="t_end", help="final time override"),
+    "resolution": dict(type=int, metavar="N",
+                       help="cubic resolution override (N^3)"),
+    "constant-C": dict(type=float, dest="constant_c",
+                       help="criterion constant C override"),
+    "horizon": dict(type=float, help="criterion horizon (number or inf)"),
+    "kappa2": dict(type=float, help="kappa2 override"),
+    "dt": dict(type=float, help="fixed time step override"),
+}
+_FLAGS.update((name.replace("_", "-"), dict(
+    type=float, dest=name, help=f"explicit bound scalar {name}"))
+    for name in _BOUND_FLAGS)
+
+# subcommand -> (help, the flags it reads); it refuses any other flag
+_COMMANDS = {
+    "check": ("evaluate the existence criterion",
+              "config out seed resolution constant-C horizon kappa2 "
+              + " ".join(n.replace("_", "-") for n in _BOUND_FLAGS)),
+    "simulate": ("advance the configured initial data",
+                 "config out seed t-end resolution kappa2 dt"),
+    "verify": ("simulate and assert analytic envelopes",
+               "config out seed t-end resolution constant-C kappa2 dt"),
+    "mms": ("manufactured-solution temporal order check",
+            "config t-end resolution kappa2"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_INVALID on a malformed command line, such as a
@@ -45,63 +76,38 @@ def _build_parser():
         description="pseudo-spectral two-equation turbulence model solver "
                     "and analytic envelope verifier")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", metavar="PATH",
-                        help="run configuration file")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--seed", type=int, help="initial data seed override")
-        sp.add_argument("--t-end", type=float, dest="t_end",
-                        help="final time override")
-        sp.add_argument("--resolution", type=int, metavar="N",
-                        help="cubic resolution override (N^3)")
-        sp.add_argument("--constant-C", type=float, dest="constant_c",
-                        help="criterion constant C override")
-        sp.add_argument("--horizon", type=float,
-                        help="criterion horizon (number or inf)")
-        sp.add_argument("--kappa2", type=float, help="kappa2 override")
-
-    sp = sub.add_parser("check", help="evaluate the existence criterion")
-    common(sp)
-    for name in _BOUND_FLAGS:
-        sp.add_argument("--" + name.replace("_", "-"), type=float, dest=name,
-                        help=f"explicit bound scalar {name}")
-
-    for name, help_ in (("simulate", "advance the configured initial data"),
-                        ("verify", "simulate and assert analytic envelopes"),
-                        ("mms", "manufactured-solution temporal order check")):
+    for name, (help_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        common(sp)
-        if name != "mms":
-            sp.add_argument("--dt", type=float,
-                            help="fixed time step override")
+        for flag in flags.split():
+            sp.add_argument("--" + flag, **_FLAGS[flag])
     return p
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    # a flag the subcommand does not take is absent from args
+    get = vars(args).get
     params = cfg.params
-    if args.kappa2 is not None:
-        params = dataclasses.replace(params, kappa2=args.kappa2)
+    if get("kappa2") is not None:
+        params = dataclasses.replace(params, kappa2=get("kappa2"))
     control = cfg.control
-    dt = getattr(args, "dt", None)   # only simulate and verify step
-    if dt is not None:
-        control = dataclasses.replace(control, dt_fixed=dt)
+    if get("dt") is not None:
+        control = dataclasses.replace(control, dt_fixed=get("dt"))
     initial = cfg.initial
-    if args.seed is not None:
-        initial = dataclasses.replace(initial, seed=args.seed)
+    if get("seed") is not None:
+        initial = dataclasses.replace(initial, seed=get("seed"))
     criterion = cfg.criterion
-    if args.constant_c is not None:
+    if get("constant_c") is not None:
         criterion = dataclasses.replace(criterion,
-                                        c_omega_kappa=args.constant_c)
-    if args.horizon is not None:
-        criterion = dataclasses.replace(criterion, horizon=args.horizon)
+                                        c_omega_kappa=get("constant_c"))
+    if get("horizon") is not None:
+        criterion = dataclasses.replace(criterion, horizon=get("horizon"))
     kw = {}
-    if args.resolution is not None:
-        kw["resolution"] = (args.resolution,) * 3
-    if args.t_end is not None:
-        kw["t_end"] = args.t_end
-    if args.out is not None:
-        kw["out_dir"] = args.out
+    if get("resolution") is not None:
+        kw["resolution"] = (get("resolution"),) * 3
+    if get("t_end") is not None:
+        kw["t_end"] = get("t_end")
+    if get("out") is not None:
+        kw["out_dir"] = get("out")
     return dataclasses.replace(cfg, params=params, control=control,
                                initial=initial, criterion=criterion, **kw)
 

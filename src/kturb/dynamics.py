@@ -122,10 +122,11 @@ class State:
         """Return self if it is admissible, with y_hat set to
         spectrum(); raise ValueError otherwise.  The velocity must be
         divergence-free and zero-mean on the kept block, which is all of
-        it that advance marches, and omega and b strictly positive at
-        every grid point.  The divergence tolerance scales with the
-        velocity's L2 norm on the block, floored at 1e-3 of y's, so a
-        velocity off the block is not judged by roundoff alone."""
+        it that advance marches, and omega and b above POSITIVITY_FLOOR,
+        where advance aborts, at every grid point.  The divergence
+        tolerance scales with the velocity's block L2 norm, floored at
+        1e-3 of y's, so a velocity off the block is not judged by
+        roundoff alone."""
         if not np.all(np.isfinite(self.y)):
             raise ValueError("field values must be finite")
         g = self.grid
@@ -139,9 +140,9 @@ class State:
         for i in range(3):
             if abs(vhat[i][0, 0, 0]) > 1e-12 * g.npoints:
                 raise ValueError("velocity has nonzero mean")
-        if np.min(self.y[3]) <= 0.0:
+        if np.min(self.y[3]) <= POSITIVITY_FLOOR:
             raise ValueError("omega must be strictly positive")
-        if np.min(self.y[4]) <= 0.0:
+        if np.min(self.y[4]) <= POSITIVITY_FLOOR:
             raise ValueError("b must be strictly positive")
         self.y_hat = y_hat
         return self

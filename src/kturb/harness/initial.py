@@ -11,6 +11,7 @@ from ..dynamics import ModelParams, State
 from ..envelopes import DataBounds
 from ..errors import ConfigError, require_finite
 from ..grid import TorusGrid
+from .monitor import measure
 
 KINDS = ("uniform", "random_band", "from_file")
 
@@ -115,21 +116,17 @@ def _build_initial(spec, grid):
 def extract_bounds(state: State, params: ModelParams,
                    c_p_override: Optional[float] = None) -> DataBounds:
     """Reduce an initial State to the scalar statistics the envelopes
-    consume.  c_p defaults to sqrt(2/c_v) * max L_i/(2 pi), the rate the
-    energy identity guarantees (see DataBounds)."""
-    g = state.grid
+    consume: those of measure(state), which Monitor.sample records, so
+    the bounds are the state's own monitor record.  c_p defaults to
+    sqrt(2/c_v) * max L_i/(2 pi), the rate the energy identity
+    guarantees (see DataBounds)."""
     if c_p_override is not None:
         c_p = c_p_override
     else:
-        c_p = math.sqrt(2.0 / params.c_v) * max(g.lengths) / (2.0 * math.pi)
-    yhat = state.spectrum()
-    return DataBounds(
-        b_min=float(np.min(state.b)),
-        omega_min=float(np.min(state.omega)),
-        omega_max=float(np.max(state.omega)),
-        b0_l1=ops.lp_norm(g, state.b, 1),
-        v0_l2sq=ops.lp_norm(g, state.v, 2) ** 2,
-        lap_sum=sum(ops.l2sq_hat_rows(g, yhat, (2,))[2]),
-        kappa2=params.kappa2,
-        c_p=c_p,
-    )
+        c_p = (math.sqrt(2.0 / params.c_v) * max(state.grid.lengths)
+               / (2.0 * math.pi))
+    s = measure(state)
+    return DataBounds(b_min=s["min_b"], omega_min=s["min_omega"],
+                      omega_max=s["max_omega"], b0_l1=s["b_l1"],
+                      v0_l2sq=s["v_l2"] ** 2, lap_sum=s["x2"],
+                      kappa2=params.kappa2, c_p=c_p)

@@ -59,6 +59,27 @@ class MonitorRecord:
 FIELD_NAMES = tuple(f.name for f in dataclasses.fields(MonitorRecord))
 
 
+def measure(state):
+    """The statistics of one state, keyed by their MonitorRecord fields
+    x0..x3, min_omega, max_omega, min_b, v_l2, b_l1 and omega_l2.
+    X1..X3 and the v and omega L2 norms are Plancherel sums over
+    state.spectrum(), the kept block, which for the states advance hands
+    out is the marched spectrum itself; the extrema and b's L1 mass are
+    grid values.  Monitor.sample records them and extract_bounds makes
+    DataBounds of them, so a run's bounds are its first record's."""
+    g = state.grid
+    rows = ops.l2sq_hat_rows(g, state.spectrum(), (0, 1, 2, 3))
+    l2sq = rows[0]
+    v_l2 = float(np.sqrt(l2sq[0] + l2sq[1] + l2sq[2]))
+    b_l1 = ops.lp_norm(g, state.y[4], 1)
+    return dict(x0=v_l2**2 + b_l1**2,
+                x1=sum(rows[1]), x2=sum(rows[2]), x3=sum(rows[3]),
+                min_omega=float(np.min(state.y[3])),
+                max_omega=float(np.max(state.y[3])),
+                min_b=float(np.min(state.y[4])), v_l2=v_l2, b_l1=b_l1,
+                omega_l2=float(np.sqrt(l2sq[3])))
+
+
 class Monitor:
     """Accumulates MonitorRecords from sampled states.
 
@@ -74,22 +95,12 @@ class Monitor:
         self._last = None
 
     def sample(self, state):
-        """Record one state.  X1..X3 and the L2 norms are Plancherel sums
-        over state.spectrum(), the kept block, which for the states
-        advance hands out is the evolved spectrum itself; the extrema
-        and L1 terms come from the physical fields."""
-        g = state.grid
+        """Record one state: measure(state), the energy pair, and the
+        envelopes at t - t0 with their margins."""
         env = self.env
-        fhat = state.spectrum()
-        rows = ops.l2sq_hat_rows(g, fhat, (0, 1, 2, 3))
-        l2sq = rows[0]
-        x1, x2, x3 = sum(rows[1]), sum(rows[2]), sum(rows[3])
-        v_l2 = float(np.sqrt(l2sq[0] + l2sq[1] + l2sq[2]))
-        omega_l2 = float(np.sqrt(l2sq[3]))
-        b_l1 = ops.lp_norm(g, state.y[4], 1)
-
+        stats = measure(state)
         t = state.t
-        energy = b_l1 + 0.5 * v_l2**2
+        energy = stats["b_l1"] + 0.5 * stats["v_l2"] ** 2
         lhs = rhs = 0.0
         if self._last is not None and t > self._last[0]:
             t_prev, e_prev, budget_prev = self._last
@@ -103,31 +114,15 @@ class Monitor:
         e_bl = float(env.b_lower(tau))
         e_v = float(env.v_l2_envelope(tau)) if env.bounds.large_kappa2 else np.nan
         e_b1 = float(env.b_l1_upper(tau, "min"))
-        min_omega = float(np.min(state.y[3]))
-        max_omega = float(np.max(state.y[3]))
-        min_b = float(np.min(state.y[4]))
         rec = MonitorRecord(
-            t=t,
-            x0=v_l2**2 + b_l1**2,
-            x1=x1, x2=x2, x3=x3,
-            min_omega=min_omega,
-            max_omega=max_omega,
-            min_b=min_b,
-            v_l2=v_l2,
-            b_l1=b_l1,
-            omega_l2=omega_l2,
-            energy_lhs=lhs,
-            energy_rhs=rhs,
-            env_omega_lower=e_ol,
-            env_omega_upper=e_ou,
-            env_b_lower=e_bl,
-            env_v_l2=e_v,
-            env_b_l1=e_b1,
-            margin_omega_lower=min_omega - e_ol,
-            margin_omega_upper=e_ou - max_omega,
-            margin_b_lower=min_b - e_bl,
-            margin_v_l2=e_v - v_l2,
-            margin_b_l1=e_b1 - b_l1,
+            t=t, **stats, energy_lhs=lhs, energy_rhs=rhs,
+            env_omega_lower=e_ol, env_omega_upper=e_ou, env_b_lower=e_bl,
+            env_v_l2=e_v, env_b_l1=e_b1,
+            margin_omega_lower=stats["min_omega"] - e_ol,
+            margin_omega_upper=e_ou - stats["max_omega"],
+            margin_b_lower=stats["min_b"] - e_bl,
+            margin_v_l2=e_v - stats["v_l2"],
+            margin_b_l1=e_b1 - stats["b_l1"],
         )
         self.records.append(rec)
         return rec

@@ -93,7 +93,3 @@ def lp_norm(grid, values, p):
         raise ValueError(f"unsupported exponent p={p}")
     return float(np.sum(np.abs(values) ** p) * grid.cell_volume) ** (1.0 / p)
 
-
-def integral(grid, values):
-    return float(np.sum(values)) * grid.cell_volume
-

@@ -24,6 +24,11 @@ from tests.test_spectral import random_scalar, random_vector
 PI2 = 2.0 * math.pi
 
 
+def integral(grid, values):
+    """Uniform-quadrature integral of a physical array over the box."""
+    return float(np.sum(values)) * grid.cell_volume
+
+
 _CAPSYS = None
 
 
@@ -280,8 +285,8 @@ def test_10_spectral_invariants():
         worst = max(worst, float(np.max(np.abs(twice - once)))
                     / float(np.max(np.abs(once))))
         pw = g.irfft(ops.leray_hat(g, g.rfft(w)))
-        lhs = ops.integral(g, once * w)
-        rhs = ops.integral(g, u * pw)
+        lhs = integral(g, once * w)
+        rhs = integral(g, u * pw)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
         # Poincare with the sharp constant
         c_p = max(lengths) / PI2

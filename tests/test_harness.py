@@ -18,7 +18,7 @@ from kturb import (BlowUp, ConfigError, CriterionConfig, DataBounds, Forcing,
                    TorusGrid, VerificationFailure, advance, ops)
 from kturb import cli
 from kturb.cli import main
-from kturb.dynamics import TendencyKernel
+from kturb.dynamics import POSITIVITY_FLOOR, TendencyKernel
 from kturb.harness import (InitialDataSpec, Monitor, RunConfig,
                            extract_bounds, generate_initial, load_config,
                            parse_config, read_snapshot, run_check, run_mms,
@@ -501,6 +501,13 @@ class TestSnapshots:
         divergent.y[0] = 1e-3 * np.sin(x1)
         cases = [("omega", bad_omega, "omega must be strictly positive"),
                  ("div", divergent, "not divergence-free")]
+        # omega and b at the march's floor: the run used to start and
+        # exit 4 at t = 0
+        for row, name in ((3, "omega"), (4, "b")):
+            state = State.uniform(g, 1.0, 1.0)
+            state.y[row] = POSITIVITY_FLOOR
+            cases.append((name + "_floor", state,
+                          name + " must be strictly positive"))
         # one NaN in v, omega or b; the run used to start and exit 4
         for row, name in ((1, "nan_v"), (3, "nan_omega"), (4, "nan_b")):
             state = State.uniform(g, 1.0, 1.0)
@@ -516,7 +523,12 @@ class TestSnapshots:
             cfg.write_text(serialize_config(RunConfig(
                 resolution=(8, 8, 8), initial=spec, t_end=0.01)))
             assert main(["simulate", "--config", str(cfg)]) == 3
-
+        cfg = tmp_path / "uniform.cfg"
+        cfg.write_text(serialize_config(RunConfig(
+            resolution=(8, 8, 8), t_end=0.01, initial=InitialDataSpec(
+                kind="uniform", omega_mean=1e-11, omega_amp=0.0))))
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(cfg)]) == 3
 
     def test_from_file_projected_onto_the_block(self, tmp_path):
         # a divergent velocity and an omega ripple at |m| = 7 > 16 / 3
@@ -560,6 +572,22 @@ class TestMonitor:
         assert rec.min_omega == np.min(s.omega)
         assert rec.margin_b_lower == pytest.approx(
             rec.min_b - rec.env_b_lower)
+
+    @pytest.mark.parametrize("n, seeds", [(16, [4]), (32, range(1, 41))])
+    def test_bounds_are_the_first_record(self, n, seeds):
+        # one measurement makes both: |v0|_2^2 was a grid quadrature,
+        # which put v_l2 above its own envelope at t0 (32^3 seed 1:
+        # margin_v_l2 = -8.67e-19)
+        g = TorusGrid(resolution=(n, n, n))
+        for seed in seeds:
+            s = generate_initial(InitialDataSpec(seed=seed), g)
+            bd = extract_bounds(s, ModelParams())
+            rec = Monitor(bd, s.t).sample(s)
+            assert (bd.b_min, bd.omega_min, bd.omega_max, bd.b0_l1,
+                    bd.lap_sum, math.sqrt(bd.v0_l2sq)) == (
+                rec.min_b, rec.min_omega, rec.max_omega, rec.b_l1,
+                rec.x2, rec.v_l2), seed
+            assert rec.margin_v_l2 == 0.0, seed
 
     def test_reads_the_spectrum_advance_hands_out(self, monkeypatch):
         # after t = 0 the monitor transforms nothing: each sampled state
@@ -763,7 +791,7 @@ class TestRunVerify:
         # the envelopes at t0 are the data's own extrema
         assert first.env_omega_upper == rep.result.bounds.omega_max
         assert (first.margin_omega_lower, first.margin_omega_upper,
-                first.margin_b_lower) == (0.0, 0.0, 0.0)
+                first.margin_b_lower, first.margin_v_l2) == (0.0,) * 4
         assert rep.records[-1].t == pytest.approx(0.75)
 
     def test_unstable_step_raises(self):
@@ -1069,14 +1097,23 @@ class TestRunMms:
 
     def test_cli_dt_only_on_commands_that_step(self, capsys):
         # --dt was accepted and ignored: mms ran its own dts and check
-        # never steps
-        for args in (["mms", "--resolution", "8", "--t-end", "0.04",
-                      "--dt", "0.5"],
-                     ["check", "--dt", "0.5", "--b-min", "1"]):
+        # never steps; so were the flags below, which their command never
+        # read (verify judges on [t0, t_end], whatever the horizon)
+        mms = ["mms", "--resolution", "8", "--t-end", "0.04"]
+        run = ["--resolution", "16", "--t-end", "0.01"]
+        check = ["check", "--b-min", "1"]
+        for args, flag in ((mms, "--dt 0.5"), (check, "--dt 0.5"),
+                           (mms, "--out x"), (mms, "--seed 1"),
+                           (mms, "--constant-C 0.5"), (mms, "--horizon 5"),
+                           (["simulate"] + run, "--constant-C 0.5"),
+                           (["simulate"] + run, "--horizon 5"),
+                           (["verify"] + run, "--horizon 5"),
+                           (check, "--t-end 2")):
             with pytest.raises(SystemExit) as exc:
-                main(args)
+                main(args + flag.split())
             assert exc.value.code == 3
-            assert "unrecognized arguments: --dt 0.5" in capsys.readouterr().err
+            assert (f"unrecognized arguments: {flag}\n"
+                    in capsys.readouterr().err)
         assert main(["mms", "--resolution", "8", "--t-end", "0.04"]) == 0
         assert "dts: 0.004, 0.002, 0.001\n" in capsys.readouterr().out
 

@@ -15,6 +15,11 @@ from kturb import ops
 PI2 = 2.0 * np.pi
 
 
+def integral(grid, values):
+    """Uniform-quadrature integral of a physical array over the box."""
+    return float(np.sum(values)) * grid.cell_volume
+
+
 def rfftn(x):
     return scipy.fft.rfftn(x, axes=(-3, -2, -1))
 
@@ -170,8 +175,8 @@ class TestLeray:
             u, w = random_vector(g, rng), random_vector(g, rng)
             pu = g.irfft(ops.leray_hat(g, g.rfft(u)))
             pw = g.irfft(ops.leray_hat(g, g.rfft(w)))
-            lhs = ops.integral(g, pu * w)
-            rhs = ops.integral(g, u * pw)
+            lhs = integral(g, pu * w)
+            rhs = integral(g, u * pw)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_fixes_divergence_free_fields(self):

@@ -10,7 +10,9 @@ verify --resolution 16 --seed 4 --t-end 0.5` and `kturb verify
 --resolution 32 --seed 1 --t-end 0.06 --dt 0.003`, each into a
 temporary directory, and prints for each the sha1 of the
 `monitor.csv` and `final.snap` it writes and the worst energy-identity
-defect |energy_lhs - energy_rhs| over the `monitor.csv` rows; the
+defect |energy_lhs - energy_rhs| over the `monitor.csv` rows, then one
+line per `monitor.csv` column with the sha1 of that column's text, so
+two checkouts' outputs show which columns a change moved; the
 command's own report is not shown.  It then runs the 16^3
 manufactured-solution study (`run_mms` at t_end 0.04 and its default
 dts, the `mms16` benchmark configuration) and prints its v, omega and
@@ -68,8 +70,13 @@ def verify_digest(flags):
         monitor = os.path.join(out, "monitor.csv")
         cols = np.genfromtxt(monitor, delimiter=",", names=True)
         defect = np.max(np.abs(cols["energy_lhs"] - cols["energy_rhs"]))
-        return [_sha1(monitor), _sha1(os.path.join(out, "final.snap")),
-                f"defect {defect:.3e}"]
+        with open(monitor) as fh:
+            columns = zip(*(line.rstrip("\n").split(",") for line in fh))
+        column_sha1s = [
+            (name, hashlib.sha1("\n".join(values).encode()).hexdigest())
+            for name, *values in columns]
+        return ([_sha1(monitor), _sha1(os.path.join(out, "final.snap")),
+                 f"defect {defect:.3e}"], column_sha1s)
 
 
 def mms_errors():
@@ -100,7 +107,10 @@ def main():
         print(f"initial {n}^3 seed {seed}: v {v} omega,b {scalars}",
               flush=True)
     for flags in VERIFY_RUNS:
-        print(" ".join(flags), *verify_digest(flags), flush=True)
+        files, column_sha1s = verify_digest(flags)
+        print(" ".join(flags), *files, flush=True)
+        for name, sha1 in column_sha1s:
+            print("  column", name, sha1, flush=True)
     for name, errs in mms_errors().items():
         print("mms", name, *errs, flush=True)
     print(failure_line(), flush=True)
