@@ -123,20 +123,14 @@ class State:
         spectrum(); raise ValueError otherwise.  The velocity must be
         divergence-free and zero-mean on the kept block, which is all of
         it that advance marches, and omega and b above POSITIVITY_FLOOR,
-        where advance aborts, at every grid point.  The divergence
-        tolerance scales with the velocity's block L2 norm, floored at
-        1e-3 of y's, so a velocity off the block is not judged by
-        roundoff alone."""
+        where advance aborts, at every grid point.  The divergence is
+        judged by _require_divergence_free, as advance judges it."""
         if not np.all(np.isfinite(self.y)):
             raise ValueError("field values must be finite")
         g = self.grid
         y_hat = self.spectrum()
         vhat = y_hat[:3]
-        vnorm = max(np.sqrt(sum(ops.l2sq_hat(g, vhat[i]) for i in range(3))),
-                    1e-3 * ops.lp_norm(g, self.v, 2), 1e-300)
-        div = ops.div_hat(g, vhat)
-        if np.max(np.abs(div)) > 1e-12 * vnorm * g.npoints:
-            raise ValueError("velocity is not divergence-free")
+        _require_divergence_free(g, vhat, self.v)
         for i in range(3):
             if abs(vhat[i][0, 0, 0]) > 1e-12 * g.npoints:
                 raise ValueError("velocity has nonzero mean")
@@ -161,6 +155,18 @@ class Forcing:
         return self._func(t)
 
 
+def _require_divergence_free(grid, vhat, v):
+    """Raise ValueError unless the velocity spectrum vhat, on the kept
+    block, is divergence-free: max |k . vhat| at most 1e-12 npoints
+    times its block L2 norm, floored at 1e-3 of the L2 norm of v, its
+    physical velocity, so a velocity off the block is not judged by
+    roundoff alone."""
+    vnorm = max(np.sqrt(sum(ops.l2sq_hat(grid, vhat[i]) for i in range(3))),
+                1e-3 * ops.lp_norm(grid, v, 2), 1e-300)
+    if np.max(np.abs(ops.div_hat(grid, vhat))) > 1e-12 * vnorm * grid.npoints:
+        raise ValueError("velocity is not divergence-free")
+
+
 def _require_positive_omega(omega, t):
     """Raise a PositivityViolation at t unless min(omega) is finite and
     above POSITIVITY_FLOOR."""
@@ -171,29 +177,22 @@ def _require_positive_omega(omega, t):
             t=t)
 
 
-def _strain_sq(D):
-    """|D|^2 pointwise from the six entries (11, 22, 33, 12, 13, 23) of
-    the symmetric rate-of-strain tensor, formed in place: D is
-    overwritten and D[0] returned."""
-    np.square(D, out=D)
-    np.add(D[0], D[1], out=D[0])
-    np.add(D[0], D[2], out=D[0])
-    np.add(D[3], D[4], out=D[3])
-    np.add(D[3], D[5], out=D[3])
-    np.multiply(2.0, D[3], out=D[3])
-    return np.add(D[0], D[3], out=D[0])
-
-
 class TendencyKernel:
     """Fused evaluator of all three right-hand sides in spectral form.
 
     Its input and output are (5,) + grid.kept_shape spectra on the kept
     block, so every mode the 2/3 rule drops is absent rather than zero.
-    Every call transforms the same 17 fields to physical space, the
-    state's own five rows (v1, v2, v3, omega, b) first, and the same 14
-    products back, with TorusGrid's kept-block transforms.  A spatially
-    uniform state skips the transforms: the FFT of a constant field is
-    exact, so the result is bitwise identical to the full path.
+    The velocity of its input must be divergence-free, as advance
+    requires of the state it starts from and as every tendency's is:
+    then D33 = -(D11 + D22), which the kernel forms pointwise.  Every
+    call transforms the same 16 fields to physical space, the state's
+    own five rows (v1, v2, v3, omega, b) first, then grad omega, grad b
+    and D11, D22, D12, D13, D23, and the same 13 products back, with
+    TorusGrid's kept-block transforms: s_om, s_b, Gw, Gb and the stress
+    T' = (T11 - T33, T22 - T33, T12, T13, T23), since the Leray
+    projection removes div(T33 I) = grad T33.  A spatially uniform
+    state skips the transforms: the FFT of a constant field is exact, so
+    the result is bitwise identical to the full path.
 
     Every call also stores energy_rate, the energy budget's rate
     d/dt (|b|_1 + |v|_2^2 / 2) = -(b omega, 1) + (kappa4 - c_v) (mu
@@ -202,26 +201,26 @@ class TendencyKernel:
     forcing is not part of it.
 
     An instance owns the spectral stack, which the inverse transform
-    reads and the forward transform refills, the physical fields, the
-    physical products and the half-spectrum work array the transforms
-    run in.  It refills them on every call, so one instance
-    must not be shared between threads.  Complex products keep the
-    operand order of the plain expressions they replace, since numpy's
-    complex multiply is not bitwise commutative.
+    reads and the forward transform refills, one physical stack, which
+    holds the fields and four work rows and in which the products
+    replace the fields, and work, the (16,) + grid.spectral_shape
+    half-spectrum array the transforms run in, which a caller's own
+    transform may borrow between calls.  It refills them on every call,
+    so one instance must not be shared between threads.  Complex products keep the operand order of
+    the plain expressions they replace, since numpy's complex multiply
+    is not bitwise commutative.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        # spectra of v, omega, b, grad omega, grad b, D; then those of
-        # the products
-        self._spec = np.empty((17,) + grid.kept_shape, dtype=complex)
-        # their physical fields
-        self._phys = np.empty((17,) + grid.resolution)
-        # s_om, s_b, Gw, Gb and T
-        self._fwd = np.empty((14,) + grid.resolution)
+        # spectra of v, omega, b, grad omega, grad b and D11, D22, D12,
+        # D13, D23; the forward transform refills the first 13 rows
+        self._spec = np.empty((16,) + grid.kept_shape, dtype=complex)
+        # their physical fields, then four work rows
+        self._phys = np.empty((20,) + grid.resolution)
         # the half-spectrum array both transforms run their passes in
-        self._work = np.empty((17,) + grid.spectral_shape, dtype=complex)
+        self.work = np.empty((16,) + grid.spectral_shape, dtype=complex)
 
     def __call__(self, y_hat, t=0.0, out=None, inspect=None):
         """Tendency spectrum of y_hat, written into out when given and
@@ -254,11 +253,12 @@ class TendencyKernel:
             return out
 
         self._fill_inverse(y_hat)
-        phys = g.irfft(self._spec, out=self._phys, work=self._work)
+        phys = self._phys
+        g.irfft(self._spec, out=phys[:16], work=self.work)
         if inspect is not None:
             inspect(phys[:5])
         self._products(phys, t)
-        spec = g.rfft(self._fwd, out=self._spec[:14], work=self._work[:14])
+        spec = g.rfft(phys[3:16], out=self._spec[:13], work=self.work[:13])
         return self._assemble(spec, out)
 
     def _fill_inverse(self, y_hat):
@@ -267,59 +267,69 @@ class TendencyKernel:
         S[:5] = y_hat
         ops.grad_hat(g, y_hat[3], out=S[5:8])
         ops.grad_hat(g, y_hat[4], out=S[8:11])
-        ops.sym_grad_hat(g, y_hat[:3], out=S[11:17])
+        ops.sym_grad_hat(g, y_hat[:3], out=S[11:16])
 
     def _products(self, phys, t):
-        """Fill the forward stack from the physical fields, which are
-        overwritten."""
+        """Replace rows 3:16 of the physical stack, omega, b, grad omega,
+        grad b and D, with the products s_om, s_b, Gw, Gb and T'; the
+        velocity rows and the work rows are overwritten too."""
         p = self.params
-        F = self._fwd
         v, omega, b = phys[:3], phys[3], phys[4]
-        grad_w, grad_b, D = phys[5:8], phys[8:11], phys[11:17]
+        grad_w, grad_b, D = phys[5:8], phys[8:11], phys[11:16]
+        mu, kmu, tmp, D33 = phys[16:20]
 
         _require_positive_omega(omega, t)
-
-        # s_om = -kappa2 omega^2
-        np.multiply(-p.kappa2, omega, out=F[0])
-        np.multiply(F[0], omega, out=F[0])
-        # s_b = -b omega + kappa4 mu |D|^2 (last term below)
-        np.negative(b, out=F[1])
-        np.multiply(F[1], omega, out=F[1])
-        coupling = float(np.sum(F[1]))
-        # Gw = -omega v + kappa1 mu grad omega, Gb = -b v + kappa3 mu grad b
-        np.multiply(omega, v, out=F[2:5])
-        np.subtract(0.0, F[2:5], out=F[2:5])
-        np.multiply(b, v, out=F[5:8])
-        np.subtract(0.0, F[5:8], out=F[5:8])
-        # omega and b are not read past here: mu replaces b, and the
-        # coefficient times mu goes where omega was
-        mu = np.divide(b, omega, out=b)
-        kmu = omega
-        for kappa, grad, G in ((p.kappa1, grad_w, F[2:5]),
-                               (p.kappa3, grad_b, F[5:8])):
+        np.divide(b, omega, out=mu)
+        # Gw = kappa1 mu grad omega - omega v and Gb = kappa3 mu grad b
+        # - b v, over the gradients
+        for kappa, s, G in ((p.kappa1, omega, grad_w),
+                            (p.kappa3, b, grad_b)):
             np.multiply(kappa, mu, out=kmu)
-            np.multiply(kmu, grad, out=grad)
-            np.add(G, grad, out=G)
-        # T_ij = c_v mu D_ij - v_i v_j, ordered (11, 22, 33, 12, 13, 23);
-        # the gradient rows hold the velocity products
-        np.multiply(p.c_v, mu, out=kmu)
-        np.multiply(kmu, D, out=F[8:14])
-        vv = phys[5:11]
-        for row, (i, j) in enumerate(((0, 0), (1, 1), (2, 2),
-                                      (0, 1), (0, 2), (1, 2))):
-            np.multiply(v[i], v[j], out=vv[row])
-        np.subtract(F[8:14], vv, out=F[8:14])
+            np.multiply(kmu, G, out=G)
+            for i in range(3):
+                np.multiply(s, v[i], out=tmp)
+                np.subtract(G[i], tmp, out=G[i])
+        # s_om = -kappa2 omega^2 over omega, and s_b = -b omega + kappa4
+        # mu |D|^2 over b, its last term below
+        np.negative(b, out=b)
+        np.multiply(b, omega, out=b)
+        coupling = float(np.sum(b))
+        np.multiply(-p.kappa2, omega, out=kmu)
+        np.multiply(kmu, omega, out=omega)
+        # D33 = -(D11 + D22), as v is divergence-free, and |D|^2 in tmp
+        np.add(D[0], D[1], out=D33)
+        np.negative(D33, out=D33)
+        np.multiply(D[2], D[2], out=tmp)
+        for row in D[3:]:
+            np.multiply(row, row, out=kmu)
+            np.add(tmp, kmu, out=tmp)
+        np.add(tmp, tmp, out=tmp)
+        for row in (D[0], D[1], D33):
+            np.multiply(row, row, out=kmu)
+            np.add(tmp, kmu, out=tmp)
         np.multiply(p.kappa4, mu, out=kmu)
-        np.multiply(kmu, _strain_sq(D), out=kmu)
+        np.multiply(kmu, tmp, out=kmu)
         self.energy_rate = self.grid.cell_volume * (
             coupling + (1.0 - p.c_v / p.kappa4) * float(np.sum(kmu)))
-        np.add(F[1], kmu, out=F[1])
+        np.add(b, kmu, out=b)
+        # T' over D, from T_ij = c_v mu D_ij - v_i v_j; its diagonal
+        # T'_ii = c_v mu (D_ii - D33) - (v_i^2 - v3^2), with the squares
+        # over v
+        np.subtract(D[:2], D33, out=D[:2])
+        np.multiply(p.c_v, mu, out=kmu)
+        np.multiply(kmu, D, out=D)
+        for row, (i, j) in zip(D[2:], ((0, 1), (0, 2), (1, 2))):
+            np.multiply(v[i], v[j], out=tmp)
+            np.subtract(row, tmp, out=row)
+        np.multiply(v, v, out=v)
+        np.subtract(v[:2], v[2], out=v[:2])
+        np.subtract(D[:2], v[:2], out=D[:2])
 
     def _assemble(self, spec, out):
-        """out = (P div T, s_om + div Gw, s_b + div Gb) from the
+        """out = (P div T', s_om + div Gw, s_b + div Gb) from the 13
         dealiased forward spectra, which are overwritten."""
         ik = self.grid.ik
-        T = spec[8:14]
+        T = spec[8:13]
         # div Gw and div Gb, summed in the Gw[0] and Gb[0] rows
         for row, s, G in ((3, spec[0], spec[2:5]), (4, spec[1], spec[5:8])):
             for i in range(3):
@@ -328,13 +338,12 @@ class TendencyKernel:
             np.add(G[0], G[2], out=G[0])
             np.add(s, G[0], out=out[row])
         tmp = spec[2]
-        # div T row by row: entries i1, i2, i3 of the symmetric tensor as
-        # indices into its (11, 22, 33, 12, 13, 23) rows
-        for i, row in enumerate(((0, 3, 4), (3, 1, 5), (4, 5, 2))):
+        # div T' row by row: entries i1, i2, i3 of T' as indices into its
+        # (11, 22, 12, 13, 23) rows; its 33 entry is zero
+        for i, row in enumerate(((0, 2, 3), (2, 1, 4), (3, 4))):
             np.multiply(ik[0], T[row[0]], out=out[i])
-            for j in (1, 2):
+            for j in range(1, len(row)):
                 np.multiply(ik[j], T[row[j]], out=tmp)
                 np.add(out[i], tmp, out=out[i])
         ops.leray_hat(self.grid, out[:3])
         return out
-

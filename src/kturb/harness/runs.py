@@ -16,7 +16,7 @@ from ..dynamics import Forcing, State, TendencyKernel
 from ..envelopes import EnvelopeSet, require_large_kappa2
 from ..errors import VerificationFailure
 from ..integrator import StepControl, advance, compute_dt
-from .config import RunConfig
+from .config import RunConfig, _tables
 from .initial import extract_bounds, generate_initial
 from .monitor import Monitor, write_csv
 from .snapshot import write_snapshot
@@ -299,8 +299,10 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
     sigma(t) Y of `_Manufactured`: one fixed-dt run per dt, whose error
     at t_end is purely temporal, since the forcing is formed against the
     discrete operator.  Each run makes 4 kernel calls per step and 2
-    more for the forcing.  A config that sets dt_fixed is refused, since
-    the study would ignore it.
+    more for the forcing.  The study reads only the config's [grid],
+    [model] and [run] t_end, so a config that sets any other key away
+    from its RunConfig() default is refused, since the study would
+    ignore it.
 
     The runs at the different dts are independent, so they are spread
     over one process per usable CPU, up to one per run (see
@@ -309,9 +311,15 @@ def run_mms(config: RunConfig, dts=(4e-3, 2e-3, 1e-3),
     bit for bit."""
     dts = tuple(dts)
     t_end = config.t_end
-    if config.control.dt_fixed is not None:
-        raise ValueError(f"[step] dt_fixed = {config.control.dt_fixed!r} is "
-                         f"not used: the study runs its own dts")
+    default = _tables(RunConfig())
+    for sec, table in _tables(config).items():
+        for key, value in table.items():
+            if (sec not in ("grid", "model") and (sec, key) != ("run", "t_end")
+                    and value != default[sec][key]):
+                raise ValueError(
+                    f"[{sec}] {key} = {value!r} is not used: the study reads "
+                    f"only [grid], [model] and [run] t_end, and runs its own "
+                    f"dts")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     if len(dts) < 2:

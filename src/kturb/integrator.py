@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .dynamics import POSITIVITY_FLOOR, ModelParams, State, TendencyKernel
+from .dynamics import (POSITIVITY_FLOOR, ModelParams, State, TendencyKernel,
+                       _require_divergence_free)
 from .errors import BlowUp, PositivityViolation, require_finite
 
 # Classical RK4 is stable for real negative eigenvalues lambda with
@@ -46,8 +47,11 @@ class StepControl:
 
 
 def _speed_and_mu_max(y):
-    """max |v| and max mu = b/omega of a physical (5, ...) state."""
-    return float(np.max(np.abs(y[:3]))), float(np.max(y[4] / y[3]))
+    """max |v| and max mu = b/omega of a physical (5, ...) state; max |v|
+    is max(max v, -min v), which makes no |v| array."""
+    v = y[:3]
+    return (max(float(np.max(v)), -float(np.min(v))),
+            float(np.max(y[4] / y[3])))
 
 
 def _dt_from_arrays(grid, params, control, vmax, mumax):
@@ -69,13 +73,15 @@ def compute_dt(state: State, params: ModelParams, control: StepControl) -> float
 
 class _Marcher:
     """Owns the spectral state between steps so fields are transformed
-    once per step, not once per call.  It also owns the four RK4 stage
-    tendencies and the stage input, on the kept block and reused on
-    every step, so it is not re-entrant.  check() is the one guard of a
-    physical (5, N1, N2, N3) state; advance runs it on the state that
-    the first kernel call of each step after the first hands
-    first_stage's inspect.  A kernel call whose omega is at or below the
-    floor raises the kernel's PositivityViolation at its stage time.
+    once per step, not once per call.  It also owns two RK4 registers,
+    the first stage's tendency, in which the stage sum accumulates, and
+    each later stage's in turn, and the stage input, on the kept block
+    and reused on every step, so it is not re-entrant.  check() is the
+    one guard of a physical (5, N1, N2, N3) state; advance runs it on
+    the state that the first kernel call of each step after the first
+    hands first_stage's inspect.  A kernel call whose omega is at or
+    below the floor raises the kernel's PositivityViolation at its
+    stage time.
     budget is the one given plus the RK4 quadrature of the kernel's
     energy_rate over the steps made."""
 
@@ -85,7 +91,7 @@ class _Marcher:
         self.budget = budget
         self.kernel = TendencyKernel(grid, params)
         shape = (5,) + grid.kept_shape
-        self._k = np.empty((4,) + shape, dtype=complex)
+        self._k = np.empty((2,) + shape, dtype=complex)
         self._stage = np.empty(shape, dtype=complex)
 
     def _stage_input(self, y_hat, c, k):
@@ -117,24 +123,24 @@ class _Marcher:
         """Complete the RK4 step from t that first_stage began: add the
         forcing to the first stage, make the other three and advance
         y_hat by dt in place; return it."""
-        k1, k2, k3, k4 = self._k
-        self._add_forcing(t, k1)
-        # the stage rates' ((C1 + 2 C2) + 2 C3) + C4, summed in _rate
-        for c, k, out, tc, w in ((0.5 * dt, k1, k2, t + 0.5 * dt, 2.0),
-                                 (0.5 * dt, k2, k3, t + 0.5 * dt, 2.0),
-                                 (dt, k3, k4, t + dt, 1.0)):
-            self.kernel(self._stage_input(y_hat, c, k), tc, out=out)
+        acc, k = self._k
+        self._add_forcing(t, acc)
+        stage = self._stage_input(y_hat, 0.5 * dt, acc)
+        # each stage's tendency k is read for the next stage's input and
+        # then added to acc, as y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4);
+        # the stage rates are summed in _rate in the same order
+        for tc, c_next, w in ((t + 0.5 * dt, 0.5 * dt, 2.0),
+                              (t + 0.5 * dt, dt, 2.0), (t + dt, None, 1.0)):
+            self.kernel(stage, tc, out=k)
             self._rate += w * self.kernel.energy_rate
-            self._add_forcing(tc, out)
+            self._add_forcing(tc, k)
+            if c_next is not None:
+                stage = self._stage_input(y_hat, c_next, k)
+                np.multiply(w, k, out=k)
+            np.add(acc, k, out=acc)
         self.budget += dt / 6.0 * self._rate
-        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
-        np.multiply(2.0, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(2.0, k3, out=k3)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(dt / 6.0, k1, out=k1)
-        np.add(y_hat, k1, out=y_hat)
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(y_hat, acc, out=y_hat)
         ops.leray_hat(self.grid, y_hat[:3])
         return y_hat
 
@@ -160,11 +166,14 @@ def advance(state: State, t_end: float, params: ModelParams,
 
     The state is checked in physical space, and the march starts from a
     copy of state.spectrum(), its kept block of the 2/3 rule: y_hat when
-    set, else y projected once.  callbacks: (cadence, callable) pairs,
+    set, else y projected once.  Its velocity must be divergence-free,
+    as State.validate judges it (TendencyKernel relies on it); a
+    ValueError refuses any other.  callbacks: (cadence, callable) pairs,
     cadence an integer >= 1; each callable receives the freshly accepted
-    State on steps 1, 1+cadence, 1+2*cadence, ...  Its y and y_hat, and
-    those of the returned state, are read-only, so that a march from a
-    state advance handed out continues from it bit for bit.  Their
+    State on steps 1, 1+cadence, 1+2*cadence, ...; on the last step,
+    the returned state itself.  Its y and y_hat, and those of the
+    returned state, are read-only, so that a march from a state advance
+    handed out continues from it bit for bit.  Their
     budget is state.budget plus the RK4 stage quadrature of the
     kernel's energy_rate over the steps made.  A Forcing's spectrum is
     added at each stage time; the budget leaves it out.
@@ -200,6 +209,7 @@ def advance(state: State, t_end: float, params: ModelParams,
     t = state.t
     vmax, mumax = m.check(state.y, t)
     y = state.spectrum().copy()
+    _require_divergence_free(g, y[:3], state.v)
     nstep = 0
     alarm = None
     cb_due = False
@@ -213,12 +223,15 @@ def advance(state: State, t_end: float, params: ModelParams,
         if cb_due:
             handed = phys.copy()
 
-    def run_callbacks(phys):
-        # fresh arrays, so callbacks may keep the state
-        y_hat = y.copy()
+    def handout(phys, y_hat):
+        # read-only arrays that nothing writes again, so callbacks may
+        # keep the state
         phys.flags.writeable = y_hat.flags.writeable = False
         snap = State(g, phys, t, y_hat)
         snap.budget = m.budget
+        return snap
+
+    def run_callbacks(snap):
         for every, fn in cbs:
             if (nstep - 1) % every == 0:
                 fn(snap)
@@ -228,7 +241,7 @@ def advance(state: State, t_end: float, params: ModelParams,
             # step 0's state was checked in physical space above
             m.first_stage(y, t, guard if nstep else None)
             if cb_due:
-                run_callbacks(handed)
+                run_callbacks(handout(handed, y.copy()))
             dt = _dt_from_arrays(g, params, control, vmax, mumax)
             if t + dt == t:
                 raise ValueError(
@@ -257,15 +270,15 @@ def advance(state: State, t_end: float, params: ModelParams,
             t = t_end if last else t + dt
             nstep += 1
             cb_due = any((nstep - 1) % every == 0 for every, _ in cbs)
-        phys = g.irfft(y)
+        # in the kernel's work array: a work array of its own would raise
+        # the march's peak memory
+        phys = g.irfft(y, work=m.kernel.work[:5])
         m.check(phys, t)
+        final = handout(phys, y)
         if cb_due:
-            run_callbacks(phys.copy())
+            run_callbacks(final)
     except (PositivityViolation, BlowUp) as exc:
         if alarm is None:
             raise
         raise type(exc)(f"{exc}; {alarm}", t=exc.t) from exc
-    phys.flags.writeable = y.flags.writeable = False
-    final = State(g, phys, t, y)
-    final.budget = m.budget
     return final

@@ -41,20 +41,20 @@ def leray_hat(grid, uhat):
 
 
 def sym_grad_hat(grid, vhat, out=None):
-    """Six independent entries of D = (grad v + grad v^T)/2 in spectral
-    space, ordered (11, 22, 33, 12, 13, 23), written into out when
-    given."""
+    """Entries (11, 22, 12, 13, 23) of D = (grad v + grad v^T)/2 in
+    spectral space, written into out when given.  They are all of D for
+    a divergence-free v, whose D33 is -(D11 + D22)."""
     (k1, k2, k3), ik = grid.k, grid.ik
     if out is None:
-        out = np.empty((6,) + vhat.shape[1:], dtype=complex)
+        out = np.empty((5,) + vhat.shape[1:], dtype=complex)
     # off-diagonals 0.5i (ka va + kb vb) first: row 0 is their scratch
-    for row, ka, a, kb, b in ((3, k2, 0, k1, 1), (4, k3, 0, k1, 2),
-                              (5, k3, 1, k2, 2)):
+    for row, ka, a, kb, b in ((2, k2, 0, k1, 1), (3, k3, 0, k1, 2),
+                              (4, k3, 1, k2, 2)):
         np.multiply(ka, vhat[a], out=out[row])
         np.multiply(kb, vhat[b], out=out[0])
         np.add(out[row], out[0], out=out[row])
         np.multiply(0.5j, out[row], out=out[row])
-    for i in range(3):
+    for i in range(2):
         np.multiply(ik[i], vhat[i], out=out[i])
     return out
 

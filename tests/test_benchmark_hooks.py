@@ -17,7 +17,7 @@ spans.Tracer().install()
 
 
 # a traced 8^3 simulation of 5 fixed steps: every kernel call must show
-# its 17 inverse and 14 forward transforms, so a layout change cannot
+# its 16 inverse and 13 forward transforms, so a layout change cannot
 # silently zero the per-layer metrics
 _TRACED_RUN = _SCRIPT + """
 import numpy as np
@@ -39,8 +39,8 @@ name, parent, _, value = tracer.arrays()
 ids = tracer._ids
 for kernel in np.flatnonzero(name == ids["dynamics.kernel"]):
     inside = parent == kernel
-    assert value[inside & (name == ids["grid.irfft"])].tolist() == [17]
-    assert value[inside & (name == ids["grid.rfft"])].tolist() == [14]
+    assert value[inside & (name == ids["grid.irfft"])].tolist() == [16]
+    assert value[inside & (name == ids["grid.rfft"])].tolist() == [13]
 """
 
 

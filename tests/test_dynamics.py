@@ -8,7 +8,7 @@ import pytest
 from kturb import (Forcing, ModelParams, PositivityViolation, State,
                    StepControl, TorusGrid, advance)
 from kturb import ops
-from kturb.dynamics import TendencyKernel, _strain_sq
+from kturb.dynamics import TendencyKernel
 
 
 def make_state(grid, rng, v_amp=0.1, band=3):
@@ -50,16 +50,22 @@ def spectral_forcing(grid, rng):
     return f
 
 
+def naive_strain(state):
+    """The full 3 x 3 D(v) of state, built from per-component gradients."""
+    g = state.grid
+    grad_v = np.stack([g.irfft(ops.grad_hat(g, g.rfft(state.v[i])))
+                       for i in range(3)])  # grad_v[i, j] = d_j v_i
+    return 0.5 * (grad_v + grad_v.swapaxes(0, 1))
+
+
 def naive_tendency(state, params):
     """Independent straight-line evaluation: every term transformed and
-    dealiased separately, with D(v) built from per-component gradients."""
+    dealiased separately, with the full 3 x 3 D(v) and stress tensor."""
     g = state.grid
     p = params
     v, om, b = state.v, state.omega, state.b
     mu = b / om
-    grad_v = np.stack([g.irfft(ops.grad_hat(g, g.rfft(v[i])))
-                       for i in range(3)])  # grad_v[i, j] = d_j v_i
-    D = 0.5 * (grad_v + grad_v.swapaxes(0, 1))
+    D = naive_strain(state)
 
     def deal(phys):
         # the transform pair keeps only the modes of the 2/3 rule
@@ -381,8 +387,8 @@ def energy_flux(state, params):
     production cancels the viscous loss, so dE_kin + dB_mass = coupling."""
     g = state.grid
     mu = state.b / state.omega
-    D = g.irfft(ops.sym_grad_hat(g, g.rfft(state.v)))
-    visc = integral(g, mu * _strain_sq(D))
+    D = naive_strain(state)
+    visc = integral(g, mu * np.einsum("ij...,ij...->...", D, D))
     bw = integral(g, state.b * state.omega)
     return (-params.c_v * visc, -bw + params.kappa4 * visc, -bw)
 

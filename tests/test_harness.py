@@ -4,6 +4,7 @@ orchestrated runs, and the command-line interface."""
 import dataclasses
 import math
 import os
+import re
 import time
 import tracemalloc
 import warnings
@@ -614,7 +615,7 @@ class TestMonitor:
                         StepControl(dt_max=1.0, dt_fixed=0.01),
                         callbacks=[(1, keep)])
         # generate_initial's validate set the state's spectrum, which
-        # advance starts from, and the kernel transforms 14-row stacks
+        # advance starts from, and the kernel transforms 13-row stacks
         assert [c for c in calls if c[0] == 5] == []
         assert len(mon.records) == 4
         assert not any(state.y.flags.writeable or state.y_hat.flags.writeable
@@ -1067,8 +1068,8 @@ class TestRunMms:
 
         monkeypatch.setattr(TorusGrid, "rfft", counted)
         runs._mms_errors(RunConfig(resolution=(8, 8, 8), t_end=0.05), 5e-3)
-        # the kernel's own forwards are of its 14 products
-        assert [c for c in calls if c[0] != 14] == [(5, 8, 8, 8)]
+        # the kernel's own forwards are of its 13 products
+        assert [c for c in calls if c[0] != 13] == [(5, 8, 8, 8)]
 
     @pytest.mark.parametrize("dts, t_end, name", [
         ((5e-3,), 0.05, "dts"),
@@ -1125,6 +1126,35 @@ class TestRunMms:
                        "dt_fixed = 0.5\n[run]\nt_end = 0.04\n")
         assert main(["mms", "--config", str(cfg)]) == 3
         assert "[step] dt_fixed = 0.5 is not used" in capsys.readouterr().err
+
+    def test_cli_refuses_settings_it_never_reads(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the study reads only [grid], [model] and [run] t_end; this
+        # config used to run it, exit 0 and create no directory
+        out = tmp_path / "out"
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text("[grid]\nn1 = 8\nn2 = 8\nn3 = 8\n[run]\n"
+                       "t_end = 0.04\n[initial]\nseed = 7\n[output]\n"
+                       f"dir = {out}\n")
+        assert main(["mms", "--config", str(cfg)]) == 3
+        assert "[initial] seed = 7 is not used" in capsys.readouterr().err
+        assert not out.exists()
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(runs, "_mms_study", no_run)
+        base = RunConfig(resolution=(8, 8, 8), t_end=0.05)
+        for change, name in (
+                (dict(control=StepControl(dt_max=0.05)), "[step] dt_max"),
+                (dict(criterion=CriterionConfig(horizon=2.0)),
+                 "[criterion] horizon"),
+                (dict(monitor_every=2), "[run] monitor_every"),
+                (dict(snapshot_every=1), "[run] snapshot_every"),
+                (dict(c_p_override=2.0), "[run] c_p_override"),
+                (dict(out_dir=str(out)), "[output] dir")):
+            with pytest.raises(ValueError, match=re.escape(name)):
+                run_mms(dataclasses.replace(base, **change))
 
     def test_cli_zero_t_end_is_invalid(self, capsys):
         assert main(["mms", "--resolution", "8", "--t-end", "0"]) == 3

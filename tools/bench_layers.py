@@ -3,14 +3,16 @@
     PYTHONPATH=src python tools/bench_layers.py --out BENCH_6.json \
         [--label TEXT] [--src DIR] [--parent FILE] [--skip-tier1]
 
-At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the 17-field
-inverse and the 14-field forward transform the kernel makes, one RK4
-step of `advance` (its guard included), and one `Monitor.sample` of a
-state that `advance` handed its callback (`monitor_sample_ms`), on the
-acceptance initial data (band 5, default ModelParams).  The two
-transform rows repeat the calls that one kernel call makes, with the
-kernel's own arrays and keywords, so they time whatever the timed
-checkout's kernel does.  These layer rows are timed in LAYER_ROUNDS (5)
+At 16^3, 32^3 and 64^3 it times one tendency-kernel call, the inverse
+and the forward transform the kernel makes, one RK4 step of `advance`
+(its guard included), and one `Monitor.sample` of a state that
+`advance` handed its callback (`monitor_sample_ms`), on the acceptance
+initial data (band 5, default ModelParams).  The two transform rows,
+`inverse_ms` and `forward_ms`, repeat the calls that one kernel call
+makes, with the kernel's own arrays and keywords, so they time
+whatever the timed checkout's kernel does; `inverse_fields` and
+`forward_fields` beside them are the number of fields each call
+transforms.  These layer rows are timed in LAYER_ROUNDS (5)
 fresh processes, and a row is the min and median of the per-process
 medians, in ms, those medians as its samples, and their interquartile
 range over the median, `iqr_over_median`: the spread between
@@ -91,7 +93,9 @@ def _timed(fn, prepare, repeats):
 
 def _kernel_transforms(grid, kern, y_hat):
     """The inverse and the forward transform one call kern(y_hat) makes,
-    as callables that repeat them with the kernel's own arguments."""
+    as (callable, fields) pairs: a callable that repeats the call with
+    the kernel's own arguments, and the number of fields it
+    transforms."""
     calls = {}
     for name in ("irfft", "rfft"):
         def spy(*args, _name=name, _orig=getattr(grid, name), **kwargs):
@@ -102,7 +106,7 @@ def _kernel_transforms(grid, kern, y_hat):
         kern(y_hat, 0.0)
     finally:
         del grid.irfft, grid.rfft
-    return [lambda f=f, a=a, kw=kw: f(*a, **kw)
+    return [(lambda f=f, a=a, kw=kw: f(*a, **kw), np.shape(a[0])[0])
             for f, a, kw in (calls["irfft"], calls["rfft"])]
 
 
@@ -129,8 +133,9 @@ def time_layers(kturb, n):
     kern(y_hat, 0.0, out=out)
     kernel = _timed(lambda: kern(y_hat, 0.0, out=out),
                     lambda: None, reps)
-    inverse, forward = (_timed(call, lambda: None, reps)
-                        for call in _kernel_transforms(g, kern, y_hat))
+    (inverse, inverse_fields), (forward, forward_fields) = (
+        (_timed(call, lambda: None, reps), fields)
+        for call, fields in _kernel_transforms(g, kern, y_hat))
 
     dt = kturb.compute_dt(state, params, kturb.StepControl(dt_max=1.0))
     ctl = kturb.StepControl(dt_max=1.0, dt_fixed=dt)
@@ -144,8 +149,10 @@ def time_layers(kturb, n):
     sample = _timed(lambda: mon.sample(handed[-1]), lambda: None, reps)
     return {
         "kernel_ms": kernel,
-        "inverse17_ms": inverse,
-        "forward14_ms": forward,
+        "inverse_ms": inverse,
+        "inverse_fields": inverse_fields,
+        "forward_ms": forward,
+        "forward_fields": forward_fields,
         "rk4_step_ms": list(np.asarray(steps) / STEPS_PER_CALL),
         "monitor_sample_ms": sample,
         "dt": dt,
@@ -165,7 +172,9 @@ def time_layer_rounds(sides):
     """Each side's layer rows over LAYER_ROUNDS processes per side, the
     sides' processes alternating, and which side goes first alternating
     from round to round.  A row is the _spread of its per-process
-    medians, so its iqr_over_median is the spread between processes."""
+    medians, so its iqr_over_median is the spread between processes;
+    the scalars beside the rows (dt and the field counts) are the first
+    round's."""
     runs = {name: [] for name in sides}
     for r in range(LAYER_ROUNDS):
         for name, src in list(sides.items())[::1 if r % 2 == 0 else -1]:
@@ -176,8 +185,8 @@ def time_layer_rounds(sides):
         for size, rows in rounds[0].items():
             result[name][size] = {
                 row: _spread([np.median(r[size][row]) for r in rounds])
-                for row in rows if row != "dt"}
-            result[name][size]["dt"] = rows["dt"]
+                if isinstance(value, list) else value
+                for row, value in rows.items()}
     return result
 
 
